@@ -17,7 +17,6 @@ from .localization import (
     consistency_gap,
     sample_noisy_squared_distances,
     solve_position,
-    true_distance,
 )
 from .quadform import QuadFormDist
 from .authentication import (

@@ -178,6 +178,8 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
     """
     if trials <= 0:
         raise DomainError("trials must be positive")
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     if eve_mode not in ("fixed", "uniform"):
         raise DomainError("eve_mode must be 'fixed' or 'uniform'")
     if eve_mode == "fixed" and scenario.eve is None:

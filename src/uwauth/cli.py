@@ -131,7 +131,8 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
-        print(f"accuracy failure: {exc}", file=sys.stderr)
+        print(f"accuracy failure: {exc} (achieved {exc.achieved}, "
+              f"target {exc.target})", file=sys.stderr)
         return 3
 
 

@@ -96,6 +96,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     at grid index i derive their generators from (master_seed, i), so
     neither worker count nor scheduling affects the numbers.
     """
+    if workers < 1:
+        raise DomainError("workers must be at least 1")
     scen = spec.scenario
     if spec.eve_mode == "uniform":
         eve_xy = region_point_set(spec.analytic_eve_count, scen.region)

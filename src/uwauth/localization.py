@@ -22,7 +22,6 @@ __all__ = [
     "AnchorArray",
     "Scenario",
     "NoisySquaredDistances",
-    "true_distance",
     "sample_noisy_squared_distances",
     "sample_noisy_squared_distances_batch",
     "build_system",
@@ -119,16 +118,6 @@ class NoisySquaredDistances:
     true_distance_m: np.ndarray
     noise_std_m: np.ndarray
     observed_sq_m2: np.ndarray
-
-
-def true_distance(point, anchor) -> float:
-    """Euclidean distance between a node and one anchor."""
-    p = np.asarray(point, dtype=float)
-    a = np.asarray(anchor, dtype=float)
-    d = float(np.hypot(*(p - a)))
-    if d == 0.0:
-        raise GeometryError("point coincides with an anchor")
-    return d
 
 
 def sample_noisy_squared_distances(point, anchors: AnchorArray,

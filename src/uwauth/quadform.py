@@ -4,24 +4,42 @@ Q = sum_i (a_i Z_i + delta_i)^2 with Z_i independent standard normal and
 a_i > 0, which is a weighted sum of noncentral chi-square(1) variables
 with weights w_i = a_i^2 and noncentralities lam_i = (delta_i / a_i)^2.
 
-The CDF comes from numerical inversion of the characteristic function
-(the Gil-Pelaez sine formula):
+Single-term distributions use the exact (non)central chi-square CDF.
+Saturated tails are settled by Chernoff bounds on the moment generating
+function and reported as exactly 0 or 1. Every other CDF value comes from
+one route: Abate and Whitt's EULER inversion (ORSA J. Computing 7:36,
+1995) of the Laplace transform of the CDF,
 
-    P(Q <= x) = 1/2 - (1/pi) * I(x),
-    I(x) = integral_0^inf sin(theta(u)) / (u * rho(u)) du,
+    F^(s) = phi(s) / s,
+    phi(s) = E exp(-s Q) = prod_i (1 + 2 w_i s)^(-1/2)
+                           * exp(-lam_i w_i s / (1 + 2 w_i s)),
 
-    theta(u) = 0.5 * sum_i [atan(w_i u) + lam_i w_i u / (1 + w_i^2 u^2)]
-               - 0.5 * x * u,
-    rho(u)   = prod_i (1 + w_i^2 u^2)^(1/4)
-               * exp(0.5 * sum_i lam_i w_i^2 u^2 / (1 + w_i^2 u^2)).
+    F(t) ~ e^(A/2) / t * [Re F^(A/2t) / 2
+                          + sum_k (-1)^k Re F^((A + 2 k pi i) / 2t)],
 
-Three evaluation regimes keep the inversion both fast and reliable:
-saturated tails are settled by Chernoff bounds on the moment generating
-function, the oscillatory regime (x above roughly half the mean) uses
-QUADPACK's Fourier integrator for the slowly decaying tail, and small x
-falls back to summing half-period lobes accelerated with Wynn's epsilon
-algorithm. Single-term distributions use the exact (non)central
-chi-square CDF directly.
+with the alternating series summed by Euler's binomial average of its
+partial sums n = 50 ... 65. (Abate and Whitt's n = 38, m = 11 left errors
+up to 1.4e-7 on forms mixing weights over eight decades with
+noncentralities up to 1e12.) Discretization aliases the CDF at 3t, 5t,
+... into the result: e^-A F(3t) + e^-2A F(5t) + ...
+
+Shift. The inversion runs on Q - c, where c is a lower point whose
+Chernoff bound gives P(Q <= c) <= 1e-20; c is solved once per
+distribution on the saddle-point curve. Without the shift, a
+distribution concentrated far from zero (huge noncentrality) has a
+transform that oscillates for thousands of terms before it decays, and
+the fixed-length sum is off by up to 0.35 and fails its error check.
+The mass below c enters the result amplified by at most e^A, about
+2e-11.
+
+Error check. The sum is formed at A = 18.4 and A = 21.4. An
+AccuracyError is raised when the two disagree, or the Euler average moves
+between n - 1 and n, by more than the 1e-7 target. The aliasing
+coefficients do not depend on A, so extrapolating the pair cancels the
+e^-A term; what remains is the truncation of the Euler sum and rounding
+amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
+ones, and ~3e-12 absolute in the far upper tail, where sf values below
+that can come out as 0.
 """
 
 from __future__ import annotations
@@ -29,11 +47,9 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import atan, cos, exp, inf, log, log1p, pi, sin, sqrt
+from math import comb, exp, log, sqrt
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 from scipy.stats import chi2, ncx2
 
 from .errors import AccuracyError, DomainError
@@ -46,11 +62,15 @@ _DEGENERATE_RTOL = 1e-10
 # Tail probabilities certified below this level by a Chernoff bound are
 # reported as exactly 0 (or 1 on the complementary side).
 _SATURATION = 1e-14
-# Inversion switches from the Fourier route to lobe summation when the
-# oscillation frequency x/2 (after scaling the mean to 1) drops below this.
-_OMEGA_SPLIT = 0.25
-# Absolute accuracy demanded of the inversion integral.
+# Absolute accuracy demanded of the inversion.
 _TARGET_ERR = 1e-7
+# EULER parameters: the two discretization levels A whose results must
+# agree, and the Euler average over partial sums n .. n + m.
+_EULER_A = np.array([18.4, 21.4])
+_EULER_N = 50
+_EULER_M = 15
+# Chernoff mass below the inversion shift c.
+_SHIFT_MASS = 1e-20
 
 
 @dataclass(frozen=True)
@@ -104,12 +124,17 @@ class QuadFormDist:
         lam = (d / a) ** 2
         return w, lam, shift
 
+    @cached_property
+    def _inversion_shift(self) -> float:
+        w, lam, _ = self._effective
+        return _lower_point(w, lam, log(_SHIFT_MASS))
+
     def cdf(self, x: float) -> float:
         """P(Q <= x), absolute error at most 1e-6."""
         return self._prob(float(x), upper=False)
 
     def sf(self, x: float) -> float:
-        """P(Q > x); computed from the same inversion integral as cdf."""
+        """P(Q > x); computed from the same inversion as cdf."""
         return self._prob(float(x), upper=True)
 
     def quantile(self, p: float) -> float:
@@ -161,9 +186,8 @@ class QuadFormDist:
             return 1.0 if upper else 0.0
         if side == "upper":
             return 0.0 if upper else 1.0
-        integral = _inversion_integral(w / mean, lam, x / mean)
-        p = 0.5 + integral / pi if upper else 0.5 - integral / pi
-        return min(1.0, max(0.0, p))
+        p = _euler_cdf(w, lam, self._inversion_shift, x)
+        return min(1.0, max(0.0, 1.0 - p if upper else p))
 
 
 def _ncx2_cdf(x: float, lam: float) -> float | None:
@@ -245,325 +269,60 @@ def _chernoff_side(w, lam, mean: float, x: float) -> str | None:
     return None
 
 
+def _lower_point(w, lam, log_mass: float) -> float:
+    """A point c with Chernoff bound P(Q <= c) <= exp(log_mass).
+
+    Along the saddle-point curve c = K'(t), t < 0, the optimized bound is
+    exp(K(t) - t K'(t)), whose exponent falls monotonically as t decreases.
+    Bisection runs in log(-t max w), down to the floor _chernoff_side
+    uses, and ends on the side where the bound holds.
+    """
+    w_max = float(np.max(w))
+    lo, hi = log(1e-200), log(1e290)
+    for _ in range(24):
+        mid = 0.5 * (lo + hi)
+        t = -exp(mid) / w_max
+        if _cgf(w, lam, t) - t * _cgf_deriv(w, lam, t) > log_mass:
+            lo = mid
+        else:
+            hi = mid
+    return _cgf_deriv(w, lam, -exp(hi) / w_max)
+
+
 # ---------------------------------------------------------------------------
-# Characteristic-function inversion (weights scaled so the mean is 1)
+# Laplace-transform inversion (Abate and Whitt's EULER algorithm)
+
+_EULER_K = np.arange(_EULER_N + _EULER_M + 1)
+_EULER_SIGN = np.where(_EULER_K % 2 == 0, 1.0, -1.0)
+_EULER_SIGN[0] = 0.5
+_EULER_BINOMIAL = np.array(
+    [comb(_EULER_M, j) for j in range(_EULER_M + 1)]) / 2.0 ** _EULER_M
 
 
-def _make_integrand(w, lam, x):
-    w = [float(v) for v in w]
-    lam = [float(v) for v in lam]
-    omega = 0.5 * x
-    slope0 = 0.5 * (sum(wi * (1.0 + li) for wi, li in zip(w, lam)) - x)
-
-    def phase(u: float) -> float:
-        s = 0.0
-        for wi, li in zip(w, lam):
-            wu = wi * u
-            wu2 = wu * wu
-            s += atan(wu)
-            if li:
-                s += li * wu / (1.0 + wu2)
-        return 0.5 * s
-
-    def log_damp(u: float) -> float:
-        s = 0.0
-        for wi, li in zip(w, lam):
-            wu2 = (wi * u) ** 2
-            s += 0.25 * log1p(wu2)
-            if li:
-                s += 0.5 * li * wu2 / (1.0 + wu2)
-        return s
-
-    def theta(u: float) -> float:
-        return phase(u) - omega * u
-
-    def theta_slope(u: float) -> float:
-        s = 0.0
-        for wi, li in zip(w, lam):
-            wu2 = (wi * u) ** 2
-            r = 1.0 + wu2
-            s += wi / r
-            if li:
-                s += li * wi * (1.0 - wu2) / (r * r)
-        return 0.5 * s - omega
-
-    def integrand(u: float) -> float:
-        if u < 1e-120:
-            return slope0
-        damp = log_damp(u)
-        if damp > 700.0:
-            return 0.0
-        return sin(theta(u)) * exp(-damp) / u
-
-    # Each weight switches character near u = 1/w; spread weights leave
-    # the integrand flat in between and adaptive quadrature needs these
-    # as explicit breakpoints to notice the live regions at all.
-    scales = sorted(1.0 / wi for wi in w if wi > 0.0)
-    return integrand, phase, log_damp, theta, theta_slope, omega, scales
-
-
-def _inversion_integral(w, lam, x: float) -> float:
-    integrand, phase, log_damp, theta, theta_slope, omega, scales = \
-        _make_integrand(w, lam, x)
-    if omega >= _OMEGA_SPLIT:
-        value, err = _fourier_route(integrand, phase, log_damp, omega)
-        if err <= _TARGET_ERR and abs(value) <= pi / 2.0 + _TARGET_ERR:
-            return value
-    value, err = _lobe_route(integrand, theta, theta_slope, log_damp, omega,
-                             scales)
-    if err > _TARGET_ERR:
+def _euler_cdf(w, lam, c: float, x: float) -> float:
+    """P(Q <= x) by inverting the transform of the CDF of Q - c."""
+    t = x - c
+    a = _EULER_A
+    s = (a[:, None] + 2j * np.pi * _EULER_K) / (2.0 * t)
+    ws = w * s[..., None]
+    # log(e^(cs) phi(s)) with the noncentral mean sum(lam w) moved into c:
+    # c s and the noncentrality terms are each ~lam w |s| and cancel to
+    # O(A), so written separately they lose ~1e-9 to rounding at lam ~ 1e11.
+    log_phi = ((c - np.sum(lam * w)) * s
+               - 0.5 * np.sum(np.log1p(2.0 * ws), axis=-1)
+               + np.sum(2.0 * lam * ws * ws / (1.0 + 2.0 * ws), axis=-1))
+    terms = _EULER_SIGN * (np.exp(log_phi) / s).real
+    partial = np.cumsum(terms, axis=-1)
+    scale = np.exp(a / 2.0) / t
+    p = scale * (partial[:, _EULER_N:] @ _EULER_BINOMIAL)
+    p_prev = scale[1] * (partial[1, _EULER_N - 1:-1] @ _EULER_BINOMIAL)
+    # Disagreement between the two A, and the step of the Euler average
+    # from n - 1 to n, which tracks truncation the A pair can miss.
+    err = float(max(abs(p[1] - p[0]), abs(p[1] - p_prev)))
+    if not err <= _TARGET_ERR:
         raise AccuracyError(
-            f"inversion integral error estimate {err:.2e} exceeds target",
+            f"Laplace inversion error estimate {err:.2e} exceeds target",
             achieved=err, target=_TARGET_ERR)
-    if abs(value) > pi / 2.0 + _TARGET_ERR:
-        # The integral equals pi*(1/2 - F(x)), so its magnitude cannot
-        # exceed pi/2; a larger value means a quadrature breakdown that
-        # slipped past the error estimate.
-        raise AccuracyError(
-            f"inversion integral {value:.6g} outside its mathematical range",
-            achieved=abs(value), target=pi / 2.0)
-    return value
-
-
-def _fourier_route(integrand, phase, log_damp, omega):
-    """Split sin(theta) = sin(phase)cos(omega u) - cos(phase)sin(omega u)
-    and hand the infinite oscillatory pieces to QUADPACK's QAWF."""
-
-    def f_cos(u: float) -> float:
-        damp = log_damp(u)
-        if damp > 700.0:
-            return 0.0
-        return sin(phase(u)) * exp(-damp) / u
-
-    def f_sin(u: float) -> float:
-        damp = log_damp(u)
-        if damp > 700.0:
-            return 0.0
-        return cos(phase(u)) * exp(-damp) / u
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        head = quad(integrand, 0.0, 1.0, epsabs=1e-12, epsrel=1e-10, limit=400)
-        part_cos = quad(f_cos, 1.0, np.inf, weight="cos", wvar=omega,
-                        epsabs=1e-11, limlst=300, limit=400, full_output=1)
-        part_sin = quad(f_sin, 1.0, np.inf, weight="sin", wvar=omega,
-                        epsabs=1e-11, limlst=300, limit=400, full_output=1)
-    value = head[0] + part_cos[0] - part_sin[0]
-    err = head[1] + abs(part_cos[1]) + abs(part_sin[1])
-    return value, err
-
-
-def _lobe_route(integrand, theta, theta_slope, log_damp, omega, scales,
-                max_lobes: int = 400):
-    """Integrate between consecutive phase zeros and accelerate the
-    alternating partial sums with Wynn's epsilon.
-
-    Lobe boundaries track the local phase slope instead of the
-    asymptotic frequency: with widely spread weights the phase winds far
-    more slowly than omega over the window where the damping factor is
-    still alive, and fixed-length lobes would slice a single true lobe
-    into hundreds of same-sign pieces that never alternate.
-    """
-    u_cap = _damping_death(log_damp)
-    first = _first_phase_zero(theta, log_damp)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        if first is None or first >= u_cap:
-            # No sign change while the damping factor is alive: one
-            # smooth damped stretch plus a numerically dead tail.
-            end = u_cap if first is None else first
-            value, err = quad(integrand, 0.0, end, epsabs=1e-13,
-                              epsrel=1e-11, limit=500,
-                              points=_quad_points(end, scales))
-            tail, terr = _tail_sweep(integrand, end)
-            return value + tail, err + terr
-        value, err = quad(integrand, 0.0, first, epsabs=1e-13, epsrel=1e-11,
-                          limit=500, points=_quad_points(first, scales))
-        sums = [value]
-        z = first
-        u_limit = u_cap * 1.25
-        estimate = None
-        lobe = 0.0
-        for k in range(max_lobes):
-            if log_damp(z) > 33.0:
-                # Damping is monotone, so nothing past z can revive.
-                tail, terr = _tail_sweep(integrand, z)
-                return sums[-1] + tail, err + terr
-            z_next = _next_phase_zero(theta, theta_slope, z, omega, u_limit)
-            if z_next is None:
-                inner = [s for s in scales if z * 1.000001 < s < u_limit * 0.999]
-                piece, perr = quad(integrand, z, u_limit, epsabs=1e-14,
-                                   limit=300, points=inner or None)
-                tail, terr = _tail_sweep(integrand, u_limit)
-                return sums[-1] + piece + tail, err + perr + terr
-            lobe, lobe_err = quad(integrand, z, z_next, epsabs=1e-14,
-                                  limit=300)
-            err += lobe_err
-            prev_sum = sums[-1]
-            sums.append(prev_sum + lobe)
-            z = z_next
-            scale = max(1.0, abs(sums[-1]))
-            # Alternating-series arguments only hold once the phase runs
-            # at its asymptotic rate; before that the lobe sizes need not
-            # decrease and neither early exit is safe.
-            asymptotic = abs(theta_slope(z) + omega) < 0.1 * omega
-            if asymptotic and k >= 1 and abs(lobe) <= 1e-13 * scale:
-                return sums[-1], err + abs(lobe)
-            if asymptotic and k >= 7 and (k & 3) == 3:
-                new = _wynn_limit(sums[-48:])
-                # For alternating lobes the limit is bracketed by the two
-                # latest partial sums; anything outside is noise from the
-                # deep epsilon-table columns and must not be trusted.
-                lo = min(prev_sum, sums[-1]) - abs(lobe)
-                hi = max(prev_sum, sums[-1]) + abs(lobe)
-                if lo <= new <= hi:
-                    if estimate is not None and \
-                            abs(new - estimate) < 2e-13 * scale:
-                        return new, err + abs(new - estimate) + 1e-13
-                    estimate = new
-    # Exhausted the lobe budget: the midpoint of the last two partial
-    # sums still brackets an alternating tail to half a lobe.
-    return 0.5 * (sums[-1] + sums[-2]), err + abs(lobe)
-
-
-def _next_phase_zero(theta, theta_slope, z, omega, u_limit) -> float | None:
-    """Locate the next sign change of sin(theta) after the zero at z.
-
-    The local slope sets the scan scale. A phase excursion that crosses
-    a lobe boundary and returns within one scan step is skipped; the two
-    cancelling micro-lobes then merge into the enclosing segment, which
-    the adaptive quadrature still resolves.
-    """
-    base = pi * round(theta(z) / pi)
-    down, up = base - pi, base + pi
-    step = pi / max(abs(theta_slope(z)), 1e-3 * omega)
-    step = min(step, max(u_limit - z, 1e-12), 4.0 * max(z, 1.0))
-    lo = z
-    for _ in range(240):
-        hi = min(lo + step, u_limit)
-        th = theta(hi)
-        if th <= down:
-            return float(brentq(lambda u: theta(u) - down, lo, hi,
-                                xtol=1e-300, rtol=1e-14, maxiter=200))
-        if th >= up:
-            return float(brentq(lambda u: theta(u) - up, lo, hi,
-                                xtol=1e-300, rtol=1e-14, maxiter=200))
-        if hi >= u_limit:
-            return None
-        lo = hi
-        step *= 1.6
-    return None
-
-
-def _quad_points(end, scales):
-    """Breakpoints for quadrature over [0, end].
-
-    A geometric ladder reaching below the smallest reciprocal weight,
-    plus the reciprocal weights themselves. The live region can sit many
-    decades under end, and without breakpoints there the adaptive rule
-    samples right past it and reports a clean integral of nothing.
-    """
-    lo = max(end * 1e-9, 1e-12)
-    inner = [s for s in scales if s < end * 0.999]
-    if inner:
-        lo = min(lo, max(inner[0] * 1e-3, 1e-12))
-    elif end <= 50.0:
-        return None
-    decades = log(end / lo) / log(10.0)
-    core = np.geomspace(lo, end * 0.999, max(25, int(2.0 * decades) + 2))
-    pts = [s for s in inner if lo < s]
-    if pts:
-        return np.unique(np.concatenate([core, pts]))
-    return core
-
-
-def _tail_sweep(integrand, start):
-    """Integrate the numerically dead tail in geometric doublings.
-
-    Only called past the point where the damping exponent exceeds ~33,
-    so each piece is at the round-off floor and the sweep detects that
-    within a couple of doublings.
-    """
-    total = 0.0
-    err = 0.0
-    z = max(start, 1e-12)
-    calm = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        for _ in range(70):
-            piece, perr = quad(integrand, z, 2.0 * z, epsabs=1e-14, limit=200)
-            total += piece
-            err += perr
-            z *= 2.0
-            if abs(piece) < 1e-14:
-                calm += 1
-                if calm >= 2:
-                    return total, err + abs(piece)
-            else:
-                calm = 0
-    return total, err + 1e-6
-
-
-def _first_phase_zero(theta, log_damp) -> float | None:
-    """First u > 0 where sin(theta) changes sign, or None if the damping
-    factor saturates before any crossing.
-
-    theta starts at 0; when x is below the mean it first rises, so the
-    crossing sits at theta = 0 again, otherwise theta heads straight
-    down and the first lobe boundary is theta = -pi.
-    """
-    u = 1e-6
-    if theta(u) > 0.0:
-        g = theta
-    else:
-        g = lambda v: theta(v) + pi
-    prev = u
-    for _ in range(400):
-        nxt = prev * 1.6
-        if g(nxt) < 0.0:
-            return float(brentq(g, prev, nxt, xtol=1e-300, rtol=1e-14))
-        if log_damp(nxt) > 46.0:
-            return None
-        prev = nxt
-    raise AccuracyError("no phase zero located for the inversion integral")
-
-
-def _damping_death(log_damp, level: float = 46.0) -> float:
-    u = 1.0
-    for _ in range(600):
-        if log_damp(u) >= level:
-            return u
-        u *= 1.5
-    raise AccuracyError("damping factor failed to saturate")
-
-
-def _wynn_limit(partial_sums) -> float:
-    """Wynn epsilon acceleration of a convergent series.
-
-    Deepens the even epsilon-table columns only while the limit estimate
-    keeps moving by less than the previous step: near convergence the
-    differences feeding the table are floating-point noise and deeper
-    columns amplify it, so the walk stops at the noise floor. A zero
-    difference in an even column means the tail vanished exactly.
-    """
-    prev = [0.0] * (len(partial_sums) + 1)
-    cur = [float(s) for s in partial_sums]
-    best = cur[-1]
-    last_step = inf
-    col = 0
-    while len(cur) >= 2:
-        nxt = []
-        for j in range(len(cur) - 1):
-            diff = cur[j + 1] - cur[j]
-            if diff == 0.0:
-                return cur[j + 1] if col % 2 == 0 else best
-            nxt.append(prev[j + 1] + 1.0 / diff)
-        prev, cur = cur, nxt
-        col += 1
-        if col % 2 == 0 and cur:
-            step = abs(cur[-1] - best)
-            if step > last_step:
-                return best
-            best = cur[-1]
-            last_step = step
-    return best
+    # Aliasing adds e^-A F(3t) + e^-2A F(5t) + ... with coefficients that
+    # do not depend on A, so extrapolating the pair cancels its first term.
+    return float(p[1] + (p[1] - p[0]) / np.expm1(a[1] - a[0]))

@@ -174,6 +174,9 @@ def test_simulation_argument_validation():
         simulate_test_statistics(scen, 0, 1)
     with pytest.raises(DomainError, match="eve_mode"):
         simulate_test_statistics(scen, 10, 1, eve_mode="nope")
+    for workers in (0, -2):
+        with pytest.raises(DomainError, match="workers"):
+            simulate_test_statistics(scen, 10, 1, workers=workers)
     scen_no_eve = Scenario(TRIANGLE, alice=(0.0, 0.0), eve=None,
                            channel=ChannelParams())
     with pytest.raises(DomainError):

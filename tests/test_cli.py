@@ -7,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from uwauth import baseline_scenario, roc_curve
+from uwauth import AccuracyError, baseline_scenario, quadform, roc_curve
 from uwauth.cli import main
 
 
@@ -178,6 +178,32 @@ def test_sweep_rejects_bad_power_grid(tmp_path, capsys):
                      capsys)
     assert rc == 2
     assert "power" in err
+
+
+def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", trials=0)
+    out = tmp_path / "x.csv"
+    rc, stdout, err = run(["sweep", str(cfg), "--out", str(out),
+                           "--workers", "0"], capsys)
+    assert rc == 2
+    assert "workers" in err
+    assert stdout == ""
+    assert not out.exists()
+
+
+def test_accuracy_failure_exits_3_with_its_error_figures(tmp_path, capsys,
+                                                         monkeypatch):
+    def fail(*args):
+        raise AccuracyError("inversion failed", achieved=2.5e-06,
+                            target=1e-07)
+
+    monkeypatch.setattr(quadform, "_euler_cdf", fail)
+    cfg = write_config(tmp_path / "c.json")
+    rc, stdout, err = run(["roc", str(cfg), "--points", "5"], capsys)
+    assert rc == 3
+    assert stdout == ""
+    assert "accuracy failure" in err
+    assert "2.5e-06" in err and "1e-07" in err
 
 
 def test_roc_matches_library_exactly(tmp_path, capsys):

@@ -14,7 +14,6 @@ from uwauth import (
     distance_noise_variance,
     sample_noisy_squared_distances,
     solve_position,
-    true_distance,
 )
 from uwauth.localization import sample_noisy_squared_distances_batch
 
@@ -82,9 +81,11 @@ def test_recovery_with_many_anchors_is_least_squares():
 
 
 def test_true_distance_and_coincidence():
-    assert true_distance((0.0, 0.0), (3.0, 4.0)) == pytest.approx(5.0)
+    anchors = AnchorArray(np.array([[3.0, 4.0], [0.0, 0.0], [-6.0, 8.0]]))
+    np.testing.assert_allclose(anchors.distances_to((0.0, 3.0)),
+                               [np.hypot(3.0, 1.0), 3.0, np.hypot(6.0, 5.0)])
     with pytest.raises(GeometryError, match="coincides"):
-        true_distance((3.0, 4.0), (3.0, 4.0))
+        anchors.distances_to((3.0, 4.0))
 
 
 def test_anchor_array_validation():

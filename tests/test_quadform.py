@@ -2,7 +2,8 @@
 
 Reference values come from routes the implementation does not take:
 normal-cdf differences for one term, the library chi-square family for
-equal weights, and plain Monte Carlo everywhere else.
+equal weights, a 30-digit mpmath quadrature for two terms, and plain
+Monte Carlo everywhere else.
 """
 
 import math
@@ -11,7 +12,7 @@ import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2, norm
 
-from uwauth import AccuracyError, DomainError, QuadFormDist
+from uwauth import AccuracyError, DomainError, QuadFormDist, quadform
 
 
 def test_single_standard_term_matches_erf():
@@ -181,6 +182,68 @@ def test_near_deterministic_offsets():
         emp = float((samples <= m + z * s).mean())
         se = math.sqrt(max(emp * (1 - emp), 1e-9) / samples.size)
         assert abs(p - emp) <= 3.0 * se + 1e-4
+
+
+def _two_term_oracle(mp, scales, offsets, x):
+    """P((a1 Z1 + d1)^2 + (a2 Z2 + d2)^2 <= x) at 30 digits: condition on
+    Z1 and integrate the exact one-term probability of the second term."""
+    a1, a2 = (mp.mpf(v) for v in scales)
+    d1, d2 = (mp.mpf(v) for v in offsets)
+    x = mp.mpf(x)
+    root = mp.sqrt(x)
+    lo, hi = (-root - d1) / a1, (root - d1) / a1
+
+    def integrand(z):
+        s = mp.sqrt(max(x - (a1 * z + d1) ** 2, 0))
+        return mp.npdf(z) * (mp.ncdf((s - d2) / a2) - mp.ncdf((-s - d2) / a2))
+
+    # The Gaussian weight lives on |z| <~ 12, which can be a sliver of a
+    # wide interval; without breakpoints there the quadrature misses it.
+    inner = {p for p in (-d1 / a1, 0, -4, 4, -12, 12) if lo < p < hi}
+    return float(mp.quad(integrand, sorted({lo, hi} | inner)))
+
+
+def test_two_term_cdf_against_mpmath_oracle():
+    mp = pytest.importorskip("mpmath")
+    near = QuadFormDist([1.0, 2.0], [1500.0, -2200.0])
+    m, s = near.mean(), math.sqrt(near.variance())
+    big = ((145149.1, 73468.9), (199267.0, -286844.0))
+    cases = [
+        # spread weights, 1 against 1e-4
+        ((1.0, 1e-2), (0.0, 0.0), 1e-3),
+        ((1.0, 1e-2), (0.0, 0.0), 0.5),
+        ((1.0, 1e-2), (0.0, 0.0), 9.0),
+        ((1.0, 1e-2), (0.5, 0.01), 1.0),
+        # near-deterministic offsets
+        ((1.0, 2.0), (1500.0, -2200.0), m - 2.0 * s),
+        ((1.0, 2.0), (1500.0, -2200.0), m),
+        ((1.0, 2.0), (1500.0, -2200.0), m + 2.0 * s),
+        # large scales, from the deep lower tail to the centre
+        big + (2448335.5,),
+        big + (1e9,),
+        big + (6e10,),
+        # x near 0
+        ((1.0, 0.5), (0.0, 0.0), 1e-4),
+        ((1.0, 0.5), (0.3, 0.0), 1e-2),
+    ]
+    for scales, offsets, x in cases:
+        with mp.workdps(30):
+            expected = _two_term_oracle(mp, scales, offsets, x)
+        got = QuadFormDist(scales, offsets).cdf(x)
+        # The contract is 1e-7. The inversion reaches ~1e-12 here, and
+        # 1e-10 also catches a lost aliasing correction (~1e-8).
+        assert abs(got - expected) <= 1e-10, (scales, offsets, x, got,
+                                               expected)
+
+
+def test_unresolved_inversion_raises(monkeypatch):
+    # Without its shift the fixed-length sum cannot resolve a distribution
+    # concentrated far from zero; the error check must refuse the value.
+    monkeypatch.setattr(quadform, "_lower_point", lambda *args: 0.0)
+    d = QuadFormDist([1.0, 2.0], [1500.0, -2200.0])
+    with pytest.raises(AccuracyError) as info:
+        d.cdf(d.mean())
+    assert info.value.achieved > info.value.target
 
 
 def test_subnormal_threshold_is_zero_mass():
