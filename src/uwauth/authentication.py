@@ -180,10 +180,7 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
         raise DomainError("trials must be positive")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    if eve_mode not in ("fixed", "uniform"):
-        raise DomainError("eve_mode must be 'fixed' or 'uniform'")
-    if eve_mode == "fixed" and scenario.eve is None:
-        raise DomainError("fixed eve_mode requires an eve position")
+    check_eve_mode(eve_mode, scenario)
 
     seed = _seed_entropy(master_seed)
     anchors = scenario.anchors
@@ -251,10 +248,25 @@ def empirical_rates(scenario: Scenario, config: DecisionConfig, trials: int,
         p_fa=p_fa,
         p_md=p_md,
         method="empirical",
-        stderr_fa=float(np.sqrt(p_fa * (1.0 - p_fa) / trials)),
-        stderr_md=float(np.sqrt(p_md * (1.0 - p_md) / trials)),
+        stderr_fa=binomial_stderr(p_fa, trials),
+        stderr_md=binomial_stderr(p_md, trials),
         trials=trials,
     )
+
+
+def check_eve_mode(eve_mode: str, scenario: Scenario) -> None:
+    """Raise DomainError unless eve_mode is 'fixed' (which needs
+    scenario.eve) or 'uniform'."""
+    if eve_mode not in ("fixed", "uniform"):
+        raise DomainError("eve_mode must be 'fixed' or 'uniform'")
+    if eve_mode == "fixed" and scenario.eve is None:
+        raise DomainError("fixed eve_mode requires an eve position")
+
+
+def binomial_stderr(p: float, n: int) -> float:
+    """Standard error sqrt(p (1 - p) / n) of a rate p estimated from n
+    trials."""
+    return float(np.sqrt(p * (1.0 - p) / n))
 
 
 def _lift(point) -> np.ndarray:

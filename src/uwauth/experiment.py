@@ -16,7 +16,9 @@ import numpy as np
 from scipy.stats import qmc
 
 from .authentication import (
+    binomial_stderr,
     calibrate_threshold,
+    check_eve_mode,
     h0_distribution,
     h1_distribution,
     simulate_test_statistics,
@@ -24,7 +26,7 @@ from .authentication import (
 from .channel import ChannelParams, distance_noise_variance
 from .errors import DomainError
 from .localization import AnchorArray, Scenario
-from .quadform import QuadFormDist
+from .quadform import cdf_grid
 
 __all__ = [
     "SweepSpec",
@@ -66,10 +68,7 @@ class SweepSpec:
             raise DomainError("thresholds must be nonnegative and finite")
         if self.trials_per_point < 0:
             raise DomainError("trials_per_point must be nonnegative")
-        if self.eve_mode not in ("fixed", "uniform"):
-            raise DomainError("eve_mode must be 'fixed' or 'uniform'")
-        if self.eve_mode == "fixed" and self.scenario.eve is None:
-            raise DomainError("fixed eve_mode requires an eve position")
+        check_eve_mode(self.eve_mode, self.scenario)
         if self.analytic_eve_count < 1:
             raise DomainError("analytic_eve_count must be positive")
 
@@ -111,25 +110,26 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
         h0 = h0_distribution(scen_i)
         if spec.eve_mode == "fixed":
             h1 = h1_distribution(scen_i)
-            p_md_fn = h1.cdf
+            p_md = [h1.cdf(float(th)) for th in spec.thresholds]
         else:
             sigma = np.sqrt(distance_noise_variance(d_eve, scen_i.channel))
-            dists = [QuadFormDist(2.0 * d_eve[j] * sigma[j], delta[j])
-                     for j in range(len(eve_xy))]
-            p_md_fn = lambda th: float(np.mean([d.cdf(th) for d in dists]))
+            # One row per region point. Each threshold's column is averaged
+            # as a contiguous copy, so it sums in the order of a 1-d list.
+            grid = cdf_grid(2.0 * d_eve * sigma, delta, spec.thresholds)
+            p_md = [float(np.mean(col.copy())) for col in grid.T]
 
         if spec.trials_per_point > 0:
             ts0, ts1 = simulate_test_statistics(
                 scen_i, spec.trials_per_point, (spec.master_seed, i),
                 eve_mode=spec.eve_mode, workers=workers)
 
-        for th in spec.thresholds:
+        for th, md_analytic in zip(spec.thresholds, p_md):
             th = float(th)
             row = {
                 "power_db": float(power),
                 "threshold": th,
                 "p_fa_analytic": h0.sf(th),
-                "p_md_analytic": p_md_fn(th),
+                "p_md_analytic": md_analytic,
             }
             if spec.trials_per_point > 0:
                 n = spec.trials_per_point
@@ -138,8 +138,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
                 row.update(
                     p_fa_emp=fa,
                     p_md_emp=md,
-                    stderr_fa=float(np.sqrt(fa * (1.0 - fa) / n)),
-                    stderr_md=float(np.sqrt(md * (1.0 - md) / n)),
+                    stderr_fa=binomial_stderr(fa, n),
+                    stderr_md=binomial_stderr(md, n),
                 )
             rows.append(SweepRow(**row))
     return rows

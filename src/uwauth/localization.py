@@ -184,11 +184,10 @@ def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """
     A = np.asarray(A, dtype=float)
     b = np.asarray(b, dtype=float)
-    sv = np.linalg.svd(A, compute_uv=False)
+    X, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
     if sv[-1] <= _RANK_RTOL * sv[0]:
         raise GeometryError(
             "degenerate anchor geometry: design matrix is rank deficient")
-    X, *_ = np.linalg.lstsq(A, b, rcond=None)
     return X
 
 

@@ -5,10 +5,9 @@ a_i > 0, which is a weighted sum of noncentral chi-square(1) variables
 with weights w_i = a_i^2 and noncentralities lam_i = (delta_i / a_i)^2.
 
 Single-term distributions use the exact (non)central chi-square CDF.
-Saturated tails are settled by Chernoff bounds on the moment generating
-function and reported as exactly 0 or 1. Every other CDF value comes from
-one route: Abate and Whitt's EULER inversion (ORSA J. Computing 7:36,
-1995) of the Laplace transform of the CDF,
+Saturated tails are reported as exactly 0 or 1. Every other CDF value
+comes from one route: Abate and Whitt's EULER inversion (ORSA J.
+Computing 7:36, 1995) of the Laplace transform of the CDF,
 
     F^(s) = phi(s) / s,
     phi(s) = E exp(-s Q) = prod_i (1 + 2 w_i s)^(-1/2)
@@ -22,6 +21,22 @@ partial sums n = 50 ... 65. (Abate and Whitt's n = 38, m = 11 left errors
 up to 1.4e-7 on forms mixing weights over eight decades with
 noncentralities up to 1e12.) Discretization aliases the CDF at 3t, 5t,
 ... into the result: e^-A F(3t) + e^-2A F(5t) + ...
+
+Saturated tails. A point x is saturated when the Chernoff bound
+exp(K(t) - t x), K the cumulant generating function, puts P(Q <= x)
+(t < 0) or P(Q > x) (0 < t < 1 / (2 max w)) below 1e-14. The best t
+solves K'(t) = x; K' is increasing and convex, and the solve is a
+bracketed Newton iteration with a bisection fallback, in u = log(-t)
+below the mean and v = -log(1 - 2 t max w) above it, where log K' is
+close to linear far out in the tail and near the pole. It exits early
+both ways: a cell is saturated as soon as one iterate's exponent is below
+the cut, since the bound holds at every t, and is not saturated as soon
+as the tangents of the convex exponent at iterates on either side of the
+optimum meet above the cut. Deep-tail cells exit after one or two
+iterates. All cells of a batch (cdf_grid, or QuadFormDist.cdf as a batch
+of one) are classified together in numpy, and only the cells left over
+are inverted. The saddle-point machinery follows Kuonen (Biometrika
+86:929, 1999).
 
 Shift. The inversion runs on Q - c, where c is a lower point whose
 Chernoff bound gives P(Q <= c) <= 1e-20; c is solved once per
@@ -54,7 +69,7 @@ from scipy.stats import chi2, ncx2
 
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadFormDist"]
+__all__ = ["QuadFormDist", "cdf_grid"]
 
 # Terms with a_i below this fraction of the largest scale behave as the
 # deterministic shift delta_i^2.
@@ -71,6 +86,15 @@ _EULER_N = 50
 _EULER_M = 15
 # Chernoff mass below the inversion shift c.
 _SHIFT_MASS = 1e-20
+_LOG_CUT = log(_SATURATION)
+# Saddle-point search: the search stops once the exponent is within
+# _NEWTON_GAP of its minimum or the step in the log-scaled Newton variable
+# is below _NEWTON_TOL. The iteration cap is never reached: bisection
+# alone narrows any bracket (at most ~1,400 wide in the log variable)
+# below the tolerance within ~40 halvings.
+_NEWTON_GAP = 1e-11
+_NEWTON_TOL = 1e-8
+_NEWTON_MAX = 200
 
 
 @dataclass(frozen=True)
@@ -86,12 +110,7 @@ class QuadFormDist:
         d = np.atleast_1d(np.asarray(self.offsets, dtype=float))
         if a.ndim != 1 or a.shape != d.shape:
             raise DomainError("scales and offsets must be 1-d and equally long")
-        if a.size == 0:
-            raise DomainError("at least one term is required")
-        if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-            raise DomainError("scales and offsets must be finite")
-        if np.any(a <= 0):
-            raise DomainError("every scale must be positive")
+        _check_terms(a, d)
         object.__setattr__(self, "scales", a)
         object.__setattr__(self, "offsets", d)
 
@@ -112,22 +131,19 @@ class QuadFormDist:
         q = ((self.scales * z + self.offsets) ** 2).sum(axis=1)
         return float(q[0]) if size is None else q
 
-    # Effective representation: active weights/noncentralities plus the
-    # deterministic shift contributed by near-zero scales.
+    # Effective representation, as a batch of one form: active weights and
+    # noncentralities (1, m) plus the deterministic shift contributed by
+    # near-zero scales.
     @cached_property
     def _effective(self) -> tuple[np.ndarray, np.ndarray, float]:
-        tiny = self.scales < _DEGENERATE_RTOL * self.scales.max()
-        shift = float(np.sum(self.offsets[tiny] ** 2))
-        a = self.scales[~tiny]
-        d = self.offsets[~tiny]
-        w = a ** 2
-        lam = (d / a) ** 2
-        return w, lam, shift
+        ((_, w, lam, shift),) = _active_groups(self.scales[None],
+                                              self.offsets[None])
+        return w, lam, float(shift[0])
 
     @cached_property
     def _inversion_shift(self) -> float:
         w, lam, _ = self._effective
-        return _lower_point(w, lam, log(_SHIFT_MASS))
+        return float(_lower_point(w, lam, log(_SHIFT_MASS))[0])
 
     def cdf(self, x: float) -> float:
         """P(Q <= x), absolute error at most 1e-6."""
@@ -170,123 +186,322 @@ class QuadFormDist:
         if not np.isfinite(x):
             raise DomainError("evaluation point must be finite")
         w, lam, shift = self._effective
-        x = x - shift
-        if w.size == 0:
-            low = 1.0 if x >= 0.0 else 0.0
-            return 1.0 - low if upper else low
-        if x <= 0.0:
-            return 1.0 if upper else 0.0
-        if w.size == 1:
-            lo = _ncx2_cdf(x / w[0], lam[0])
-            if lo is not None:
-                return min(1.0, max(0.0, 1.0 - lo if upper else lo))
-        mean = float(np.sum(w * (1.0 + lam)))
-        side = _chernoff_side(w, lam, mean, x)
-        if side == "lower":
-            return 1.0 if upper else 0.0
-        if side == "upper":
-            return 0.0 if upper else 1.0
-        p = _euler_cdf(w, lam, self._inversion_shift, x)
-        return min(1.0, max(0.0, 1.0 - p if upper else p))
+        p = _lower_prob(w, lam, np.array([[x - shift]]),
+                        lambda forms: np.array([self._inversion_shift]))[0, 0]
+        return float(min(1.0, max(0.0, 1.0 - p if upper else p)))
 
 
-def _ncx2_cdf(x: float, lam: float) -> float | None:
-    """Single-term closed form, or None when the library implementation
-    breaks down (its series overflows for extreme noncentrality) and the
-    caller should use the generic machinery instead."""
-    if lam == 0.0:
-        return float(chi2.cdf(x, 1))
-    try:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            p = float(ncx2.cdf(x, 1, lam))
-    except (OverflowError, FloatingPointError):
-        return None
-    if not np.isfinite(p):
-        return None
+def cdf_grid(scales, offsets, x) -> np.ndarray:
+    """P(Q_n <= x_k) for N forms at K points, as an (N, K) array.
+
+    Row n of scales and offsets defines form n as in QuadFormDist, and
+    entry (n, k) equals QuadFormDist(scales[n], offsets[n]).cdf(x[k]) bit
+    for bit. All cells are classified in one pass; only the unsaturated
+    ones are inverted, and each form's inversion shift is solved once.
+    """
+    a = np.asarray(scales, dtype=float)
+    d = np.asarray(offsets, dtype=float)
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    if a.ndim != 2 or a.shape != d.shape:
+        raise DomainError("scales and offsets must be 2-d and equally shaped")
+    _check_terms(a, d)
+    if x.ndim != 1 or not np.all(np.isfinite(x)):
+        raise DomainError("evaluation points must be finite and 1-d")
+    p = np.empty((a.shape[0], x.size))
+    for rows, w, lam, shift in _active_groups(a, d):
+        p[rows] = _lower_prob(w, lam, x - shift[:, None])
+    return np.clip(p, 0.0, 1.0)
+
+
+def _check_terms(a, d) -> None:
+    if a.shape[-1] == 0:
+        raise DomainError("at least one term is required")
+    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
+        raise DomainError("scales and offsets must be finite")
+    if np.any(a <= 0):
+        raise DomainError("every scale must be positive")
+
+
+def _active_groups(a, d):
+    """Split the forms (rows of a, d) by their number of active terms.
+
+    Terms whose scale is below _DEGENERATE_RTOL of their form's largest
+    act as the deterministic shift delta^2. Yields (rows, w, lam, shift)
+    for each count m, with weights and noncentralities shaped
+    (len(rows), m) in the terms' original order.
+    """
+    tiny = a < _DEGENERATE_RTOL * a.max(axis=1, keepdims=True)
+    shift = np.zeros(a.shape[0])
+    for n in np.flatnonzero(tiny.any(axis=1)):
+        shift[n] = np.sum(d[n, tiny[n]] ** 2)
+    count = a.shape[1] - tiny.sum(axis=1)
+    for m in np.unique(count):
+        rows = np.flatnonzero(count == m)
+        keep = ~tiny[rows]
+        a_m = a[rows][keep].reshape(rows.size, m)
+        d_m = d[rows][keep].reshape(rows.size, m)
+        yield rows, a_m ** 2, (d_m / a_m) ** 2, shift[rows]
+
+
+def _lower_prob(w, lam, x, shift_of=None) -> np.ndarray:
+    """Unclipped P(Q_n <= x[n, k]) for the forms with active terms w, lam
+    (N, m), at points x (N, K) net of each form's deterministic shift.
+
+    shift_of(forms) returns the inversion shifts of the listed forms; by
+    default they are solved here.
+    """
+    p = np.zeros(x.shape)
+    todo = x > 0.0
+    if w.shape[1] == 1:
+        r, c = np.nonzero(todo)
+        closed = _ncx2_cdf(x[r, c] / w[r, 0], lam[r, 0])
+        ok = np.isfinite(closed)
+        p[r[ok], c[ok]] = closed[ok]
+        todo[r[ok], c[ok]] = False
+    r, c = np.nonzero(todo)
+    side = _tail_side(w[r], lam[r], x[r, c])
+    p[r[side > 0], c[side > 0]] = 1.0
+    r, c = r[side == 0], c[side == 0]
+    if r.size:
+        # r is sorted, as np.nonzero lists cells row by row.
+        first = np.concatenate([[True], r[1:] != r[:-1]])
+        forms, form_of = r[first], np.cumsum(first) - 1
+        if shift_of is None:
+            shifts = _lower_point(w[forms], lam[forms], log(_SHIFT_MASS))
+        else:
+            shifts = shift_of(forms)
+        for i, j, f in zip(r, c, form_of):
+            p[i, j] = _euler_cdf(w[i], lam[i], shifts[f], x[i, j])
+    return p
+
+
+def _ncx2_cdf(x, lam) -> np.ndarray:
+    """Single-term closed form per cell; NaN where the library breaks down
+    (its series overflows for extreme noncentrality) and the caller should
+    use the generic machinery instead."""
+    p = np.full(x.shape, np.nan)
+    central = lam == 0.0
+    if central.any():
+        p[central] = chi2.cdf(x[central], 1)
+    if not central.all():
+        try:
+            with warnings.catch_warnings(), np.errstate(all="ignore"):
+                warnings.simplefilter("ignore")
+                p[~central] = ncx2.cdf(x[~central], 1, lam[~central])
+        except (OverflowError, FloatingPointError):
+            pass
     return p
 
 
 # ---------------------------------------------------------------------------
 # Chernoff saturation bounds
+#
+# Arrays of forms: w and lam are (M, m), t and x are (M,).
 
 
-def _cgf(w, lam, t: float) -> float:
-    r = 1.0 - 2.0 * w * t
+def _cgf(w, lam, t):
+    r = 1.0 - 2.0 * w * t[:, None]
     # w*t/r stays bounded near -1/2 for deep negative t, so grouping this
     # way keeps every intermediate finite no matter how extreme t is.
-    return float(np.sum(-0.5 * np.log(r) + lam * (w * t / r)))
+    return (-0.5 * np.log(r) + lam * (w * t[:, None] / r)).sum(axis=-1)
 
 
-def _cgf_deriv(w, lam, t: float) -> float:
-    r = 1.0 - 2.0 * w * t
-    return float(np.sum(w / r + lam * (w / r) / r))
+def _cgf_deriv(w, lam, t):
+    r = 1.0 - 2.0 * w * t[:, None]
+    return (w / r + lam * (w / r) / r).sum(axis=-1)
 
 
-def _chernoff_side(w, lam, mean: float, x: float) -> str | None:
-    """Classify x as deep in the lower or upper tail, or neither.
+def _tail_side(w, lam, x) -> np.ndarray:
+    """Classify each cell (form M, point x > 0) as deep in a tail.
 
-    Returns 'lower' when P(Q <= x) is certified below the saturation
-    level, 'upper' for P(Q > x), otherwise None.
+    Returns -1 where P(Q <= x) is certified below the saturation level,
+    +1 where P(Q > x) is, and 0 elsewhere.
     """
-    log_cut = log(_SATURATION)
-    if x < mean:
-        floor = -1e290 / float(np.max(w))
-        lo = -1.0 / (2.0 * float(np.min(w)))
-        while _cgf_deriv(w, lam, lo) > x:
-            lo *= 2.0
-            if lo <= floor:
-                # The minimizer sits beyond floating range; the bound is
-                # valid at any negative exponent, so test the deepest
-                # representable one.
-                bound = _cgf(w, lam, floor) - floor * x
-                return "lower" if bound < log_cut else None
-        hi = 0.0
-        for _ in range(120):
-            t = 0.5 * (lo + hi)
-            if _cgf_deriv(w, lam, t) > x:
-                hi = t
-            else:
-                lo = t
-        t = 0.5 * (lo + hi)
-        if _cgf(w, lam, t) - t * x < log_cut:
-            return "lower"
-    elif x > mean:
-        t_sup = 1.0 / (2.0 * float(np.max(w)))
-        lo, hi = 0.0, t_sup * (1.0 - 1e-12)
-        if _cgf_deriv(w, lam, hi) > x:
-            for _ in range(120):
-                t = 0.5 * (lo + hi)
-                if _cgf_deriv(w, lam, t) < x:
-                    lo = t
-                else:
-                    hi = t
-            t = 0.5 * (lo + hi)
-        else:
-            t = hi  # suboptimal exponent, still a valid bound
-        if _cgf(w, lam, t) - t * x < log_cut:
-            return "upper"
-    return None
+    side = np.zeros(x.size, dtype=int)
+    mean = np.sum(w * (1.0 + lam), axis=-1)
+    # Newton's first step from t = 0. K' is convex, so K'(t0) >= x: t0
+    # lies between 0 and the optimum below the mean, beyond it above.
+    t0 = (x - mean) / np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=-1)
+    for sign, cells, solve in ((-1, x < mean, _lower_saturated),
+                               (1, x > mean, _upper_saturated)):
+        if cells.any():
+            side[cells] = np.where(
+                solve(w[cells], lam[cells], x[cells], t0[cells]), sign, 0)
+    return side
 
 
-def _lower_point(w, lam, log_mass: float) -> float:
-    """A point c with Chernoff bound P(Q <= c) <= exp(log_mass).
+def _lower_saturated(w, lam, x, t0) -> np.ndarray:
+    """Whether min over t < 0 of K(t) - t x falls below the cut.
+
+    The optimum t* solves K'(t*) = x. When K' > x even at the floor
+    -1e290 / max w, the minimizer sits beyond floating range and the
+    exponent is taken at the floor, a valid bound at any negative t.
+    """
+    floor = -1e290 / np.max(w, axis=-1)
+    beyond = _cgf_deriv(w, lam, floor) > x
+    out = _saturated_at(w, lam, x, floor, beyond)
+    i = ~beyond
+    if i.any():
+        w, lam, x = w[i], lam[i], x[i]
+        log_x = np.log(x)
+        right = np.log(-floor[i])
+        left = np.minimum(np.log(-t0[i]), right)
+
+        # Newton variable u = log(-t): log K' is close to linear in u
+        # far out in the tail, where K' ~ 1/t or 1/t^2.
+        def evaluate(u, k):
+            e = np.exp(u)
+            r = 1.0 + 2.0 * w[k] * e[:, None]
+            return _saddle_terms(w[k], lam[k], x[k], log_x[k], r, -e, -e,
+                                 -1.0)
+
+        out[i] = _newton_saturated(evaluate, left.copy(), left, right)
+    return out
+
+
+def _upper_saturated(w, lam, x, t0) -> np.ndarray:
+    """Whether min over 0 < t < 1 / (2 max w) of K(t) - t x falls below
+    the cut.
+
+    When K' <= x already at t_hi = (1 - 1e-12) / (2 max w), the optimum
+    lies closer to the pole than that, and the exponent at t_hi, a valid
+    bound, decides.
+    """
+    w_max = np.max(w, axis=-1)
+    t_hi = 1.0 / (2.0 * w_max) * (1.0 - 1e-12)
+    at_pole = _cgf_deriv(w, lam, t_hi) <= x
+    out = _saturated_at(w, lam, x, t_hi, at_pole)
+    i = ~at_pole
+    if i.any():
+        w, lam, x, w_max = w[i], lam[i], x[i], w_max[i]
+        rho = w / w_max[:, None]
+        log_x = np.log(x)
+        # K' >= e^v max w from the largest term alone: v* <= log(x / max w).
+        right = np.minimum(
+            -np.log1p(-2.0 * w_max * np.minimum(t0[i], t_hi[i])),
+            np.maximum(log_x - np.log(w_max), 0.0))
+
+        # Newton variable v = -log(1 - 2 t max w): the largest term of K'
+        # grows like e^v or e^2v towards the pole.
+        def evaluate(v, k):
+            e = np.exp(-v)
+            r = (1.0 - rho[k]) + rho[k] * e[:, None]
+            t_sup = 1.0 / (2.0 * w_max[k])
+            return _saddle_terms(w[k], lam[k], x[k], log_x[k], r,
+                                 -np.expm1(-v) * t_sup, e * t_sup, 1.0)
+
+        out[i] = _newton_saturated(evaluate, right.copy(),
+                                   np.zeros_like(right), right)
+    return out
+
+
+def _saturated_at(w, lam, x, t, cells) -> np.ndarray:
+    """Per cell, whether the exponent K(t) - t x is below the cut; only the
+    cells flagged in `cells` are evaluated, the rest read False."""
+    out = np.zeros(x.size, dtype=bool)
+    if cells.any():
+        c = cells
+        out[c] = _cgf(w[c], lam[c], t[c]) - t[c] * x[c] < _LOG_CUT
+    return out
+
+
+def _saddle_terms(w, lam, x, log_x, r, t, dt, sign):
+    """Newton function g = sign (log K'(t) - log x) and its derivative
+    along the Newton variable (dt per unit step); the rows t, K(t), K'(t),
+    exponent E(t) = K(t) - t x and its slope K'(t) - x; and E's height
+    above its minimum to second order, (K'(t) - x)^2 / (2 K''(t)). All
+    from r = 1 - 2 w t.
+    """
+    q = w / r
+    k1 = (q + lam * q / r).sum(axis=-1)
+    k2 = (q * q * (2.0 + 4.0 * lam / r)).sum(axis=-1)
+    cgf = (lam * t[:, None] * q - 0.5 * np.log(r)).sum(axis=-1)
+    slope = k1 - x
+    return (sign * (np.log(k1) - log_x), sign * k2 * dt / k1,
+            np.array([t, cgf, k1, cgf - t * x, slope]),
+            slope * slope / (2.0 * k2))
+
+
+def _newton_saturated(evaluate, y, left, right) -> np.ndarray:
+    """Safeguarded Newton on an increasing g with g(left) <= 0 <= g(right).
+
+    evaluate(y, k) gives _saddle_terms at y for the cells k. A cell is
+    decided as soon as either side of the cut is certified:
+    - saturated when an iterate's exponent is below the cut, since the
+      Chernoff bound holds at every t;
+    - not saturated when the tangents of the convex exponent E(t) at the
+      latest iterates either side of the root meet above the cut, since
+      they meet below E's minimum;
+    - otherwise by the exponent at the optimum, once it is within
+      _NEWTON_GAP of its minimum or the step falls below _NEWTON_TOL.
+    Steps leaving the bracket, or not halving |g| fast enough, bisect
+    instead (Numerical Recipes' rtsafe).
+    """
+    saturated = np.zeros(y.size, dtype=bool)
+    k = np.arange(y.size)
+    step = step_old = right - left
+    # (t, K, K', E, E') at the latest iterate with g < 0 and with g >= 0.
+    below_root = above_root = np.full((5, y.size), np.nan)
+    for _ in range(_NEWTON_MAX):
+        g, dg, tangent, gap = evaluate(y, k)
+        neg = g < 0.0
+        left = np.where(neg, y, left)
+        right = np.where(neg, right, y)
+        below_root = np.where(neg, tangent, below_root)
+        above_root = np.where(neg, above_root, tangent)
+        (t_a, k_a, k1_a, e_a, s_a), (t_b, k_b, k1_b, _, s_b) = (below_root,
+                                                               above_root)
+        # The tangents meet at t_a + d. The -t x parts of E cancel in d,
+        # and are left out: far from the root they dwarf K.
+        with np.errstate(over="ignore", invalid="ignore"):
+            d = (k_b - k_a - k1_b * (t_b - t_a)) / (k1_a - k1_b)
+            meet = e_a + s_a * d
+        below = tangent[3] < _LOG_CUT
+        saturated[k[below]] = True
+        done = (below | ((s_a * s_b < 0.0) & (meet >= _LOG_CUT))
+                | (np.abs(step) < _NEWTON_TOL)
+                | ((np.abs(g) < 1e-3) & (gap < _NEWTON_GAP)))
+        if done.any():
+            keep = ~done
+            k, y, left, right, step, step_old, g, dg = (
+                v[keep] for v in (k, y, left, right, step, step_old, g, dg))
+            below_root = below_root[:, keep]
+            above_root = above_root[:, keep]
+            if k.size == 0:
+                return saturated
+        outside = ((y - right) * dg - g) * ((y - left) * dg - g) > 0.0
+        bisect = outside | (np.abs(2.0 * g) > np.abs(step_old * dg))
+        step_old = step
+        step = np.where(bisect, 0.5 * (right - left), g / dg)
+        y = np.where(bisect, left + step, y - step)
+    raise AccuracyError("Chernoff saddle-point search did not converge")
+
+
+def _lower_point(w, lam, log_mass: float) -> np.ndarray:
+    """Per form, a point c with Chernoff bound P(Q <= c) <= exp(log_mass).
 
     Along the saddle-point curve c = K'(t), t < 0, the optimized bound is
     exp(K(t) - t K'(t)), whose exponent falls monotonically as t decreases.
-    Bisection runs in log(-t max w), down to the floor _chernoff_side
+    Bisection runs in log(-t max w), down to the floor _lower_saturated
     uses, and ends on the side where the bound holds.
     """
-    w_max = float(np.max(w))
-    lo, hi = log(1e-200), log(1e290)
+    w_max = np.max(w, axis=-1)
+    lo = np.full(w_max.shape, log(1e-200))
+    hi = np.full(w_max.shape, log(1e290))
     for _ in range(24):
         mid = 0.5 * (lo + hi)
-        t = -exp(mid) / w_max
-        if _cgf(w, lam, t) - t * _cgf_deriv(w, lam, t) > log_mass:
-            lo = mid
-        else:
-            hi = mid
-    return _cgf_deriv(w, lam, -exp(hi) / w_max)
+        t = -_exp(mid) / w_max
+        above = _cgf(w, lam, t) - t * _cgf_deriv(w, lam, t) > log_mass
+        lo = np.where(above, mid, lo)
+        hi = np.where(above, hi, mid)
+    return _cgf_deriv(w, lam, -_exp(hi) / w_max)
+
+
+def _exp(v) -> np.ndarray:
+    # math.exp, elementwise. np.exp's vectorized kernel differs from it in
+    # the last bit on some inputs, which would move the shift and, through
+    # it, published CDF values by an ulp.
+    return np.array([exp(x) for x in v])
 
 
 # ---------------------------------------------------------------------------

@@ -8,6 +8,7 @@ import pytest
 
 from uwauth import (
     DomainError,
+    QuadFormDist,
     SweepSpec,
     baseline_scenario,
     calibrate_threshold,
@@ -91,6 +92,26 @@ def test_uniform_impersonator_averages_the_analytic_miss_rate():
     # false-alarm side never depends on the impersonator
     assert row.p_fa_analytic == pytest.approx(
         h0_distribution(scen).sf(2e5), abs=1e-12)
+
+
+def test_uniform_sweep_makes_no_per_cell_cdf_calls(monkeypatch):
+    # The region average is one batched cdf_grid call per power, not one
+    # QuadFormDist.cdf call per (region point, threshold) cell.
+    calls = []
+    scalar_cdf = QuadFormDist.cdf
+
+    def counting_cdf(self, x):
+        calls.append(x)
+        return scalar_cdf(self, x)
+
+    monkeypatch.setattr(QuadFormDist, "cdf", counting_cdf)
+    scen = baseline_scenario(signal_design_gain=1.0, eve=None)
+    spec = SweepSpec(scenario=scen, power_grid_db=[40.0, 50.0],
+                     thresholds=[1e5, 2e5], eve_mode="uniform",
+                     analytic_eve_count=25)
+    rows = run_sweep(spec)
+    assert len(rows) == 4
+    assert calls == []
 
 
 def test_spec_validation():

@@ -7,12 +7,16 @@ Monte Carlo everywhere else.
 """
 
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.stats import chi2, ncx2, norm
 
-from uwauth import AccuracyError, DomainError, QuadFormDist, quadform
+from uwauth import AccuracyError, DomainError, QuadFormDist, cli, quadform
+from uwauth.channel import distance_noise_variance
+from uwauth.experiment import default_thresholds, region_point_set
+from uwauth.quadform import cdf_grid
 
 
 def test_single_standard_term_matches_erf():
@@ -239,11 +243,106 @@ def test_two_term_cdf_against_mpmath_oracle():
 def test_unresolved_inversion_raises(monkeypatch):
     # Without its shift the fixed-length sum cannot resolve a distribution
     # concentrated far from zero; the error check must refuse the value.
-    monkeypatch.setattr(quadform, "_lower_point", lambda *args: 0.0)
+    monkeypatch.setattr(quadform, "_lower_point",
+                        lambda w, *args: np.zeros(len(w)))
     d = QuadFormDist([1.0, 2.0], [1500.0, -2200.0])
     with pytest.raises(AccuracyError) as info:
         d.cdf(d.mean())
     assert info.value.achieved > info.value.target
+
+
+def test_cdf_grid_matches_scalar_calls_bit_for_bit():
+    # Forms of 1..6 terms, some with a degenerate term folded into the
+    # shift, at points from below zero through both saturated tails.
+    rng = np.random.default_rng(44)
+    x = np.concatenate([[-1.0, 0.0, 1e-300],
+                        np.logspace(-4.0, 5.0, 28)])
+    for terms in range(1, 7):
+        scales = 10.0 ** rng.uniform(-1.0, 1.0, (6, terms))
+        offsets = rng.normal(0.0, 1.0, (6, terms)) * scales * rng.uniform(
+            0.0, 5.0, (6, 1))
+        offsets[:2] = 0.0
+        if terms > 1:
+            scales[3, 0] *= 1e-12
+            offsets[3, 0] = 2.0
+        grid = cdf_grid(scales, offsets, x)
+        assert grid.shape == (6, x.size)
+        for a, d, row in zip(scales, offsets, grid):
+            dist = QuadFormDist(a, d)
+            assert [dist.cdf(v) for v in x] == row.tolist()
+            assert [dist.sf(v) for v in x] == (1.0 - row).tolist()
+    assert np.any(grid == 0.0) and np.any(grid == 1.0)
+    assert np.any((grid > 0.0) & (grid < 1.0))
+
+
+def test_cdf_grid_validation():
+    with pytest.raises(DomainError, match="2-d"):
+        cdf_grid([1.0, 2.0], [0.0, 0.0], [1.0])
+    with pytest.raises(DomainError, match="positive"):
+        cdf_grid([[1.0, 0.0]], [[0.0, 0.0]], [1.0])
+    with pytest.raises(DomainError, match="finite"):
+        cdf_grid([[1.0]], [[0.0]], [np.nan])
+
+
+def _exponent_minimum(w, lam, x):
+    """Minimum of K(t) - t x over a dense log-spaced grid of t on the
+    side of the mean that x lies on, refined around the best grid point."""
+    w_max = float(np.max(w))
+    lower = x < float(np.sum(w * (1.0 + lam)))
+    if lower:
+        grid = -np.logspace(-12.0, 12.0, 4001) / w_max
+    else:
+        grid = 0.5 / w_max * np.concatenate([
+            np.logspace(-12.0, 0.0, 2001)[:-1],
+            1.0 - np.logspace(0.0, -12.0, 2001)[1:]])
+    for _ in range(3):
+        t = grid[:, None]
+        r = 1.0 - 2.0 * w * t
+        e = np.sum(-0.5 * np.log(r) + lam * w * t / r, axis=1) - grid * x
+        best = int(np.argmin(e))
+        lo, hi = grid[max(best - 1, 0)], grid[min(best + 1, grid.size - 1)]
+        grid = np.linspace(lo, hi, 2001)
+    return float(e[best]), lower
+
+
+def test_tail_classifier_matches_brute_force_minimum():
+    # Saturated exactly when the Chernoff exponent's minimum over t is
+    # below log 1e-14; cells within 1e-6 of that cut are ties.
+    rng = np.random.default_rng(8)
+    cut = math.log(1e-14)
+    cells = saturated = 0
+    for _ in range(300):
+        terms = int(rng.integers(2, 7))
+        w = 10.0 ** rng.uniform(-4.0, 0.0, terms)
+        lam = np.where(rng.random(terms) < 0.3, 0.0,
+                       10.0 ** rng.uniform(-2.0, 4.0, terms))
+        x = float(np.sum(w * (1.0 + lam))) * 10.0 ** rng.uniform(-3.0, 1.0)
+        low, lower = _exponent_minimum(w, lam, x)
+        if abs(low - cut) <= 1e-6:
+            continue
+        expected = 0 if low >= cut else (-1 if lower else 1)
+        side = quadform._tail_side(w[None], lam[None], np.array([x]))
+        assert int(side[0]) == expected, (w, lam, x, low)
+        cells += 1
+        saturated += expected != 0
+    assert cells > 250 and 30 < saturated < cells - 30
+
+
+def test_deep_lower_tail_sweep_cell_is_exactly_zero():
+    # A uniform-impersonator cell of the shipped sweep: x / mean ~ 3e-6,
+    # with a Chernoff exponent far below the cut, where a saddle-point
+    # search that is not bracketed in log(-t) fails to converge.
+    config = cli._load_config(
+        str(Path(__file__).parents[1] / "configs" / "baseline.json"))
+    scen = cli._scenario_from(config, power_db=55.0)
+    (th,) = default_thresholds(scen, at_power_db=50.0, h0_quantiles=(0.99,))
+    eve = region_point_set(20, scen.region)[17]
+    d = scen.anchors.distances_to(eve)
+    sigma = np.sqrt(distance_noise_variance(d, scen.channel))
+    dist = QuadFormDist(2.0 * d * sigma, d ** 2 - scen.alice_distances() ** 2)
+    assert th < 1e-5 * dist.mean()
+    assert dist.cdf(th) == 0.0
+    assert cdf_grid(dist.scales[None], dist.offsets[None], [th])[0, 0] == 0.0
 
 
 def test_subnormal_threshold_is_zero_mass():
