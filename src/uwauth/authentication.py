@@ -18,6 +18,7 @@ H0 throughout: the legitimate node transmitted. H1: an impersonator did.
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +31,7 @@ from .localization import (
     NoisySquaredDistances,
     Scenario,
     build_system,
+    draw_squared_distances,
     solve_position,
 )
 from .quadform import QuadFormDist
@@ -44,11 +46,13 @@ __all__ = [
     "decide",
     "h0_distribution",
     "h1_distribution",
+    "statistic_form",
     "p_fa_analytic",
     "p_md_analytic",
     "calibrate_threshold",
     "simulate_test_statistics",
     "empirical_rates",
+    "count_error_rates",
 ]
 
 # Trials are simulated in fixed-size blocks; block g draws its generator
@@ -91,8 +95,7 @@ class ErrorRates:
 def residual_vector(observed: NoisySquaredDistances, anchors: AnchorArray,
                     claimed) -> np.ndarray:
     """Residual of the lifted system at the claimed position, shape (L,)."""
-    A, b = build_system(anchors, observed.observed_sq_m2)
-    return b - A @ _lift(claimed)
+    return _residual(anchors, observed.observed_sq_m2, claimed)
 
 
 def test_statistic(residual) -> float:
@@ -129,8 +132,7 @@ def h0_distribution(scenario: Scenario) -> QuadFormDist:
     """Exact TS distribution when the legitimate node transmits from its
     claimed position: every residual entry is pure noise."""
     d = scenario.alice_distances()
-    sigma = np.sqrt(distance_noise_variance(d, scenario.channel))
-    return QuadFormDist(2.0 * d * sigma, np.zeros_like(d))
+    return QuadFormDist(*statistic_form(d, d, scenario.channel))
 
 
 def h1_distribution(scenario: Scenario) -> QuadFormDist:
@@ -141,10 +143,16 @@ def h1_distribution(scenario: Scenario) -> QuadFormDist:
     transmitter the channel acts on); offsets are the squared-distance
     gaps between impersonator and claim.
     """
-    d_eve = scenario.eve_distances()
-    d_alice = scenario.alice_distances()
-    sigma = np.sqrt(distance_noise_variance(d_eve, scenario.channel))
-    return QuadFormDist(2.0 * d_eve * sigma, d_eve ** 2 - d_alice ** 2)
+    return QuadFormDist(*statistic_form(
+        scenario.eve_distances(), scenario.alice_distances(), scenario.channel))
+
+
+def statistic_form(d_tx, d_claim, channel) -> tuple[np.ndarray, np.ndarray]:
+    """QuadFormDist scales 2 d_tx sigma and offsets d_tx^2 - d_claim^2 of TS
+    for a transmitter at anchor distances d_tx claiming the position at
+    distances d_claim; inputs (L,) or (N, L), one form per row."""
+    sigma = np.sqrt(distance_noise_variance(d_tx, channel))
+    return 2.0 * d_tx * sigma, d_tx ** 2 - d_claim ** 2
 
 
 def p_fa_analytic(scenario: Scenario, config: DecisionConfig) -> float:
@@ -184,50 +192,36 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
 
     seed = _seed_entropy(master_seed)
     anchors = scenario.anchors
-    A = anchors.design_matrix()
-    anchor_sq = (anchors.xy ** 2).sum(axis=1)
-    model = A @ _lift(scenario.alice)
-
+    half_region = np.asarray(scenario.region) / 2
     d_alice = scenario.alice_distances()
     sig_alice = np.sqrt(distance_noise_variance(d_alice, scenario.channel))
     if eve_mode == "fixed":
         d_eve = scenario.eve_distances()
         sig_eve = np.sqrt(distance_noise_variance(d_eve, scenario.channel))
 
-    width, height = scenario.region
-
     def run_block(g: int) -> tuple[int, np.ndarray, np.ndarray]:
         start = g * _BLOCK
         n = min(_BLOCK, trials - start)
         rng = np.random.default_rng(seed + (g,))
-        z0 = rng.standard_normal((n, len(anchors)))
-        obs0 = d_alice ** 2 + 2.0 * (z0 * sig_alice) * d_alice
-        ts0 = _ts_rows(obs0, anchor_sq, model)
+        obs0 = draw_squared_distances(d_alice, sig_alice, rng, n)
         if eve_mode == "fixed":
             de, se = d_eve, sig_eve
         else:
-            eve = rng.uniform([-width / 2, -height / 2],
-                              [width / 2, height / 2], size=(n, 2))
-            de = np.hypot(eve[:, 0, None] - anchors.xy[:, 0],
-                          eve[:, 1, None] - anchors.xy[:, 1])
+            de = anchors.distances_to(
+                rng.uniform(-half_region, half_region, size=(n, 2)))
             se = np.sqrt(distance_noise_variance(de, scenario.channel))
-        z1 = rng.standard_normal((n, len(anchors)))
-        obs1 = de ** 2 + 2.0 * (z1 * se) * de
-        ts1 = _ts_rows(obs1, anchor_sq, model)
-        return start, ts0, ts1
+        obs1 = draw_squared_distances(de, se, rng, n)
+        r0 = _residual(anchors, obs0, scenario.alice)
+        r1 = _residual(anchors, obs1, scenario.alice)
+        return start, (r0 ** 2).sum(axis=1), (r1 ** 2).sum(axis=1)
 
     blocks = range((trials + _BLOCK - 1) // _BLOCK)
     ts_h0 = np.empty(trials)
     ts_h1 = np.empty(trials)
-    if workers > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
-            results = pool.map(run_block, blocks)
-            for start, t0, t1 in results:
-                ts_h0[start:start + t0.size] = t0
-                ts_h1[start:start + t1.size] = t1
-    else:
-        for g in blocks:
-            start, t0, t1 = run_block(g)
+    with (concurrent.futures.ThreadPoolExecutor(max_workers=workers)
+          if workers > 1 else contextlib.nullcontext()) as pool:
+        results = pool.map(run_block, blocks) if pool else map(run_block, blocks)
+        for start, t0, t1 in results:
             ts_h0[start:start + t0.size] = t0
             ts_h1[start:start + t1.size] = t1
     return ts_h0, ts_h1
@@ -242,15 +236,23 @@ def empirical_rates(scenario: Scenario, config: DecisionConfig, trials: int,
     """
     ts_h0, ts_h1 = simulate_test_statistics(
         scenario, trials, master_seed, eve_mode=eve_mode, workers=workers)
-    p_fa = float(np.count_nonzero(ts_h0 > config.threshold)) / trials
-    p_md = float(np.count_nonzero(ts_h1 <= config.threshold)) / trials
+    return count_error_rates(ts_h0, ts_h1, config.threshold)
+
+
+def count_error_rates(ts_h0: np.ndarray, ts_h1: np.ndarray,
+                      threshold: float) -> ErrorRates:
+    """Shares of H0 statistics above and H1 statistics at or below the
+    threshold, with their binomial standard errors sqrt(p (1 - p) / n)."""
+    n = ts_h0.size
+    p_fa = float(np.count_nonzero(ts_h0 > threshold)) / n
+    p_md = float(np.count_nonzero(ts_h1 <= threshold)) / n
     return ErrorRates(
         p_fa=p_fa,
         p_md=p_md,
         method="empirical",
-        stderr_fa=binomial_stderr(p_fa, trials),
-        stderr_md=binomial_stderr(p_md, trials),
-        trials=trials,
+        stderr_fa=float(np.sqrt(p_fa * (1.0 - p_fa) / n)),
+        stderr_md=float(np.sqrt(p_md * (1.0 - p_md) / n)),
+        trials=n,
     )
 
 
@@ -263,21 +265,15 @@ def check_eve_mode(eve_mode: str, scenario: Scenario) -> None:
         raise DomainError("fixed eve_mode requires an eve position")
 
 
-def binomial_stderr(p: float, n: int) -> float:
-    """Standard error sqrt(p (1 - p) / n) of a rate p estimated from n
-    trials."""
-    return float(np.sqrt(p * (1.0 - p) / n))
-
-
 def _lift(point) -> np.ndarray:
     p = np.asarray(point, dtype=float)
     return np.array([p[0], p[1], p[0] ** 2 + p[1] ** 2])
 
 
-def _ts_rows(observed_sq: np.ndarray, anchor_sq: np.ndarray,
-             model: np.ndarray) -> np.ndarray:
-    residual = (observed_sq - anchor_sq) - model
-    return (residual ** 2).sum(axis=1)
+def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
+    """b - A chi(claim) for observations shaped (L,) or (n, L)."""
+    A, b = build_system(anchors, observed_sq)
+    return b - A @ _lift(claimed)
 
 
 def _seed_entropy(master_seed) -> tuple:

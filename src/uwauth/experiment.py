@@ -16,14 +16,16 @@ import numpy as np
 from scipy.stats import qmc
 
 from .authentication import (
-    binomial_stderr,
     calibrate_threshold,
     check_eve_mode,
+    count_error_rates,
     h0_distribution,
     h1_distribution,
     simulate_test_statistics,
+    statistic_form,
 )
-from .channel import ChannelParams, distance_noise_variance
+# perfbench/spans.py traces distance_noise_variance at this (unused) name.
+from .channel import ChannelParams, distance_noise_variance  # noqa: F401
 from .errors import DomainError
 from .localization import AnchorArray, Scenario
 from .quadform import cdf_grid
@@ -99,10 +101,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
         raise DomainError("workers must be at least 1")
     scen = spec.scenario
     if spec.eve_mode == "uniform":
-        eve_xy = region_point_set(spec.analytic_eve_count, scen.region)
-        d_eve = np.hypot(eve_xy[:, 0, None] - scen.anchors.xy[:, 0],
-                         eve_xy[:, 1, None] - scen.anchors.xy[:, 1])
-        delta = d_eve ** 2 - scen.alice_distances() ** 2
+        d_eve = scen.anchors.distances_to(
+            region_point_set(spec.analytic_eve_count, scen.region))
 
     rows: list[SweepRow] = []
     for i, power in enumerate(spec.power_grid_db):
@@ -112,10 +112,10 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
             h1 = h1_distribution(scen_i)
             p_md = [h1.cdf(float(th)) for th in spec.thresholds]
         else:
-            sigma = np.sqrt(distance_noise_variance(d_eve, scen_i.channel))
             # One row per region point. Each threshold's column is averaged
             # as a contiguous copy, so it sums in the order of a 1-d list.
-            grid = cdf_grid(2.0 * d_eve * sigma, delta, spec.thresholds)
+            grid = cdf_grid(*statistic_form(d_eve, scen.alice_distances(),
+                                            scen_i.channel), spec.thresholds)
             p_md = [float(np.mean(col.copy())) for col in grid.T]
 
         if spec.trials_per_point > 0:
@@ -132,15 +132,9 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
                 "p_md_analytic": md_analytic,
             }
             if spec.trials_per_point > 0:
-                n = spec.trials_per_point
-                fa = float(np.count_nonzero(ts0 > th)) / n
-                md = float(np.count_nonzero(ts1 <= th)) / n
-                row.update(
-                    p_fa_emp=fa,
-                    p_md_emp=md,
-                    stderr_fa=binomial_stderr(fa, n),
-                    stderr_md=binomial_stderr(md, n),
-                )
+                emp = count_error_rates(ts0, ts1, th)
+                row.update(p_fa_emp=emp.p_fa, p_md_emp=emp.p_md,
+                           stderr_fa=emp.stderr_fa, stderr_md=emp.stderr_md)
             rows.append(SweepRow(**row))
     return rows
 

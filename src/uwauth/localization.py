@@ -24,6 +24,7 @@ __all__ = [
     "NoisySquaredDistances",
     "sample_noisy_squared_distances",
     "sample_noisy_squared_distances_batch",
+    "draw_squared_distances",
     "build_system",
     "solve_position",
     "consistency_gap",
@@ -40,31 +41,41 @@ class AnchorArray:
     xy: np.ndarray
 
     def __post_init__(self):
-        xy = np.atleast_2d(np.asarray(self.xy, dtype=float))
+        xy = np.atleast_2d(np.array(self.xy, dtype=float))
         if xy.ndim != 2 or xy.shape[1] != 2:
             raise GeometryError("anchors must be an (L, 2) array of coordinates")
         if xy.shape[0] < 3:
             raise GeometryError("at least 3 anchors are required")
         if not np.all(np.isfinite(xy)):
             raise GeometryError("anchor coordinates must be finite")
-        object.__setattr__(self, "xy", xy)
-        sv = np.linalg.svd(self.design_matrix(), compute_uv=False)
+        design = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1],
+                                  np.ones(len(xy))])
+        sv = np.linalg.svd(design, compute_uv=False)
         if sv[-1] <= _RANK_RTOL * sv[0]:
             raise GeometryError(
                 "degenerate anchor geometry: design matrix is rank deficient")
+        # Read-only, so the cached design matrix and norms stay in step with xy.
+        sq_norms = (xy ** 2).sum(axis=1)
+        for a in (xy, design, sq_norms):
+            a.flags.writeable = False
+        object.__setattr__(self, "xy", xy)
+        object.__setattr__(self, "_design", design)
+        object.__setattr__(self, "_sq_norms", sq_norms)
 
     def __len__(self) -> int:
         return self.xy.shape[0]
 
     def design_matrix(self) -> np.ndarray:
-        """Coefficient matrix of the lifted linear system, shape (L, 3)."""
-        x, y = self.xy[:, 0], self.xy[:, 1]
-        return np.column_stack([-2.0 * x, -2.0 * y, np.ones_like(x)])
+        """Coefficient matrix of the lifted linear system, shape (L, 3),
+        read-only."""
+        return self._design
 
-    def distances_to(self, point) -> np.ndarray:
-        """Euclidean distances from every anchor to a point, shape (L,)."""
-        p = np.asarray(point, dtype=float)
-        d = np.hypot(self.xy[:, 0] - p[0], self.xy[:, 1] - p[1])
+    def distances_to(self, points) -> np.ndarray:
+        """Euclidean distances from every anchor to one point, shape (2,),
+        or to each of N points, shape (N, 2); returns (L,) or (N, L)."""
+        p = np.asarray(points, dtype=float)
+        d = np.hypot(p[..., 0, None] - self.xy[:, 0],
+                     p[..., 1, None] - self.xy[:, 1])
         if np.any(d == 0.0):
             raise GeometryError("point coincides with an anchor")
         return d
@@ -123,19 +134,16 @@ class NoisySquaredDistances:
 def sample_noisy_squared_distances(point, anchors: AnchorArray,
                                    channel: ChannelParams,
                                    rng: np.random.Generator, *,
-                                   exact: bool = False,
                                    noise_std_override=None) -> NoisySquaredDistances:
-    """Draw one set of noisy squared-distance observations.
+    """Draw one set of noisy squared-distance observations from a
+    transmitter at point, following the linearized model
+    d_hat^2 = d^2 + 2*n*d.
 
-    The default follows the linearized model d_hat^2 = d^2 + 2*n*d.
-    With exact=True the range itself is perturbed and then squared,
-    which adds the quadratic n^2 term; useful for sensitivity studies.
     noise_std_override replaces the channel-derived sigma per anchor
     (a scalar or length-L array; 0 gives noiseless observations).
     """
     d, sigma, obs = sample_noisy_squared_distances_batch(
-        point, anchors, channel, rng, 1, exact=exact,
-        noise_std_override=noise_std_override)
+        point, anchors, channel, rng, 1, noise_std_override=noise_std_override)
     return NoisySquaredDistances(d, sigma, obs[0])
 
 
@@ -143,10 +151,9 @@ def sample_noisy_squared_distances_batch(point, anchors: AnchorArray,
                                          channel: ChannelParams,
                                          rng: np.random.Generator,
                                          n: int, *,
-                                         exact: bool = False,
                                          noise_std_override=None):
-    """Vectorized sampler: returns (d, sigma, observed_sq) with
-    observed_sq of shape (n, L)."""
+    """n draws of sample_noisy_squared_distances at once: returns
+    (d, sigma, observed_sq) with observed_sq of shape (n, L)."""
     d = anchors.distances_to(point)
     if noise_std_override is None:
         sigma = np.sqrt(distance_noise_variance(d, channel))
@@ -155,12 +162,15 @@ def sample_noisy_squared_distances_batch(point, anchors: AnchorArray,
             np.asarray(noise_std_override, dtype=float), d.shape).copy()
         if np.any(sigma < 0):
             raise DomainError("noise std override must be nonnegative")
-    noise = rng.standard_normal((n, len(d))) * sigma
-    if exact:
-        obs = (d + noise) ** 2
-    else:
-        obs = d * d + 2.0 * noise * d
-    return d, sigma, obs
+    return d, sigma, draw_squared_distances(d, sigma, rng, n)
+
+
+def draw_squared_distances(d, sigma, rng: np.random.Generator,
+                           n: int) -> np.ndarray:
+    """n rows of d^2 + 2*e*d with range noise e = z * sigma drawn as
+    z = rng.standard_normal((n, L)); d and sigma are (L,) or (n, L)."""
+    z = rng.standard_normal((n, d.shape[-1]))
+    return d * d + 2.0 * (z * sigma) * d
 
 
 def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndarray]:
@@ -171,9 +181,7 @@ def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndar
     obs = np.asarray(observed_sq, dtype=float)
     if obs.shape[-1] != len(anchors):
         raise DomainError("one squared observation per anchor is required")
-    A = anchors.design_matrix()
-    b = obs - (anchors.xy ** 2).sum(axis=1)
-    return A, b
+    return anchors.design_matrix(), obs - anchors._sq_norms
 
 
 def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:

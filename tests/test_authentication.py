@@ -168,6 +168,50 @@ def test_simulation_is_reproducible_and_worker_invariant():
     assert not np.array_equal(a0, d0)
 
 
+def test_simulated_stream_follows_the_documented_contract():
+    # Recomputes the stream from its contract with plain numpy: block g
+    # of 4096 trials draws from default_rng(seed + (g,)) the H0 normals,
+    # then (uniform mode) the impersonator positions, then the H1
+    # normals; observations are d^2 + 2 (z sigma) d and TS is the squared
+    # residual of the lifted system at the claim.
+    trials = 2 * 4096 + 37
+    xy = TRIANGLE.xy
+    A = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1], np.ones(3)])
+    anchor_sq = (xy ** 2).sum(axis=1)
+    for eve_mode, eve in (("fixed", (100.0, 100.0)), ("uniform", None)):
+        scen = make_scenario(power_db=40.0, gain=1.0, eve=eve)
+        chi = np.array([scen.alice[0], scen.alice[1], scen.alice @ scen.alice])
+        w, h = scen.region
+
+        def distances(p):
+            return np.hypot(p[..., 0, None] - xy[:, 0], p[..., 1, None] - xy[:, 1])
+
+        def noise_std(d):
+            return np.sqrt(distance_noise_variance(d, scen.channel))
+
+        def stat(z, d, s):
+            obs = d ** 2 + 2.0 * (z * s) * d
+            return (((obs - anchor_sq) - A @ chi) ** 2).sum(axis=1)
+
+        d_a = distances(scen.alice)
+        expected0, expected1 = [], []
+        for g in range(3):
+            n = min(4096, trials - g * 4096)
+            rng = np.random.default_rng((11, g))
+            z0 = rng.standard_normal((n, 3))
+            if eve_mode == "fixed":
+                d_e = distances(np.asarray(eve))
+            else:
+                d_e = distances(rng.uniform([-w / 2, -h / 2], [w / 2, h / 2],
+                                            size=(n, 2)))
+            z1 = rng.standard_normal((n, 3))
+            expected0.append(stat(z0, d_a, noise_std(d_a)))
+            expected1.append(stat(z1, d_e, noise_std(d_e)))
+        ts0, ts1 = simulate_test_statistics(scen, trials, 11, eve_mode=eve_mode)
+        np.testing.assert_array_equal(ts0, np.concatenate(expected0))
+        np.testing.assert_array_equal(ts1, np.concatenate(expected1))
+
+
 def test_simulation_argument_validation():
     scen = make_scenario()
     with pytest.raises(DomainError):

@@ -1,13 +1,24 @@
 """Command-line interface: output contracts, exit codes, reproducibility."""
 
+import importlib.util
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from uwauth import AccuracyError, baseline_scenario, quadform, roc_curve
+from uwauth import (
+    AccuracyError,
+    authentication,
+    baseline_scenario,
+    cli,
+    experiment,
+    localization,
+    quadform,
+    roc_curve,
+)
 from uwauth.cli import main
 
 
@@ -268,3 +279,24 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "alpha=1.18703 dB/km, PL=41.0781 dB\n"
+
+
+def test_benchmark_trace_hooks_find_their_attributes():
+    # The benchmark's trace mode wraps uwauth's entry points at the module
+    # and class attributes named in perfbench/spans.py; a refactor that
+    # drops one of them makes install raise KeyError.
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+    spec = importlib.util.spec_from_file_location("perfbench_spans", path)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    owners = (authentication, cli, experiment, localization,
+              quadform.QuadFormDist)
+    saved = [(owner, dict(vars(owner))) for owner in owners]
+    try:
+        spans.uninstall(spans.install(spans.Recorder()))
+    finally:
+        # A partial install leaves wrappers behind; put the originals back.
+        for owner, attrs in saved:
+            for name, value in attrs.items():
+                if vars(owner).get(name) is not value:
+                    setattr(owner, name, value)

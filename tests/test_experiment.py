@@ -88,7 +88,7 @@ def test_uniform_impersonator_averages_the_analytic_miss_rate():
     for p in pts:
         s = dataclasses.replace(scen, eve=np.asarray(p))
         mds.append(h1_distribution(s).cdf(2e5))
-    assert row.p_md_analytic == pytest.approx(float(np.mean(mds)), rel=1e-9)
+    assert row.p_md_analytic == float(np.mean(mds))
     # false-alarm side never depends on the impersonator
     assert row.p_fa_analytic == pytest.approx(
         h0_distribution(scen).sf(2e5), abs=1e-12)

@@ -34,6 +34,14 @@ def test_design_matrix_rows_are_exact():
                   [1000.0, -1000.0, 1.0]]))
 
 
+def test_design_matrix_is_read_only():
+    with pytest.raises(ValueError):
+        TRIANGLE.design_matrix()[0, 0] = 1.0
+    A, _ = build_system(TRIANGLE, np.ones(3))
+    with pytest.raises(ValueError):
+        A[1, 2] = 0.0
+
+
 def test_build_system_subtracts_anchor_norms():
     obs = np.array([1.0, 2.0, 3.0])
     A, b = build_system(TRIANGLE, obs)
@@ -88,6 +96,16 @@ def test_true_distance_and_coincidence():
         anchors.distances_to((3.0, 4.0))
 
 
+def test_distances_to_many_points_matches_single_calls():
+    pts = np.random.default_rng(5).uniform(-500.0, 500.0, (40, 2))
+    d = TRIANGLE.distances_to(pts)
+    assert d.shape == (40, 3)
+    for p, row in zip(pts, d):
+        np.testing.assert_array_equal(row, TRIANGLE.distances_to(p))
+    with pytest.raises(GeometryError, match="coincides"):
+        TRIANGLE.distances_to(np.vstack([pts, [[-500.0, 500.0]]]))
+
+
 def test_anchor_array_validation():
     with pytest.raises(GeometryError, match="at least 3"):
         AnchorArray(np.array([[0.0, 0.0], [1.0, 0.0]]))
@@ -115,18 +133,6 @@ def test_sampler_reproduces_linearized_model():
     np.testing.assert_allclose(obs.noise_std_m, sigma, rtol=1e-13)
     np.testing.assert_allclose(
         obs.observed_sq_m2, d * d + 2.0 * draws[0] * sigma * d, rtol=1e-12)
-
-
-def test_sampler_exact_mode_squares_the_range():
-    channel = ChannelParams()
-    p = np.array([50.0, 60.0])
-    draws = np.random.default_rng(9).standard_normal((1, 3))
-    obs = sample_noisy_squared_distances(
-        p, TRIANGLE, channel, np.random.default_rng(9), exact=True)
-    d = TRIANGLE.distances_to(p)
-    sigma = np.sqrt(distance_noise_variance(d, channel))
-    np.testing.assert_allclose(
-        obs.observed_sq_m2, (d + draws[0] * sigma) ** 2, rtol=1e-12)
 
 
 def test_batch_sampler_moments():
