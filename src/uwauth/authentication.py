@@ -165,11 +165,19 @@ def p_md_analytic(scenario: Scenario, config: DecisionConfig) -> float:
     return h1_distribution(scenario).cdf(config.threshold)
 
 
-def calibrate_threshold(scenario: Scenario, target_pfa: float) -> DecisionConfig:
-    """Threshold whose analytic false-alarm rate equals target_pfa."""
-    if not 0.0 < target_pfa < 1.0:
+def calibrate_threshold(scenario: Scenario, target_pfa):
+    """Threshold whose analytic false-alarm rate equals target_pfa.
+
+    A single rate gives one DecisionConfig; a sequence of rates gives a
+    list of them, one per rate, solved as one batch of H0 quantiles.
+    """
+    targets = np.asarray(target_pfa, dtype=float)
+    if not np.all((0.0 < targets) & (targets < 1.0)):
         raise DomainError("target false-alarm rate must lie in (0, 1)")
-    return DecisionConfig(h0_distribution(scenario).quantile(1.0 - target_pfa))
+    th = h0_distribution(scenario).quantile(1.0 - targets)
+    if targets.ndim == 0:
+        return DecisionConfig(th)
+    return [DecisionConfig(float(t)) for t in th.ravel()]
 
 
 def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,

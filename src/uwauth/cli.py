@@ -22,6 +22,7 @@ import numpy as np
 from .channel import ChannelParams, absorption_db_per_km, pathloss_db
 from .errors import AccuracyError, DomainError, GeometryError
 from .experiment import (
+    MAX_ROC_POINTS,
     SweepRow,
     SweepSpec,
     default_thresholds,
@@ -170,7 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("config", help="scenario config JSON path")
     p.add_argument("--power", type=float, default=None,
                    help="transmit power in dB (default: sweep grid midpoint)")
-    p.add_argument("--points", type=int, default=101)
+    p.add_argument("--points", type=int, default=101,
+                   help=f"ROC points, 2 to {MAX_ROC_POINTS} (default 101)")
     p.set_defaults(handler=_cmd_roc)
     return parser
 

@@ -19,8 +19,6 @@ from .authentication import (
     calibrate_threshold,
     check_eve_mode,
     count_error_rates,
-    h0_distribution,
-    h1_distribution,
     simulate_test_statistics,
     statistic_form,
 )
@@ -100,35 +98,37 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     if workers < 1:
         raise DomainError("workers must be at least 1")
     scen = spec.scenario
+    d_alice = scen.alice_distances()
     if spec.eve_mode == "uniform":
         d_eve = scen.anchors.distances_to(
             region_point_set(spec.analytic_eve_count, scen.region))
+    else:
+        d_eve = scen.eve_distances()[None]
+    # Transmitters of the analytic forms: row 0 the legitimate node (H0),
+    # the rest one impersonator position each (H1).
+    d_tx = np.vstack([d_alice, d_eve])
 
     rows: list[SweepRow] = []
     for i, power in enumerate(spec.power_grid_db):
         scen_i = _with_power(scen, float(power))
-        h0 = h0_distribution(scen_i)
-        if spec.eve_mode == "fixed":
-            h1 = h1_distribution(scen_i)
-            p_md = [h1.cdf(float(th)) for th in spec.thresholds]
-        else:
-            # One row per region point. Each threshold's column is averaged
-            # as a contiguous copy, so it sums in the order of a 1-d list.
-            grid = cdf_grid(*statistic_form(d_eve, scen.alice_distances(),
-                                            scen_i.channel), spec.thresholds)
-            p_md = [float(np.mean(col.copy())) for col in grid.T]
+        # Each threshold's miss column is averaged as a contiguous copy, so
+        # it sums in the order of a 1-d list.
+        grid = cdf_grid(*statistic_form(d_tx, d_alice, scen_i.channel),
+                        spec.thresholds)
+        p_fa = 1.0 - grid[0]
+        p_md = [float(np.mean(col.copy())) for col in grid[1:].T]
 
         if spec.trials_per_point > 0:
             ts0, ts1 = simulate_test_statistics(
                 scen_i, spec.trials_per_point, (spec.master_seed, i),
                 eve_mode=spec.eve_mode, workers=workers)
 
-        for th, md_analytic in zip(spec.thresholds, p_md):
+        for th, fa_analytic, md_analytic in zip(spec.thresholds, p_fa, p_md):
             th = float(th)
             row = {
                 "power_db": float(power),
                 "threshold": th,
-                "p_fa_analytic": h0.sf(th),
+                "p_fa_analytic": float(fa_analytic),
                 "p_md_analytic": md_analytic,
             }
             if spec.trials_per_point > 0:
@@ -139,6 +139,11 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     return rows
 
 
+# Upper limit on roc_curve's points: every level bisects at once, so the
+# work and memory of one call grow with it.
+MAX_ROC_POINTS = 100_000
+
+
 def roc_curve(scenario: Scenario, points: int = 101
               ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic ROC for a fixed impersonator position.
@@ -146,20 +151,18 @@ def roc_curve(scenario: Scenario, points: int = 101
     Sweeps false-alarm targets over [1e-6, 1 - 1e-6], calibrates the
     exact threshold for each, and returns (p_fa, p_d) arrays. p_fa is
     the achieved rate at the calibrated threshold, which matches the
-    target up to quantile tolerance.
+    target up to quantile tolerance. points lies in [2, MAX_ROC_POINTS].
     """
-    if points < 2:
-        raise DomainError("a ROC needs at least two points")
-    h0 = h0_distribution(scenario)
-    h1 = h1_distribution(scenario)
+    if not 2 <= points <= MAX_ROC_POINTS:
+        raise DomainError(
+            f"a ROC needs between 2 and {MAX_ROC_POINTS} points")
     targets = np.linspace(1e-6, 1.0 - 1e-6, points)
-    p_fa = np.empty(points)
-    p_d = np.empty(points)
-    for k, t in enumerate(targets):
-        th = h0.quantile(1.0 - t)
-        p_fa[k] = h0.sf(th)
-        p_d[k] = 1.0 - h1.cdf(th)
-    return p_fa, p_d
+    th = [cfg.threshold for cfg in calibrate_threshold(scenario, targets)]
+    # Row 0 is the H0 form, row 1 the H1 form, as in run_sweep.
+    d_alice = scenario.alice_distances()
+    d_tx = np.vstack([d_alice, scenario.eve_distances()])
+    grid = cdf_grid(*statistic_form(d_tx, d_alice, scenario.channel), th)
+    return 1.0 - grid[0], 1.0 - grid[1]
 
 
 def baseline_scenario(*, transmit_power_db: float = 50.0,
@@ -197,11 +200,9 @@ def default_thresholds(scenario: Scenario, *, at_power_db: float = 50.0,
     1 - q at the calibration power, so the defaults target rates 0.5,
     0.1, and 0.01 there. Thresholds stay fixed as the sweep varies power.
     """
-    scen = _with_power(scenario, at_power_db)
-    return np.array([
-        calibrate_threshold(scen, 1.0 - float(q)).threshold
-        for q in h0_quantiles
-    ])
+    pfa = 1.0 - np.asarray(h0_quantiles, dtype=float)
+    configs = calibrate_threshold(_with_power(scenario, at_power_db), pfa)
+    return np.array([cfg.threshold for cfg in configs])
 
 
 def region_point_set(count: int, region: tuple[float, float]) -> np.ndarray:

@@ -11,7 +11,7 @@ All coordinates and distances are in meters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -34,11 +34,30 @@ __all__ = [
 _RANK_RTOL = 1e-9
 
 
-@dataclass(frozen=True)
+def _equal_fields(self, other):
+    """__eq__ for the dataclasses below: every field equal, array fields
+    by value (the generated __eq__ would take the truth value of an
+    elementwise comparison, which raises)."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True
+
+
+@dataclass(frozen=True, eq=False)
 class AnchorArray:
     """Fixed anchor positions, shape (L, 2) with L >= 3."""
 
     xy: np.ndarray
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         xy = np.atleast_2d(np.array(self.xy, dtype=float))
@@ -81,7 +100,7 @@ class AnchorArray:
         return d
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Scenario:
     """One authentication scenario: geometry plus channel configuration.
 
@@ -96,6 +115,9 @@ class Scenario:
     eve: np.ndarray | None
     channel: ChannelParams
     region: tuple[float, float] = (1000.0, 1000.0)
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         object.__setattr__(self, "alice", np.asarray(self.alice, dtype=float))
@@ -122,13 +144,16 @@ class Scenario:
         return self.anchors.distances_to(self.eve)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoisySquaredDistances:
     """Squared-distance observations for one transmission, all shape (L,)."""
 
     true_distance_m: np.ndarray
     noise_std_m: np.ndarray
     observed_sq_m2: np.ndarray
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
 
 def sample_noisy_squared_distances(point, anchors: AnchorArray,

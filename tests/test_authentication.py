@@ -123,13 +123,18 @@ def test_decide_tie_goes_to_legitimate():
 
 def test_calibration_round_trip():
     scen = make_scenario(gain=1.0e6)
-    for target in (0.5, 0.1, 0.01, 1e-4):
+    targets = (0.5, 0.1, 0.01, 1e-4)
+    # A sequence of rates is solved as one batch, and each rate gets the
+    # threshold it gets alone.
+    batch = calibrate_threshold(scen, np.array(targets))
+    assert len(batch) == len(targets)
+    for target, batched in zip(targets, batch):
         cfg = calibrate_threshold(scen, target)
         assert p_fa_analytic(scen, cfg) == pytest.approx(target, abs=2e-6)
-    with pytest.raises(DomainError):
-        calibrate_threshold(scen, 0.0)
-    with pytest.raises(DomainError):
-        calibrate_threshold(scen, 1.0)
+        assert isinstance(batched, DecisionConfig) and batched == cfg
+    for bad in (0.0, 1.0, (0.1, 0.0), [0.5, 1.0], [float("nan")]):
+        with pytest.raises(DomainError):
+            calibrate_threshold(scen, bad)
 
 
 def test_false_alarm_and_miss_move_oppositely_in_threshold():

@@ -257,6 +257,15 @@ def test_roc_diagonal_when_impersonator_sits_on_the_claim(tmp_path, capsys):
         assert pd == pytest.approx(fa, abs=1e-6)
 
 
+def test_roc_rejects_too_many_points(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json")
+    points = str(experiment.MAX_ROC_POINTS + 1)
+    rc, out, err = run(["roc", str(cfg), "--points", points], capsys)
+    assert rc == 2
+    assert out == ""
+    assert str(experiment.MAX_ROC_POINTS) in err
+
+
 def test_roc_requires_a_fixed_impersonator(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", eve="uniform")
     rc, _, err = run(["roc", str(cfg)], capsys)

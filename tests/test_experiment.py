@@ -21,6 +21,7 @@ from uwauth import (
     roc_curve,
     run_sweep,
 )
+from uwauth.experiment import MAX_ROC_POINTS
 
 
 def small_spec(**kw):
@@ -55,10 +56,8 @@ def test_analytic_columns_match_library_calls():
             spec.scenario,
             channel=dataclasses.replace(spec.scenario.channel,
                                         transmit_power_db=r.power_db))
-        assert r.p_fa_analytic == pytest.approx(
-            h0_distribution(scen).sf(r.threshold), abs=1e-12)
-        assert r.p_md_analytic == pytest.approx(
-            h1_distribution(scen).cdf(r.threshold), abs=1e-12)
+        assert r.p_fa_analytic == h0_distribution(scen).sf(r.threshold)
+        assert r.p_md_analytic == h1_distribution(scen).cdf(r.threshold)
 
 
 def test_sweep_is_deterministic_and_worker_invariant():
@@ -112,6 +111,61 @@ def test_uniform_sweep_makes_no_per_cell_cdf_calls(monkeypatch):
     rows = run_sweep(spec)
     assert len(rows) == 4
     assert calls == []
+
+
+@pytest.fixture
+def scalar_quadform_calls(monkeypatch):
+    """Record every QuadFormDist.cdf/sf call and the number of levels of
+    every quantile call."""
+    calls = {"cdf": [], "sf": [], "quantile": []}
+    cdf, sf, quantile = QuadFormDist.cdf, QuadFormDist.sf, QuadFormDist.quantile
+
+    def counting_cdf(self, x):
+        calls["cdf"].append(x)
+        return cdf(self, x)
+
+    def counting_sf(self, x):
+        calls["sf"].append(x)
+        return sf(self, x)
+
+    def counting_quantile(self, p):
+        calls["quantile"].append(np.size(p))
+        return quantile(self, p)
+
+    monkeypatch.setattr(QuadFormDist, "cdf", counting_cdf)
+    monkeypatch.setattr(QuadFormDist, "sf", counting_sf)
+    monkeypatch.setattr(QuadFormDist, "quantile", counting_quantile)
+    return calls
+
+
+def test_batched_paths_make_no_scalar_cdf_or_per_level_quantile_calls(
+        scalar_quadform_calls):
+    calls = scalar_quadform_calls
+    scen = baseline_scenario(signal_design_gain=1.0)
+    fa, pd = roc_curve(scen, points=7)
+    assert fa.shape == pd.shape == (7,)
+    assert calls == {"cdf": [], "sf": [], "quantile": [7]}
+
+    calls["quantile"].clear()
+    ths = default_thresholds(scen, h0_quantiles=(0.5, 0.9, 0.99))
+    assert ths.shape == (3,)
+    assert calls == {"cdf": [], "sf": [], "quantile": [3]}
+
+    calls["quantile"].clear()
+    for eve_mode, eve in (("fixed", (100.0, 100.0)), ("uniform", None)):
+        spec = SweepSpec(
+            scenario=baseline_scenario(signal_design_gain=1.0, eve=eve),
+            power_grid_db=[40.0, 50.0], thresholds=ths, eve_mode=eve_mode,
+            analytic_eve_count=9)
+        assert len(run_sweep(spec)) == 6
+    assert calls == {"cdf": [], "sf": [], "quantile": []}
+
+
+def test_roc_point_count_is_bounded():
+    scen = baseline_scenario(signal_design_gain=1.0)
+    for points in (1, MAX_ROC_POINTS + 1):
+        with pytest.raises(DomainError, match=str(MAX_ROC_POINTS)):
+            roc_curve(scen, points=points)
 
 
 def test_spec_validation():
@@ -176,7 +230,7 @@ def test_default_thresholds_are_h0_quantiles():
     assert list(ths) == sorted(ths)
     for q, th in zip((0.5, 0.9, 0.99), ths):
         cfg = calibrate_threshold(scen, 1.0 - q)
-        assert th == pytest.approx(cfg.threshold, rel=1e-9)
+        assert th == cfg.threshold
 
 
 def test_region_points_fill_the_rectangle_deterministically():

@@ -167,3 +167,36 @@ def test_scenario_validation():
         s.eve_distances()
     np.testing.assert_allclose(
         s.alice_distances(), [500.0, 707.1067811865476, 707.1067811865476])
+
+
+def test_array_dataclasses_compare_by_value():
+    channel = ChannelParams()
+    same = AnchorArray(TRIANGLE.xy.copy())
+    moved = AnchorArray(np.array([[0.0, 500.0], [-500.0, -500.0],
+                                  [-500.0, 499.0]]))
+    assert (TRIANGLE == same) is True
+    assert (TRIANGLE == moved) is False
+    assert TRIANGLE != moved
+
+    def scenario(anchors=TRIANGLE, eve=(100.0, 100.0), **kw):
+        return Scenario(anchors, alice=(0.0, 0.0), eve=eve,
+                        channel=ChannelParams(**kw))
+
+    base = scenario()
+    assert (base == scenario(anchors=same)) is True
+    assert (base == scenario(anchors=moved)) is False
+    assert (base == scenario(eve=(100.0, 101.0))) is False
+    assert (base == scenario(eve=None)) is False
+    assert (scenario(eve=None) == base) is False
+    assert (base == scenario(transmit_power_db=channel.transmit_power_db + 1)
+            ) is False
+    assert base != "scenario"
+    with pytest.raises(TypeError, match="unhashable"):
+        hash(base)
+    obs = sample_noisy_squared_distances(
+        (0.0, 0.0), TRIANGLE, channel, np.random.default_rng(1))
+    again = sample_noisy_squared_distances(
+        (0.0, 0.0), TRIANGLE, channel, np.random.default_rng(1))
+    assert (obs == again) is True
+    assert (obs == sample_noisy_squared_distances(
+        (0.0, 0.0), TRIANGLE, channel, np.random.default_rng(2))) is False

@@ -370,3 +370,110 @@ def test_sampler_shapes():
     assert isinstance(d.sample(np.random.default_rng(0)), float)
     assert d.sample(np.random.default_rng(0), 10).shape == (10,)
     assert len(d) == 2
+
+
+def _cold_bisection(dist, p):
+    """One level at a time, through scalar cdf calls: bracket doubling from
+    mean + 4 sd, bisection to 1e-12 of the bracket, as quantile documents."""
+    lo, hi = 0.0, dist.mean() + 4.0 * math.sqrt(dist.variance())
+    while dist.cdf(hi) < p:
+        lo, hi = hi, hi * 2.0
+    span = hi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if dist.cdf(mid) < p:
+            lo = mid
+        else:
+            hi = mid
+        if hi - lo <= 1e-12 * span:
+            break
+    return 0.5 * (lo + hi)
+
+
+def test_batched_quantile_matches_cold_bisection_bit_for_bit():
+    levels = np.array([1e-6, 0.01, 0.5, 0.9, 0.99, 1.0 - 1e-6])
+    forms = [
+        ([1.0, 2.0, 0.5], [0.5, -1.5, 0.0]),   # inversion
+        ([3.0], [4.0]),                        # one-term ncx2 closed form
+        ([3.0], [0.0]),                        # one-term central
+        ([2.0, 1e-30, 1.0], [1.0, 5.0, 0.0]),  # degenerate term as a shift
+        ([1.0, 2.0], [1500.0, -2200.0]),       # huge noncentrality
+    ]
+    for scales, offsets in forms:
+        dist = QuadFormDist(scales, offsets)
+        batched = dist.quantile(levels)
+        assert batched.shape == levels.shape
+        expected = [_cold_bisection(dist, p) for p in levels]
+        np.testing.assert_array_equal(batched, expected)
+        assert [dist.quantile(float(p)) for p in levels] == expected
+        assert isinstance(dist.quantile(0.5), float)
+        np.testing.assert_array_equal(dist.quantile(levels[::-1].reshape(2, 3)),
+                                      batched[::-1].reshape(2, 3))
+    with pytest.raises(DomainError):
+        dist.quantile([0.5, 1.0])
+
+
+def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
+    monkeypatch.setattr(quadform, "_lower_point",
+                        lambda w, *args: np.zeros(len(w)))
+    for levels in (0.5, [1e-6, 0.5, 1.0 - 1e-6]):
+        d = QuadFormDist([1.0, 2.0], [1500.0, -2200.0])
+        with pytest.raises(AccuracyError) as info:
+            d.quantile(levels)
+        assert info.value.achieved > info.value.target
+
+
+def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
+    # Cells the classifier leaves to the inversion, more than one chunk of
+    # them, so the chunk seam is crossed.
+    rng = np.random.default_rng(12)
+    for terms in (1, 3, 6):
+        n = 2 * quadform._EULER_CHUNK
+        w = 10.0 ** rng.uniform(-3.0, 1.0, (n, terms))
+        lam = np.where(rng.random((n, terms)) < 0.3, 0.0,
+                       10.0 ** rng.uniform(-2.0, 6.0, (n, terms)))
+        sd = np.sqrt(np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=1))
+        x = np.sum(w * (1.0 + lam), axis=1) + sd * rng.uniform(-2.0, 4.0, n)
+        keep = x > 0.0
+        keep[keep] = quadform._tail_side(w[keep], lam[keep], x[keep]) == 0
+        w, lam, x, n = w[keep], lam[keep], x[keep], np.count_nonzero(keep)
+        assert n > quadform._EULER_CHUNK
+        c = quadform._lower_point(w, lam, math.log(1e-20))
+        batch = quadform._euler_cdf(w, lam, c, x)
+        single = [quadform._euler_cdf(w[i:i + 1], lam[i:i + 1], c[i:i + 1],
+                                      x[i:i + 1])[0] for i in range(n)]
+        assert batch.tolist() == single
+        assert np.all((batch > -1e-7) & (batch < 1.0 + 1e-7))
+    # Without the shift, far-off forms fail; the batch reports the worst.
+    w = np.array([[1.0, 4.0], [1.0, 4.0], [1.0, 4.0]])
+    lam = np.array([[1500.0 ** 2, 1100.0 ** 2]] * 2 + [[1.0, 1.0]])
+    x = np.sum(w * (1.0 + lam), axis=1)
+    achieved = []
+    for i in range(2):
+        with pytest.raises(AccuracyError) as info:
+            quadform._euler_cdf(w[i:i + 1], lam[i:i + 1], np.zeros(1),
+                                x[i:i + 1] * (1.0 + 0.01 * i))
+        achieved.append(info.value.achieved)
+    with pytest.raises(AccuracyError) as info:
+        quadform._euler_cdf(w, lam, np.zeros(3), x * [1.0, 1.01, 1.0])
+    assert info.value.achieved == max(achieved)
+
+
+def test_sampler_matches_the_plain_expression():
+    # The sampler adds columns left to right. numpy's row sum does the
+    # same for rows shorter than 8, so up to 7 terms the output is
+    # ((a z + delta)^2).sum(axis=1) bit for bit; longer rows, which numpy
+    # adds in blocks of 8, agree up to rounding.
+    rng = np.random.default_rng(3)
+    for terms in (1, 2, 3, 5, 7, 8, 11):
+        a = 10.0 ** rng.uniform(-2.0, 2.0, terms)
+        off = rng.normal(0.0, 3.0, terms) * a
+        dist = QuadFormDist(a, off)
+        z = np.random.default_rng(terms).standard_normal((5000, terms))
+        plain = ((a * z + off) ** 2).sum(axis=1)
+        drawn = dist.sample(np.random.default_rng(terms), 5000)
+        if terms < 8:
+            np.testing.assert_array_equal(drawn, plain)
+        else:
+            np.testing.assert_allclose(drawn, plain, rtol=1e-14)
+        assert dist.sample(np.random.default_rng(terms)) == drawn[0]
