@@ -1,0 +1,24 @@
+"""Value equality for the frozen dataclasses that hold numpy arrays."""
+
+from __future__ import annotations
+
+from dataclasses import fields
+
+import numpy as np
+
+
+def _equal_fields(self, other):
+    """__eq__ for dataclasses with array fields: every field equal, array
+    fields by value (the generated __eq__ would take the truth value of an
+    elementwise comparison, which raises). Classes using it set
+    __hash__ = None."""
+    if type(other) is not type(self):
+        return NotImplemented
+    for f in fields(self):
+        a, b = getattr(self, f.name), getattr(other, f.name)
+        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
+            if not np.array_equal(a, b):
+                return False
+        elif a != b:
+            return False
+    return True

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.stats import qmc
 
+from ._fields import _equal_fields
 from .authentication import (
     calibrate_threshold,
     check_eve_mode,
@@ -39,7 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SweepSpec:
     """Inputs for one power sweep.
 
@@ -56,6 +57,9 @@ class SweepSpec:
     master_seed: int = 0
     eve_mode: str = "fixed"
     analytic_eve_count: int = 1000
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         grid = np.atleast_1d(np.asarray(self.power_grid_db, dtype=float))

@@ -11,10 +11,11 @@ All coordinates and distances are in meters.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
+from ._fields import _equal_fields
 from .channel import ChannelParams, distance_noise_variance
 from .errors import DomainError, GeometryError
 
@@ -23,7 +24,6 @@ __all__ = [
     "Scenario",
     "NoisySquaredDistances",
     "sample_noisy_squared_distances",
-    "sample_noisy_squared_distances_batch",
     "draw_squared_distances",
     "build_system",
     "solve_position",
@@ -32,22 +32,6 @@ __all__ = [
 
 # Smallest acceptable ratio of the design matrix's extreme singular values.
 _RANK_RTOL = 1e-9
-
-
-def _equal_fields(self, other):
-    """__eq__ for the dataclasses below: every field equal, array fields
-    by value (the generated __eq__ would take the truth value of an
-    elementwise comparison, which raises)."""
-    if type(other) is not type(self):
-        return NotImplemented
-    for f in fields(self):
-        a, b = getattr(self, f.name), getattr(other, f.name)
-        if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
-            if not np.array_equal(a, b):
-                return False
-        elif a != b:
-            return False
-    return True
 
 
 @dataclass(frozen=True, eq=False)
@@ -167,18 +151,6 @@ def sample_noisy_squared_distances(point, anchors: AnchorArray,
     noise_std_override replaces the channel-derived sigma per anchor
     (a scalar or length-L array; 0 gives noiseless observations).
     """
-    d, sigma, obs = sample_noisy_squared_distances_batch(
-        point, anchors, channel, rng, 1, noise_std_override=noise_std_override)
-    return NoisySquaredDistances(d, sigma, obs[0])
-
-
-def sample_noisy_squared_distances_batch(point, anchors: AnchorArray,
-                                         channel: ChannelParams,
-                                         rng: np.random.Generator,
-                                         n: int, *,
-                                         noise_std_override=None):
-    """n draws of sample_noisy_squared_distances at once: returns
-    (d, sigma, observed_sq) with observed_sq of shape (n, L)."""
     d = anchors.distances_to(point)
     if noise_std_override is None:
         sigma = np.sqrt(distance_noise_variance(d, channel))
@@ -187,7 +159,8 @@ def sample_noisy_squared_distances_batch(point, anchors: AnchorArray,
             np.asarray(noise_std_override, dtype=float), d.shape).copy()
         if np.any(sigma < 0):
             raise DomainError("noise std override must be nonnegative")
-    return d, sigma, draw_squared_distances(d, sigma, rng, n)
+    return NoisySquaredDistances(d, sigma,
+                                 draw_squared_distances(d, sigma, rng, 1)[0])
 
 
 def draw_squared_distances(d, sigma, rng: np.random.Generator,

@@ -22,27 +22,27 @@ up to 1.4e-7 on forms mixing weights over eight decades with
 noncentralities up to 1e12.) Discretization aliases the CDF at 3t, 5t,
 ... into the result: e^-A F(3t) + e^-2A F(5t) + ...
 
-Saturated tails. A point x is saturated when the Chernoff bound
-exp(K(t) - t x), K the cumulant generating function, puts P(Q <= x)
-(t < 0) or P(Q > x) (0 < t < 1 / (2 max w)) below 1e-14. The best t
-solves K'(t) = x; K' is increasing and convex, and the solve is a
-bracketed Newton iteration with a bisection fallback, in u = log(-t)
-below the mean and v = -log(1 - 2 t max w) above it, where log K' is
-close to linear far out in the tail and near the pole. It exits early
-both ways: a cell is saturated as soon as one iterate's exponent is below
-the cut, since the bound holds at every t, and is not saturated as soon
-as the tangents of the convex exponent at iterates on either side of the
-optimum meet above the cut. Deep-tail cells exit after one or two
-iterates. All cells of a batch (cdf_grid, a step of quantile, or
-QuadFormDist.cdf as a batch of one) are classified together in numpy,
-and only the cells left over are inverted. The saddle-point machinery
-follows Kuonen (Biometrika 86:929, 1999).
+Saturated tails. The Chernoff bound exp(K(t) - t x), K the cumulant
+generating function, is smallest at the saddle point K'(t) = x, where its
+exponent is E(t) = K(t) - t K'(t). E falls from 0 monotonically as t
+moves away from 0 either way (Kuonen, Biometrika 86:929, 1999), so the
+points certified below 1e-14 form two tails, cut off by one point per
+form on the saddle-point curve x = K'(t): lo below the mean (t < 0),
+where E reaches log 1e-14, and hi above it (0 < t < 1 / (2 max w)). A
+cell is reported as 0 if x <= lo and as 1 if x >= hi. Both points come
+from one vectorized Newton solve on log(-E), bracketed, with a bisection
+fallback, in u = log(-t max w) below the mean and v = -log(1 - 2 t max w)
+above it, in which log(-E) grows about linearly; E is summed as
+sum(-1/2 log r - w t / r - 2 lam (w t)^2 / r^2), r = 1 - 2 w t, since
+K - t K' cancels badly far out. Each point's exponent lies within 2e-9
+below the cut. QuadFormDist caches its points, so its calls only compare;
+cdf_grid solves them once per form.
 
-Shift. The inversion runs on Q - c, where c is a lower point whose
-Chernoff bound gives P(Q <= c) <= 1e-20; c is solved once per
-distribution on the saddle-point curve. Without the shift, a
-distribution concentrated far from zero (huge noncentrality) has a
-transform that oscillates for thousands of terms before it decays, and
+Shift. The inversion runs on Q - c, where c is the point of the same
+curve below the mean with E = log 1e-20, so that P(Q <= c) <= 1e-20. It
+is solved only for forms with a cell between lo and hi. Without the
+shift, a distribution concentrated far from zero (huge noncentrality) has
+a transform that oscillates for thousands of terms before it decays, and
 the fixed-length sum is off by up to 0.35 and fails its error check.
 The mass below c enters the result amplified by at most e^A, about
 2e-11.
@@ -73,11 +73,12 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, exp, log, sqrt
+from math import comb, log, sqrt
 
 import numpy as np
 from scipy.stats import chi2, ncx2
 
+from ._fields import _equal_fields
 from .errors import AccuracyError, DomainError
 
 __all__ = ["QuadFormDist", "cdf_grid"]
@@ -95,26 +96,28 @@ _TARGET_ERR = 1e-7
 _EULER_A = np.array([18.4, 21.4])
 _EULER_N = 50
 _EULER_M = 15
-# Chernoff mass below the inversion shift c.
-_SHIFT_MASS = 1e-20
+# Saddle-curve points, as (log mass, upper) kinds for _curve_points:
+# cells at or below _LO are reported as 0, at or above _HI as 1, and the
+# inversion shift _SHIFT has Chernoff mass 1e-20 below it.
 _LOG_CUT = log(_SATURATION)
-# Saddle-point search: the search stops once the exponent is within
-# _NEWTON_GAP of its minimum or the step in the log-scaled Newton variable
-# is below _NEWTON_TOL. The iteration cap is never reached: bisection
-# alone narrows any bracket (at most ~1,400 wide in the log variable)
-# below the tolerance within ~40 halvings.
-_NEWTON_GAP = 1e-11
-_NEWTON_TOL = 1e-8
-_NEWTON_MAX = 200
+_LO = (_LOG_CUT, False)
+_HI = (_LOG_CUT, True)
+_SHIFT = (log(1e-20), False)
+# Newton with bisection fallback meets its 1e-9 window within ~50 halvings
+# of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
+_SADDLE_MAX = 100
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuadFormDist:
     """Weighted noncentral chi-square sum, parametrized by the per-term
     Gaussian scale a_i and offset delta_i."""
 
     scales: np.ndarray
     offsets: np.ndarray
+
+    __eq__ = _equal_fields
+    __hash__ = None
 
     def __post_init__(self):
         a = np.atleast_1d(np.asarray(self.scales, dtype=float))
@@ -157,10 +160,11 @@ class QuadFormDist:
                                               self.offsets[None])
         return w, lam, float(shift[0])
 
+    # Saddle-curve points (lo, hi, c) of the form, shape (3, 1).
     @cached_property
-    def _inversion_shift(self) -> float:
+    def _points(self) -> np.ndarray:
         w, lam, _ = self._effective
-        return float(_lower_point(w, lam, log(_SHIFT_MASS))[0])
+        return _curve_points(w, lam, (_LO, _HI, _SHIFT))
 
     def cdf(self, x: float) -> float:
         """P(Q <= x), absolute error at most 1e-6."""
@@ -221,8 +225,7 @@ class QuadFormDist:
         if not np.all(np.isfinite(x)):
             raise DomainError("evaluation point must be finite")
         w, lam, shift = self._effective
-        p = _lower_prob(w, lam, (x - shift)[None],
-                        lambda forms: np.array([self._inversion_shift]))[0]
+        p = _lower_prob(w, lam, (x - shift)[None], *self._points)[0]
         return np.clip(p, 0.0, 1.0)
 
 
@@ -231,8 +234,8 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
 
     Row n of scales and offsets defines form n as in QuadFormDist, and
     entry (n, k) equals QuadFormDist(scales[n], offsets[n]).cdf(x[k]) bit
-    for bit. All cells are classified in one pass; only the unsaturated
-    ones are inverted, and each form's inversion shift is solved once.
+    for bit. Each form's saturation points are solved once, and its
+    inversion shift only if one of its cells lies between them.
     """
     a = np.asarray(scales, dtype=float)
     d = np.asarray(offsets, dtype=float)
@@ -244,7 +247,12 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
         raise DomainError("evaluation points must be finite and 1-d")
     p = np.empty((a.shape[0], x.size))
     for rows, w, lam, shift in _active_groups(a, d):
-        p[rows] = _lower_prob(w, lam, x - shift[:, None])
+        x_net = x - shift[:, None]
+        lo, hi = _curve_points(w, lam, (_LO, _HI))
+        inside = np.any((x_net > lo[:, None]) & (x_net < hi[:, None]), axis=1)
+        c = np.full(rows.size, np.nan)
+        c[inside] = _curve_points(w[inside], lam[inside], (_SHIFT,))[0]
+        p[rows] = _lower_prob(w, lam, x_net, lo, hi, c)
     return np.clip(p, 0.0, 1.0)
 
 
@@ -278,34 +286,25 @@ def _active_groups(a, d):
         yield rows, a_m ** 2, (d_m / a_m) ** 2, shift[rows]
 
 
-def _lower_prob(w, lam, x, shift_of=None) -> np.ndarray:
+def _lower_prob(w, lam, x, lo, hi, c) -> np.ndarray:
     """Unclipped P(Q_n <= x[n, k]) for the forms with active terms w, lam
     (N, m), at points x (N, K) net of each form's deterministic shift.
 
-    shift_of(forms) returns the inversion shifts of the listed forms; by
-    default they are solved here.
+    lo, hi and c are each form's saddle-curve points (N,): cells at or
+    below lo are 0, at or above hi 1, and those in between are inverted
+    with shift c, which only their forms need.
     """
-    p = np.zeros(x.shape)
-    todo = x > 0.0
+    p = (x >= hi[:, None]).astype(float)
+    todo = (x > lo[:, None]) & (x < hi[:, None])
     if w.shape[1] == 1:
-        r, c = np.nonzero(todo)
-        closed = _ncx2_cdf(x[r, c] / w[r, 0], lam[r, 0])
+        r, k = np.nonzero(x > 0.0)
+        closed = _ncx2_cdf(x[r, k] / w[r, 0], lam[r, 0])
         ok = np.isfinite(closed)
-        p[r[ok], c[ok]] = closed[ok]
-        todo[r[ok], c[ok]] = False
-    r, c = np.nonzero(todo)
-    side = _tail_side(w[r], lam[r], x[r, c])
-    p[r[side > 0], c[side > 0]] = 1.0
-    r, c = r[side == 0], c[side == 0]
+        p[r[ok], k[ok]] = closed[ok]
+        todo[r[ok], k[ok]] = False
+    r, k = np.nonzero(todo)
     if r.size:
-        # r is sorted, as np.nonzero lists cells row by row.
-        first = np.concatenate([[True], r[1:] != r[:-1]])
-        forms, form_of = r[first], np.cumsum(first) - 1
-        if shift_of is None:
-            shifts = _lower_point(w[forms], lam[forms], log(_SHIFT_MASS))
-        else:
-            shifts = shift_of(forms)
-        p[r, c] = _euler_cdf(w[r], lam[r], shifts[form_of], x[r, c])
+        p[r, k] = _euler_cdf(w[r], lam[r], c[r], x[r, k])
     return p
 
 
@@ -328,214 +327,71 @@ def _ncx2_cdf(x, lam) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Chernoff saturation bounds
+# Saddle-point curve x = K'(t), with exponent E(t) = K(t) - t K'(t)
 #
-# Arrays of forms: w and lam are (M, m), t and x are (M,).
+# With alpha = 2 t max w and rho = w / max w, every quantity below depends on
+# the form only through rho and lam, apart from the factor max w in K'.
 
 
-def _cgf(w, lam, t):
-    r = 1.0 - 2.0 * w * t[:, None]
-    # w*t/r stays bounded near -1/2 for deep negative t, so grouping this
-    # way keeps every intermediate finite no matter how extreme t is.
-    return (-0.5 * np.log(r) + lam * (w * t[:, None] / r)).sum(axis=-1)
+def _curve_points(w, lam, kinds) -> np.ndarray:
+    """Points on each form's saddle-point curve, shape (len(kinds), N).
 
+    kinds lists (log_mass, upper) pairs; the forms are the rows of w, lam
+    (N, m). Each point x = K'(t) lies above the mean if upper, else below
+    it, and has E(t) in [log_mass - 2e-9, log_mass]: the Chernoff bound
+    puts the tail beyond it, P(Q > x) or P(Q <= x), at most exp(log_mass),
+    and E is monotone along the curve, so the same holds further out.
 
-def _cgf_deriv(w, lam, t):
-    r = 1.0 - 2.0 * w * t[:, None]
-    return (w / r + lam * (w / r) / r).sum(axis=-1)
-
-
-def _tail_side(w, lam, x) -> np.ndarray:
-    """Classify each cell (form M, point x > 0) as deep in a tail.
-
-    Returns -1 where P(Q <= x) is certified below the saturation level,
-    +1 where P(Q > x) is, and 0 elsewhere.
+    The Newton target is L = log_mass - 1e-9. The start, |t| =
+    sqrt(-2 L / Var Q), ends the bracket on the mean's side, since
+    -E(t) = int_0^t s K''(s) ds and K'' grows with t; the far end is where
+    the largest term's exponent alone, which bounds E from above, reaches L.
     """
-    side = np.zeros(x.size, dtype=int)
-    mean = np.sum(w * (1.0 + lam), axis=-1)
-    # Newton's first step from t = 0. K' is convex, so K'(t0) >= x: t0
-    # lies between 0 and the optimum below the mean, beyond it above.
-    t0 = (x - mean) / np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=-1)
-    for sign, cells, solve in ((-1, x < mean, _lower_saturated),
-                               (1, x > mean, _upper_saturated)):
-        if cells.any():
-            side[cells] = np.where(
-                solve(w[cells], lam[cells], x[cells], t0[cells]), sign, 0)
-    return side
-
-
-def _lower_saturated(w, lam, x, t0) -> np.ndarray:
-    """Whether min over t < 0 of K(t) - t x falls below the cut.
-
-    The optimum t* solves K'(t*) = x. When K' > x even at the floor
-    -1e290 / max w, the minimizer sits beyond floating range and the
-    exponent is taken at the floor, a valid bound at any negative t.
-    """
-    floor = -1e290 / np.max(w, axis=-1)
-    beyond = _cgf_deriv(w, lam, floor) > x
-    out = _saturated_at(w, lam, x, floor, beyond)
-    i = ~beyond
-    if i.any():
-        w, lam, x = w[i], lam[i], x[i]
-        log_x = np.log(x)
-        right = np.log(-floor[i])
-        left = np.minimum(np.log(-t0[i]), right)
-
-        # Newton variable u = log(-t): log K' is close to linear in u
-        # far out in the tail, where K' ~ 1/t or 1/t^2.
-        def evaluate(u, k):
-            e = np.exp(u)
-            r = 1.0 + 2.0 * w[k] * e[:, None]
-            return _saddle_terms(w[k], lam[k], x[k], log_x[k], r, -e, -e,
-                                 -1.0)
-
-        out[i] = _newton_saturated(evaluate, left.copy(), left, right)
-    return out
-
-
-def _upper_saturated(w, lam, x, t0) -> np.ndarray:
-    """Whether min over 0 < t < 1 / (2 max w) of K(t) - t x falls below
-    the cut.
-
-    When K' <= x already at t_hi = (1 - 1e-12) / (2 max w), the optimum
-    lies closer to the pole than that, and the exponent at t_hi, a valid
-    bound, decides.
-    """
-    w_max = np.max(w, axis=-1)
-    t_hi = 1.0 / (2.0 * w_max) * (1.0 - 1e-12)
-    at_pole = _cgf_deriv(w, lam, t_hi) <= x
-    out = _saturated_at(w, lam, x, t_hi, at_pole)
-    i = ~at_pole
-    if i.any():
-        w, lam, x, w_max = w[i], lam[i], x[i], w_max[i]
-        rho = w / w_max[:, None]
-        log_x = np.log(x)
-        # K' >= e^v max w from the largest term alone: v* <= log(x / max w).
-        right = np.minimum(
-            -np.log1p(-2.0 * w_max * np.minimum(t0[i], t_hi[i])),
-            np.maximum(log_x - np.log(w_max), 0.0))
-
-        # Newton variable v = -log(1 - 2 t max w): the largest term of K'
-        # grows like e^v or e^2v towards the pole.
-        def evaluate(v, k):
-            e = np.exp(-v)
-            r = (1.0 - rho[k]) + rho[k] * e[:, None]
-            t_sup = 1.0 / (2.0 * w_max[k])
-            return _saddle_terms(w[k], lam[k], x[k], log_x[k], r,
-                                 -np.expm1(-v) * t_sup, e * t_sup, 1.0)
-
-        out[i] = _newton_saturated(evaluate, right.copy(),
-                                   np.zeros_like(right), right)
-    return out
-
-
-def _saturated_at(w, lam, x, t, cells) -> np.ndarray:
-    """Per cell, whether the exponent K(t) - t x is below the cut; only the
-    cells flagged in `cells` are evaluated, the rest read False."""
-    out = np.zeros(x.size, dtype=bool)
-    if cells.any():
-        c = cells
-        out[c] = _cgf(w[c], lam[c], t[c]) - t[c] * x[c] < _LOG_CUT
-    return out
-
-
-def _saddle_terms(w, lam, x, log_x, r, t, dt, sign):
-    """Newton function g = sign (log K'(t) - log x) and its derivative
-    along the Newton variable (dt per unit step); the rows t, K(t), K'(t),
-    exponent E(t) = K(t) - t x and its slope K'(t) - x; and E's height
-    above its minimum to second order, (K'(t) - x)^2 / (2 K''(t)). All
-    from r = 1 - 2 w t.
-    """
-    q = w / r
-    k1 = (q + lam * q / r).sum(axis=-1)
-    k2 = (q * q * (2.0 + 4.0 * lam / r)).sum(axis=-1)
-    cgf = (lam * t[:, None] * q - 0.5 * np.log(r)).sum(axis=-1)
-    slope = k1 - x
-    return (sign * (np.log(k1) - log_x), sign * k2 * dt / k1,
-            np.array([t, cgf, k1, cgf - t * x, slope]),
-            slope * slope / (2.0 * k2))
-
-
-def _newton_saturated(evaluate, y, left, right) -> np.ndarray:
-    """Safeguarded Newton on an increasing g with g(left) <= 0 <= g(right).
-
-    evaluate(y, k) gives _saddle_terms at y for the cells k. A cell is
-    decided as soon as either side of the cut is certified:
-    - saturated when an iterate's exponent is below the cut, since the
-      Chernoff bound holds at every t;
-    - not saturated when the tangents of the convex exponent E(t) at the
-      latest iterates either side of the root meet above the cut, since
-      they meet below E's minimum;
-    - otherwise by the exponent at the optimum, once it is within
-      _NEWTON_GAP of its minimum or the step falls below _NEWTON_TOL.
-    Steps leaving the bracket, or not halving |g| fast enough, bisect
-    instead (Numerical Recipes' rtsafe).
-    """
-    saturated = np.zeros(y.size, dtype=bool)
-    k = np.arange(y.size)
-    step = step_old = right - left
-    # (t, K, K', E, E') at the latest iterate with g < 0 and with g >= 0.
-    below_root = above_root = np.full((5, y.size), np.nan)
-    for _ in range(_NEWTON_MAX):
-        g, dg, tangent, gap = evaluate(y, k)
-        neg = g < 0.0
-        left = np.where(neg, y, left)
-        right = np.where(neg, right, y)
-        below_root = np.where(neg, tangent, below_root)
-        above_root = np.where(neg, above_root, tangent)
-        (t_a, k_a, k1_a, e_a, s_a), (t_b, k_b, k1_b, _, s_b) = (below_root,
-                                                               above_root)
-        # The tangents meet at t_a + d. The -t x parts of E cancel in d,
-        # and are left out: far from the root they dwarf K.
-        with np.errstate(over="ignore", invalid="ignore"):
-            d = (k_b - k_a - k1_b * (t_b - t_a)) / (k1_a - k1_b)
-            meet = e_a + s_a * d
-        below = tangent[3] < _LOG_CUT
-        saturated[k[below]] = True
-        done = (below | ((s_a * s_b < 0.0) & (meet >= _LOG_CUT))
-                | (np.abs(step) < _NEWTON_TOL)
-                | ((np.abs(g) < 1e-3) & (gap < _NEWTON_GAP)))
-        if done.any():
-            keep = ~done
-            k, y, left, right, step, step_old, g, dg = (
-                v[keep] for v in (k, y, left, right, step, step_old, g, dg))
-            below_root = below_root[:, keep]
-            above_root = above_root[:, keep]
-            if k.size == 0:
-                return saturated
-        outside = ((y - right) * dg - g) * ((y - left) * dg - g) > 0.0
-        bisect = outside | (np.abs(2.0 * g) > np.abs(step_old * dg))
-        step_old = step
-        step = np.where(bisect, 0.5 * (right - left), g / dg)
-        y = np.where(bisect, left + step, y - step)
-    raise AccuracyError("Chernoff saddle-point search did not converge")
-
-
-def _lower_point(w, lam, log_mass: float) -> np.ndarray:
-    """Per form, a point c with Chernoff bound P(Q <= c) <= exp(log_mass).
-
-    Along the saddle-point curve c = K'(t), t < 0, the optimized bound is
-    exp(K(t) - t K'(t)), whose exponent falls monotonically as t decreases.
-    Bisection runs in log(-t max w), down to the floor _lower_saturated
-    uses, and ends on the side where the bound holds.
-    """
-    w_max = np.max(w, axis=-1)
-    lo = np.full(w_max.shape, log(1e-200))
-    hi = np.full(w_max.shape, log(1e290))
-    for _ in range(24):
-        mid = 0.5 * (lo + hi)
-        t = -_exp(mid) / w_max
-        above = _cgf(w, lam, t) - t * _cgf_deriv(w, lam, t) > log_mass
-        lo = np.where(above, mid, lo)
-        hi = np.where(above, hi, mid)
-    return _cgf_deriv(w, lam, -_exp(hi) / w_max)
-
-
-def _exp(v) -> np.ndarray:
-    # math.exp, elementwise. np.exp's vectorized kernel differs from it in
-    # the last bit on some inputs, which would move the shift and, through
-    # it, published CDF values by an ulp.
-    return np.array([exp(x) for x in v])
+    n = w.shape[0]
+    target = np.repeat([log_mass for log_mass, _ in kinds], n) - 1e-9
+    upper = np.repeat([side for _, side in kinds], n)
+    w = np.tile(w, (len(kinds), 1))
+    lam = np.tile(lam, (len(kinds), 1))
+    w_max = w.max(axis=1)
+    rho = w / w_max[:, None]
+    log_target = np.log(-target)
+    u0 = 0.5 * (log_target - np.log(np.sum(rho * rho * (1.0 + 2.0 * lam),
+                                             axis=1)))
+    alpha0 = 2.0 * np.exp(u0)
+    with np.errstate(invalid="ignore"):
+        v0 = np.where(alpha0 < 1.0, -np.log1p(-alpha0), np.inf)
+    left = np.where(upper, 0.0, u0)
+    right = np.where(upper, np.minimum(v0, np.log(2.0 - 4.0 * target)),
+                     1.0 - 2.0 * target - log(2.0))
+    y = np.where(upper, right, left)
+    x = np.full(y.size, np.nan)
+    for _ in range(_SADDLE_MAX):
+        # alpha = 2 t max w is -2 e^u below the mean and 1 - e^-v above it.
+        e_y = np.exp(np.where(upper, -y, y))
+        alpha = np.where(upper, -np.expm1(-y), -2.0 * e_y)
+        a = rho * alpha[:, None]
+        r = 1.0 - a
+        q = rho / r
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = -0.5 * np.sum(np.log1p(-a) + a / r * (1.0 + lam * a / r),
+                              axis=1)
+            g = np.log(-e) - log_target
+        # d(-E)/dy = t K''(t) dt/dy, with dalpha/dy = alpha or e^-v.
+        slope = 0.5 * alpha * np.where(upper, e_y, alpha) * np.sum(
+            q * q * (1.0 + 2.0 * lam / r), axis=1)
+        met = np.isnan(x) & (np.abs(e - target) <= 1e-9)
+        x[met] = w_max[met] * np.sum(q[met] * (1.0 + lam[met] / r[met]),
+                                     axis=1)
+        if not np.isnan(x).any():
+            return x.reshape(len(kinds), n)
+        below = ~(g >= 0.0)
+        left = np.where(below, y, left)
+        right = np.where(below, right, y)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = y - g * -e / slope
+        y = np.where((step > left) & (step < right), step,
+                     0.5 * (left + right))
+    raise AccuracyError("saddle-point search did not converge")
 
 
 # ---------------------------------------------------------------------------

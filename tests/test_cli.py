@@ -22,6 +22,10 @@ from uwauth import (
 from uwauth.cli import main
 
 
+ROOT = Path(__file__).resolve().parents[1]
+FIXED_EVE = str(ROOT / "configs" / "fixed-eve.json")
+
+
 def write_config(path, **overrides):
     cfg = {
         "region": {"width_m": 1000.0, "height_m": 1000.0},
@@ -280,6 +284,36 @@ def test_uniform_eve_config_is_valid_for_sweep(tmp_path, capsys):
     assert rc == 0
     meta = json.loads((tmp_path / "u.csv.meta.json").read_text())
     assert meta["eve_mode"] == "uniform"
+
+
+def _assert_matches_recorded(text, name, analytic):
+    """CSV text against tests/data/name: analytic columns (indices) equal
+    where either side is exactly 0.0 or 1.0 and within 1e-12 elsewhere;
+    every other cell, thresholds and Monte Carlo rates included, equal."""
+    expected = (ROOT / "tests" / "data" / name).read_text().splitlines()
+    got = text.splitlines()
+    assert got[0] == expected[0] and len(got) == len(expected)
+    for line, ref in zip(got[1:], expected[1:]):
+        cells, ref_cells = line.split(","), ref.split(",")
+        assert len(cells) == len(ref_cells)
+        for j, (cell, want) in enumerate(zip(cells, ref_cells)):
+            if j in analytic and not {float(cell), float(want)} & {0.0, 1.0}:
+                assert abs(float(cell) - float(want)) <= 1e-12, (line, ref)
+            else:
+                assert cell == want, (line, ref)
+
+
+def test_shipped_outputs_match_recorded_files(tmp_path, capsys):
+    # Recorded from the fixed-Eve config when saturation was decided by a
+    # per-cell Chernoff search; the saddle-curve points must keep every
+    # certified 0 and 1 and move inverted values by rounding only.
+    out = tmp_path / "fixed.csv"
+    rc, _, _ = run(["sweep", FIXED_EVE, "--out", str(out)], capsys)
+    assert rc == 0
+    _assert_matches_recorded(out.read_text(), "fixed-eve-sweep.csv", (2, 3))
+    rc, stdout, _ = run(["roc", FIXED_EVE, "--points", "101"], capsys)
+    assert rc == 0
+    _assert_matches_recorded(stdout, "fixed-eve-roc-101.csv", (0, 1))
 
 
 def test_module_entry_point_runs():

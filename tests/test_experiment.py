@@ -249,3 +249,27 @@ def test_region_points_fill_the_rectangle_deterministically():
 def test_region_points_avoid_the_corner_start():
     pts = region_point_set(4, (1000.0, 1000.0))
     assert not np.any(np.all(pts == [-500.0, -500.0], axis=1))
+
+
+def test_array_holding_specs_compare_by_value():
+    dist = QuadFormDist([1.0, 2.0], [0.5, -1.5])
+    assert (dist == QuadFormDist(np.array([1.0, 2.0]), [0.5, -1.5])) is True
+    assert (dist == QuadFormDist([1.0, 2.0], [0.5, -1.0])) is False
+    assert (dist == QuadFormDist([1.0, 2.0, 1.0], [0.5, -1.5, 0.0])) is False
+    assert dist != QuadFormDist([1.0, 3.0], [0.5, -1.5])
+    assert not dist != QuadFormDist([1.0, 2.0], [0.5, -1.5])
+    dist.cdf(3.0)  # cached solver state is not a field
+    assert (dist == QuadFormDist([1.0, 2.0], [0.5, -1.5])) is True
+    spec = small_spec(trials_per_point=0)
+    assert (spec == small_spec(trials_per_point=0)) is True
+    assert (spec == small_spec(trials_per_point=0,
+                               power_grid_db=[50.0, 60.0])) is False
+    assert (spec == small_spec(trials_per_point=0,
+                               thresholds=spec.thresholds[:1])) is False
+    assert spec != small_spec()
+    assert spec != small_spec(trials_per_point=0, scenario=baseline_scenario())
+    assert not spec != small_spec(trials_per_point=0)
+    assert spec != dist
+    for value in (dist, spec):
+        with pytest.raises(TypeError, match="unhashable"):
+            hash(value)

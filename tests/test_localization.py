@@ -15,7 +15,7 @@ from uwauth import (
     sample_noisy_squared_distances,
     solve_position,
 )
-from uwauth.localization import sample_noisy_squared_distances_batch
+from uwauth.localization import draw_squared_distances
 
 TRIANGLE = AnchorArray(np.array([[0.0, 500.0], [-500.0, -500.0], [-500.0, 500.0]]))
 
@@ -135,13 +135,21 @@ def test_sampler_reproduces_linearized_model():
         obs.observed_sq_m2, d * d + 2.0 * draws[0] * sigma * d, rtol=1e-12)
 
 
-def test_batch_sampler_moments():
+def test_sampler_moments():
+    # The packet sampler draws one row of draw_squared_distances, whose
+    # rows carry the model's mean d^2 and standard deviation 2 d sigma.
     channel = ChannelParams(transmit_power_db=30.0)
     p = np.array([-120.0, 340.0])
     n = 40000
-    d, sigma, obs = sample_noisy_squared_distances_batch(
-        p, TRIANGLE, channel, np.random.default_rng(100), n)
+    one = sample_noisy_squared_distances(p, TRIANGLE, channel,
+                                         np.random.default_rng(100))
+    d, sigma = one.true_distance_m, one.noise_std_m
+    np.testing.assert_array_equal(d, TRIANGLE.distances_to(p))
+    np.testing.assert_array_equal(
+        sigma, np.sqrt(distance_noise_variance(d, channel)))
+    obs = draw_squared_distances(d, sigma, np.random.default_rng(100), n)
     assert obs.shape == (n, 3)
+    np.testing.assert_array_equal(obs[0], one.observed_sq_m2)
     se_mean = 2.0 * d * sigma / np.sqrt(n)
     assert np.all(np.abs(obs.mean(axis=0) - d * d) < 5.0 * se_mean)
     np.testing.assert_allclose(obs.std(axis=0), 2.0 * d * sigma, rtol=0.05)

@@ -2,8 +2,9 @@
 
 Reference values come from routes the implementation does not take:
 normal-cdf differences for one term, the library chi-square family for
-equal weights, a 30-digit mpmath quadrature for two terms, and plain
-Monte Carlo everywhere else.
+equal weights, a 30-digit mpmath quadrature for two terms, a 50-digit
+mpmath saddle-point solve for the saturation points, and plain Monte Carlo
+everywhere else.
 """
 
 import math
@@ -240,11 +241,22 @@ def test_two_term_cdf_against_mpmath_oracle():
                                                expected)
 
 
+def _without_shift(monkeypatch):
+    """Make every inversion shift 0, leaving the saturation points alone."""
+    solve = quadform._curve_points
+
+    def no_shift(w, lam, kinds):
+        points = solve(w, lam, kinds)
+        points[[kind == quadform._SHIFT for kind in kinds]] = 0.0
+        return points
+
+    monkeypatch.setattr(quadform, "_curve_points", no_shift)
+
+
 def test_unresolved_inversion_raises(monkeypatch):
     # Without its shift the fixed-length sum cannot resolve a distribution
     # concentrated far from zero; the error check must refuse the value.
-    monkeypatch.setattr(quadform, "_lower_point",
-                        lambda w, *args: np.zeros(len(w)))
+    _without_shift(monkeypatch)
     d = QuadFormDist([1.0, 2.0], [1500.0, -2200.0])
     with pytest.raises(AccuracyError) as info:
         d.cdf(d.mean())
@@ -321,11 +333,68 @@ def test_tail_classifier_matches_brute_force_minimum():
         if abs(low - cut) <= 1e-6:
             continue
         expected = 0 if low >= cut else (-1 if lower else 1)
-        side = quadform._tail_side(w[None], lam[None], np.array([x]))
-        assert int(side[0]) == expected, (w, lam, x, low)
+        lo, hi = quadform._curve_points(w[None], lam[None],
+                                        (quadform._LO, quadform._HI))[:, 0]
+        side = -1 if x <= lo else (1 if x >= hi else 0)
+        assert side == expected, (w, lam, x, low)
         cells += 1
         saturated += expected != 0
     assert cells > 250 and 30 < saturated < cells - 30
+
+
+def _mp_minimized_exponent(mp, w, lam, x, upper):
+    """min over t of K(t) - t x on x's side of the mean, at the working
+    precision: K'(t) = x is bisected in log(-t max w) below the mean and
+    in -log(1 - 2 t max w) above it. Returns the exponent and t."""
+    w = [mp.mpf(v) for v in w]
+    lam = [mp.mpf(v) for v in lam]
+    x, w_max = mp.mpf(x), max(w)
+
+    def t_of(y):
+        return -mp.expm1(-y) / (2 * w_max) if upper else -mp.exp(y) / w_max
+
+    def k1(t):
+        return mp.fsum(wi / (1 - 2 * wi * t) * (1 + li / (1 - 2 * wi * t))
+                       for wi, li in zip(w, lam))
+
+    # The exponent is stationary in t at the root, so 100 halvings leave
+    # an error far below the assertion's tolerance.
+    lo, hi = (mp.mpf(0), mp.mpf(60)) if upper else (mp.mpf(-80), mp.mpf(150))
+    for _ in range(100):
+        mid = (lo + hi) / 2
+        if (k1(t_of(mid)) > x) == upper:
+            hi = mid
+        else:
+            lo = mid
+    t = t_of((lo + hi) / 2)
+    cgf = mp.fsum(-mp.log(1 - 2 * wi * t) / 2 + li * wi * t / (1 - 2 * wi * t)
+                  for wi, li in zip(w, lam))
+    return cgf - t * x, t
+
+
+def test_saturation_points_certify_at_50_digits():
+    # Forms beyond the brute-force grid's reach: weights over 8 decades,
+    # noncentralities up to 1e20. At lo and hi the minimized Chernoff
+    # exponent must sit within 1e-6 below log 1e-14. The window widens by
+    # the exponent's change across 8 roundings of the point, |t| x 8 eps:
+    # at lam ~ 1e20 adjacent doubles differ by ~7e-6 in exponent, so no
+    # double would meet the bare window.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(21)
+    cut = math.log(1e-14)
+    for terms in list(range(1, 7)) * 4:
+        w = 10.0 ** rng.uniform(-8.0, 0.0, terms)
+        lam = np.where(rng.random(terms) < 0.3, 0.0,
+                       10.0 ** rng.uniform(-2.0, 20.0, terms))
+        lo, hi = quadform._curve_points(w[None], lam[None],
+                                        (quadform._LO, quadform._HI))[:, 0]
+        assert 0.0 < lo < float(np.sum(w * (1.0 + lam))) < hi
+        for x, upper in ((lo, False), (hi, True)):
+            with mp.workdps(50):
+                exponent, t = _mp_minimized_exponent(mp, w, lam, x, upper)
+                slack = float(abs(t)) * x * 8.0 * np.finfo(float).eps
+                gap = float(exponent) - cut
+            assert -1e-6 - slack <= gap <= slack, (w, lam, upper, gap, slack)
 
 
 def test_deep_lower_tail_sweep_cell_is_exactly_zero():
@@ -414,8 +483,7 @@ def test_batched_quantile_matches_cold_bisection_bit_for_bit():
 
 
 def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
-    monkeypatch.setattr(quadform, "_lower_point",
-                        lambda w, *args: np.zeros(len(w)))
+    _without_shift(monkeypatch)
     for levels in (0.5, [1e-6, 0.5, 1.0 - 1e-6]):
         d = QuadFormDist([1.0, 2.0], [1500.0, -2200.0])
         with pytest.raises(AccuracyError) as info:
@@ -434,11 +502,11 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
                        10.0 ** rng.uniform(-2.0, 6.0, (n, terms)))
         sd = np.sqrt(np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=1))
         x = np.sum(w * (1.0 + lam), axis=1) + sd * rng.uniform(-2.0, 4.0, n)
-        keep = x > 0.0
-        keep[keep] = quadform._tail_side(w[keep], lam[keep], x[keep]) == 0
+        lo, hi = quadform._curve_points(w, lam, (quadform._LO, quadform._HI))
+        keep = (x > lo) & (x < hi)
         w, lam, x, n = w[keep], lam[keep], x[keep], np.count_nonzero(keep)
         assert n > quadform._EULER_CHUNK
-        c = quadform._lower_point(w, lam, math.log(1e-20))
+        (c,) = quadform._curve_points(w, lam, (quadform._SHIFT,))
         batch = quadform._euler_cdf(w, lam, c, x)
         single = [quadform._euler_cdf(w[i:i + 1], lam[i:i + 1], c[i:i + 1],
                                       x[i:i + 1])[0] for i in range(n)]
