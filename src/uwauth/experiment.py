@@ -3,8 +3,12 @@
 A sweep evaluates analytic (and optionally Monte Carlo) error rates on a
 grid of transmit powers for a family of fixed thresholds. The impersonator
 is either pinned to the scenario's eve position or averaged over the
-deployment region; the analytic average uses a low-discrepancy point set
-so reruns are reproducible without sampling error.
+deployment region. The analytic average uses a low-discrepancy point set,
+so reruns are reproducible, but it is not free of sampling error: the
+miss mass sits in a small region around the claimed position that the
+default 1000 points miss, so on configs/baseline.json p_md_analytic
+prints 0.0 from 45 dB on, where the true average is ~1e-7 to 3e-6
+(item 1 of ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -102,25 +106,19 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     if workers < 1:
         raise DomainError("workers must be at least 1")
     scen = spec.scenario
-    d_alice = scen.alice_distances()
     if spec.eve_mode == "uniform":
         d_eve = scen.anchors.distances_to(
             region_point_set(spec.analytic_eve_count, scen.region))
     else:
         d_eve = scen.eve_distances()[None]
-    # Transmitters of the analytic forms: row 0 the legitimate node (H0),
-    # the rest one impersonator position each (H1).
-    d_tx = np.vstack([d_alice, d_eve])
 
     rows: list[SweepRow] = []
     for i, power in enumerate(spec.power_grid_db):
         scen_i = _with_power(scen, float(power))
+        p_fa, miss = _error_grid(scen_i, d_eve, spec.thresholds)
         # Each threshold's miss column is averaged as a contiguous copy, so
         # it sums in the order of a 1-d list.
-        grid = cdf_grid(*statistic_form(d_tx, d_alice, scen_i.channel),
-                        spec.thresholds)
-        p_fa = 1.0 - grid[0]
-        p_md = [float(np.mean(col.copy())) for col in grid[1:].T]
+        p_md = [float(np.mean(col.copy())) for col in miss.T]
 
         if spec.trials_per_point > 0:
             ts0, ts1 = simulate_test_statistics(
@@ -162,11 +160,8 @@ def roc_curve(scenario: Scenario, points: int = 101
             f"a ROC needs between 2 and {MAX_ROC_POINTS} points")
     targets = np.linspace(1e-6, 1.0 - 1e-6, points)
     th = [cfg.threshold for cfg in calibrate_threshold(scenario, targets)]
-    # Row 0 is the H0 form, row 1 the H1 form, as in run_sweep.
-    d_alice = scenario.alice_distances()
-    d_tx = np.vstack([d_alice, scenario.eve_distances()])
-    grid = cdf_grid(*statistic_form(d_tx, d_alice, scenario.channel), th)
-    return 1.0 - grid[0], 1.0 - grid[1]
+    p_fa, miss = _error_grid(scenario, scenario.eve_distances()[None], th)
+    return p_fa, 1.0 - miss[0]
 
 
 def baseline_scenario(*, transmit_power_db: float = 50.0,
@@ -221,6 +216,20 @@ def region_point_set(count: int, region: tuple[float, float]) -> np.ndarray:
     unit = sampler.random(count)
     w, h = region
     return (unit - 0.5) * np.array([w, h])
+
+
+def _error_grid(scenario: Scenario, d_eve: np.ndarray, thresholds
+                ) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic error rates at each threshold: the false-alarm rate (K,)
+    and the miss rate (E, K) of each impersonator position, given by its
+    anchor distances d_eve (E, n_anchors)."""
+    d_alice = scenario.alice_distances()
+    # One form per transmitter: row 0 the legitimate node (H0), the rest
+    # one impersonator position each (H1).
+    d_tx = np.vstack([d_alice, d_eve])
+    grid = cdf_grid(*statistic_form(d_tx, d_alice, scenario.channel),
+                    thresholds)
+    return 1.0 - grid[0], grid[1:]
 
 
 def _with_power(scenario: Scenario, power_db: float) -> Scenario:

@@ -56,16 +56,11 @@ amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0.
 
-Quantiles. QuadFormDist.quantile takes one level or an array of them. Each
-level is bracketed in [0, mean + 4 sd], the upper end doubling until the
-CDF there reaches the level, then bisected to 1e-12 of its bracket, and
-the midpoint must meet |cdf - p| <= 1e-6. All levels run together: each
-doubling evaluates one point shared by the levels still expanding, and
-each halving evaluates the open levels' midpoints as one batch, so every
-level gets the threshold it would get alone, bit for bit. The unsaturated
-cells of any batch are inverted together as well, _EULER_CHUNK cells per
-numpy pass so that memory stays flat as batches grow; EULER's terms do not
-couple cells, and a cell's value is the same as in a batch of one.
+Quantiles. QuadFormDist.quantile bisects each level in y = log x between
+the form's points lo and hi, where the CDF is within 1e-14 of 0 and 1,
+with the same _QUANTILE_HALVINGS halvings for every level, so each
+threshold has relative resolution log(hi / lo) 2^-41: at most 3.2e-11 on
+every form measured, where log(hi / lo) <= 70.
 """
 
 from __future__ import annotations
@@ -73,7 +68,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, log, sqrt
+from math import comb, log
 
 import numpy as np
 from scipy.stats import chi2, ncx2
@@ -106,6 +101,8 @@ _SHIFT = (log(1e-20), False)
 # Newton with bisection fallback meets its 1e-9 window within ~50 halvings
 # of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
 _SADDLE_MAX = 100
+# Halvings of each quantile's log-x bracket [log lo, log hi].
+_QUANTILE_HALVINGS = 40
 
 
 @dataclass(frozen=True, eq=False)
@@ -178,40 +175,23 @@ class QuadFormDist:
         """Smallest x with P(Q <= x) = p, located so |cdf(x) - p| <= 1e-6.
 
         p is a level or an array of levels; a float comes back for a
-        scalar p, else an array of p's shape. Each level bisects exactly
-        as it would alone, and all of them share each CDF evaluation.
+        scalar p, else an array of p's shape. All levels share each CDF
+        evaluation, and each gets the value it would get alone, bit for bit.
         """
         levels = np.asarray(p, dtype=float)
         p = levels.ravel()
         if not np.all((0.0 < p) & (p < 1.0)):
             raise DomainError("quantile probability must lie in (0, 1)")
-        # Bracket: double hi from mean + 4 sd until cdf(hi) >= p. Levels
-        # still expanding share their hi, so each doubling costs one point.
-        lo = np.zeros(p.size)
-        hi = np.empty(p.size)
-        h_lo, h = 0.0, self.mean() + 4.0 * sqrt(self.variance())
-        expanding = np.ones(p.size, dtype=bool)
-        for _ in range(300):
-            done = expanding & (self._cdf(np.array([h]))[0] >= p)
-            lo[done], hi[done] = h_lo, h
-            expanding &= ~done
-            if not expanding.any():
-                break
-            h_lo, h = h, h * 2.0
-        else:
-            raise AccuracyError("quantile bracket expansion failed")
-        # Bisect each bracket to 1e-12 of its width; one batch per step.
-        span = hi.copy()
-        active = np.arange(p.size)
-        for _ in range(200):
-            if active.size == 0:
-                break
-            mid = 0.5 * (lo[active] + hi[active])
-            below = self._cdf(mid) < p[active]
-            lo[active[below]] = mid[below]
-            hi[active[~below]] = mid[~below]
-            active = active[hi[active] - lo[active] > 1e-12 * span[active]]
-        q = 0.5 * (lo + hi)
+        _, _, shift = self._effective
+        lo, hi, _ = self._points[:, 0] + shift
+        y_lo = np.full(p.size, np.log(lo))
+        y_hi = np.full(p.size, np.log(hi))
+        for _ in range(_QUANTILE_HALVINGS):
+            mid = 0.5 * (y_lo + y_hi)
+            below = self._cdf(np.exp(mid)) < p
+            y_lo = np.where(below, mid, y_lo)
+            y_hi = np.where(below, y_hi, mid)
+        q = np.exp(0.5 * (y_lo + y_hi))
         gap = np.abs(self._cdf(q) - p)
         if np.any(gap > 1e-6):
             worst = float(np.max(gap))
@@ -413,8 +393,9 @@ def _euler_cdf(w, lam, c, x) -> np.ndarray:
     """P(Q_n <= x_n) per cell by inverting the transform of the CDF of
     Q_n - c_n; cells are forms w, lam (M, m) with shifts c and points x (M,).
 
-    Cells run _EULER_CHUNK at a time. An AccuracyError reports the worst
-    cell's error estimate.
+    Cells run _EULER_CHUNK at a time; EULER's terms do not couple cells,
+    so a cell's value is the same as in a batch of one. An AccuracyError
+    reports the worst cell's error estimate.
     """
     p = np.empty(x.size)
     err = np.empty(x.size)

@@ -442,21 +442,19 @@ def test_sampler_shapes():
 
 
 def _cold_bisection(dist, p):
-    """One level at a time, through scalar cdf calls: bracket doubling from
-    mean + 4 sd, bisection to 1e-12 of the bracket, as quantile documents."""
-    lo, hi = 0.0, dist.mean() + 4.0 * math.sqrt(dist.variance())
-    while dist.cdf(hi) < p:
-        lo, hi = hi, hi * 2.0
-    span = hi
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if dist.cdf(mid) < p:
-            lo = mid
+    """One level at a time, through scalar cdf calls: a fixed number of
+    halvings in log x between the form's points lo and hi, as quantile
+    documents."""
+    _, _, shift = dist._effective
+    lo, hi, _ = dist._points[:, 0] + shift
+    y_lo, y_hi = np.log(lo), np.log(hi)
+    for _ in range(quadform._QUANTILE_HALVINGS):
+        mid = 0.5 * (y_lo + y_hi)
+        if dist.cdf(np.exp(mid)) < p:
+            y_lo = mid
         else:
-            hi = mid
-        if hi - lo <= 1e-12 * span:
-            break
-    return 0.5 * (lo + hi)
+            y_hi = mid
+    return float(np.exp(0.5 * (y_lo + y_hi)))
 
 
 def test_batched_quantile_matches_cold_bisection_bit_for_bit():
@@ -480,6 +478,25 @@ def test_batched_quantile_matches_cold_bisection_bit_for_bit():
                                       batched[::-1].reshape(2, 3))
     with pytest.raises(DomainError):
         dist.quantile([0.5, 1.0])
+
+
+def test_quantile_matches_exact_quantiles():
+    # One-term forms have a density singular at 0, where a stop rule
+    # relative to a bracket from 0 leaves deep levels off by ~1e-6.
+    levels = np.array([1e-12, 1e-9, 1e-7, 1e-6,
+                       *np.linspace(0.01, 0.99, 99), 1.0 - 1e-6])
+    cases = [
+        (([1.0], [0.0]), lambda x: chi2.cdf(x, 1)),
+        (([3.0], [4.0]), lambda x: ncx2.cdf(x / 9.0, 1, 16.0 / 9.0)),
+        (([1.0, 1.0], [0.0, 0.0]), lambda x: -np.expm1(-x / 2.0)),
+        (([2.0, 2.0, 2.0], [0.0, 0.0, 0.0]), lambda x: chi2.cdf(x / 4.0, 3)),
+        (([1.0, 1.0, 1.0, 1.0, 1e-30], [0.0, 0.0, 0.0, 0.0, 3.0]),
+         lambda x: chi2.cdf(x - 9.0, 4)),
+        (([1.0, 1.0], [2.0, 1.0]), lambda x: ncx2.cdf(x, 2, 5.0)),
+    ]
+    for (scales, offsets), exact in cases:
+        q = QuadFormDist(scales, offsets).quantile(levels)
+        assert np.max(np.abs(exact(q) - levels)) <= 1e-10, scales
 
 
 def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
