@@ -41,16 +41,16 @@ class ChannelParams:
     signal_design_gain: float = 1.0
 
     def __post_init__(self):
-        if not self.frequency_khz > 0:
-            raise DomainError("frequency must be positive")
-        if not self.sound_speed_mps > 0:
-            raise DomainError("sound speed must be positive")
-        if not self.spreading_factor > 0:
-            raise DomainError("spreading factor must be positive")
-        if not self.signal_design_gain > 0:
-            raise DomainError("signal design gain must be positive")
-        if not np.isfinite(self.transmit_power_db):
-            raise DomainError("transmit power must be finite")
+        for name, value, positive in (
+                ("frequency", self.frequency_khz, True),
+                ("sound speed", self.sound_speed_mps, True),
+                ("spreading factor", self.spreading_factor, True),
+                ("signal design gain", self.signal_design_gain, True),
+                ("transmit power", self.transmit_power_db, False)):
+            if positive and not value > 0:
+                raise DomainError(f"{name} must be positive")
+            if not np.isfinite(value):
+                raise DomainError(f"{name} must be finite")
 
 
 def absorption_db_per_km(frequency_khz):

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import jsonschema
@@ -260,9 +261,17 @@ def _cmd_roc(args) -> int:
 
 
 def _load_config(path: str) -> dict:
+    # json reads Infinity, NaN and out-of-range literals such as 1e999 as
+    # non-finite floats, and the schema's "number" lets them through.
+    def finite(token: str) -> float:
+        value = float(token)
+        if not math.isfinite(value):
+            raise ConfigError(f"{path}: number {token} is not finite")
+        return value
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:

@@ -4,7 +4,9 @@ Q = sum_i (a_i Z_i + delta_i)^2 with Z_i independent standard normal and
 a_i > 0, which is a weighted sum of noncentral chi-square(1) variables
 with weights w_i = a_i^2 and noncentralities lam_i = (delta_i / a_i)^2.
 
-Single-term distributions use the exact (non)central chi-square CDF.
+Terms whose scale is negligible next to their form's largest are folded
+into a deterministic shift, the sum of their delta_i^2. Forms with one
+active term after folding use the exact (non)central chi-square CDF.
 Saturated tails are reported as exactly 0 or 1. Every other CDF value
 comes from one route: Abate and Whitt's EULER inversion (ORSA J.
 Computing 7:36, 1995) of the Laplace transform of the CDF,
@@ -35,15 +37,16 @@ fallback, in u = log(-t max w) below the mean and v = -log(1 - 2 t max w)
 above it, in which log(-E) grows about linearly; E is summed as
 sum(-1/2 log r - w t / r - 2 lam (w t)^2 / r^2), r = 1 - 2 w t, since
 K - t K' cancels badly far out. Each point's exponent lies within 2e-9
-below the cut. QuadFormDist caches its points, so its calls only compare;
-cdf_grid solves them once per form.
+below the cut. The solve runs once per batch of forms, for lo, hi and the
+shift c below together: QuadFormDist caches its form's points, so its
+calls only compare, and cdf_grid solves all its forms' in one call.
 
 Shift. The inversion runs on Q - c, where c is the point of the same
-curve below the mean with E = log 1e-20, so that P(Q <= c) <= 1e-20. It
-is solved only for forms with a cell between lo and hi. Without the
-shift, a distribution concentrated far from zero (huge noncentrality) has
-a transform that oscillates for thousands of terms before it decays, and
-the fixed-length sum is off by up to 0.35 and fails its error check.
+curve below the mean with E = log 1e-20, so that P(Q <= c) <= 1e-20.
+Without the shift, a distribution concentrated far from zero (huge
+noncentrality) has a transform that oscillates for thousands of terms
+before it decays, and the fixed-length sum is off by up to 0.35 and fails
+its error check.
 The mass below c enters the result amplified by at most e^A, about
 2e-11.
 
@@ -91,13 +94,11 @@ _TARGET_ERR = 1e-7
 _EULER_A = np.array([18.4, 21.4])
 _EULER_N = 50
 _EULER_M = 15
-# Saddle-curve points, as (log mass, upper) kinds for _curve_points:
-# cells at or below _LO are reported as 0, at or above _HI as 1, and the
-# inversion shift _SHIFT has Chernoff mass 1e-20 below it.
-_LOG_CUT = log(_SATURATION)
-_LO = (_LOG_CUT, False)
-_HI = (_LOG_CUT, True)
-_SHIFT = (log(1e-20), False)
+# The saddle-curve points lo, hi and c that _curve_points solves, as
+# (log mass, upper) pairs: cells at or below lo are reported as 0, at or
+# above hi as 1, and the inversion shift c has Chernoff mass 1e-20 below it.
+_CURVE_POINTS = ((log(_SATURATION), False), (log(_SATURATION), True),
+                 (log(1e-20), False))
 # Newton with bisection fallback meets its 1e-9 window within ~50 halvings
 # of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
 _SADDLE_MAX = 100
@@ -148,20 +149,10 @@ class QuadFormDist:
             q += column
         return float(q[0]) if size is None else q
 
-    # Effective representation, as a batch of one form: active weights and
-    # noncentralities (1, m) plus the deterministic shift contributed by
-    # near-zero scales.
+    # The form as a batch of one, prepared by _prepare.
     @cached_property
-    def _effective(self) -> tuple[np.ndarray, np.ndarray, float]:
-        ((_, w, lam, shift),) = _active_groups(self.scales[None],
-                                              self.offsets[None])
-        return w, lam, float(shift[0])
-
-    # Saddle-curve points (lo, hi, c) of the form, shape (3, 1).
-    @cached_property
-    def _points(self) -> np.ndarray:
-        w, lam, _ = self._effective
-        return _curve_points(w, lam, (_LO, _HI, _SHIFT))
+    def _form(self) -> tuple[np.ndarray, ...]:
+        return _prepare(self.scales[None], self.offsets[None])
 
     def cdf(self, x: float) -> float:
         """P(Q <= x), absolute error at most 1e-6."""
@@ -182,8 +173,8 @@ class QuadFormDist:
         p = levels.ravel()
         if not np.all((0.0 < p) & (p < 1.0)):
             raise DomainError("quantile probability must lie in (0, 1)")
-        _, _, shift = self._effective
-        lo, hi, _ = self._points[:, 0] + shift
+        _, _, shift, points = self._form
+        lo, hi, _ = points[:, 0] + shift[0]
         y_lo = np.full(p.size, np.log(lo))
         y_hi = np.full(p.size, np.log(hi))
         for _ in range(_QUANTILE_HALVINGS):
@@ -204,9 +195,7 @@ class QuadFormDist:
         """cdf at each point of the 1-d array x, in one batch."""
         if not np.all(np.isfinite(x)):
             raise DomainError("evaluation point must be finite")
-        w, lam, shift = self._effective
-        p = _lower_prob(w, lam, (x - shift)[None], *self._points)[0]
-        return np.clip(p, 0.0, 1.0)
+        return _lower_prob(*self._form, x[None])[0]
 
 
 def cdf_grid(scales, offsets, x) -> np.ndarray:
@@ -214,8 +203,7 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
 
     Row n of scales and offsets defines form n as in QuadFormDist, and
     entry (n, k) equals QuadFormDist(scales[n], offsets[n]).cdf(x[k]) bit
-    for bit. Each form's saturation points are solved once, and its
-    inversion shift only if one of its cells lies between them.
+    for bit: both take the same route.
     """
     a = np.asarray(scales, dtype=float)
     d = np.asarray(offsets, dtype=float)
@@ -225,15 +213,7 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
     _check_terms(a, d)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise DomainError("evaluation points must be finite and 1-d")
-    p = np.empty((a.shape[0], x.size))
-    for rows, w, lam, shift in _active_groups(a, d):
-        x_net = x - shift[:, None]
-        lo, hi = _curve_points(w, lam, (_LO, _HI))
-        inside = np.any((x_net > lo[:, None]) & (x_net < hi[:, None]), axis=1)
-        c = np.full(rows.size, np.nan)
-        c[inside] = _curve_points(w[inside], lam[inside], (_SHIFT,))[0]
-        p[rows] = _lower_prob(w, lam, x_net, lo, hi, c)
-    return np.clip(p, 0.0, 1.0)
+    return _lower_prob(*_prepare(a, d), x[None])
 
 
 def _check_terms(a, d) -> None:
@@ -245,47 +225,47 @@ def _check_terms(a, d) -> None:
         raise DomainError("every scale must be positive")
 
 
-def _active_groups(a, d):
-    """Split the forms (rows of a, d) by their number of active terms.
+def _prepare(a, d):
+    """The forms in the rows of a, d (N, L) as weights w and
+    noncentralities lam (N, L), deterministic shifts (N,) and saddle-curve
+    points lo, hi, c (3, N).
 
     Terms whose scale is below _DEGENERATE_RTOL of their form's largest
-    act as the deterministic shift delta^2. Yields (rows, w, lam, shift)
-    for each count m, with weights and noncentralities shaped
-    (len(rows), m) in the terms' original order.
+    add delta^2 to its shift and keep their column with w = lam = 0, which
+    adds exactly nothing to _curve_points or _euler_chunk.
     """
     tiny = a < _DEGENERATE_RTOL * a.max(axis=1, keepdims=True)
-    shift = np.zeros(a.shape[0])
-    for n in np.flatnonzero(tiny.any(axis=1)):
-        shift[n] = np.sum(d[n, tiny[n]] ** 2)
-    count = a.shape[1] - tiny.sum(axis=1)
-    for m in np.unique(count):
-        rows = np.flatnonzero(count == m)
-        keep = ~tiny[rows]
-        a_m = a[rows][keep].reshape(rows.size, m)
-        d_m = d[rows][keep].reshape(rows.size, m)
-        yield rows, a_m ** 2, (d_m / a_m) ** 2, shift[rows]
+    shift = np.sum(np.where(tiny, d, 0.0) ** 2, axis=1)
+    w = np.where(tiny, 0.0, a ** 2)
+    # d / a overflows on some folded terms, which the mask discards.
+    with np.errstate(over="ignore"):
+        lam = np.where(tiny, 0.0, (d / a) ** 2)
+    return w, lam, shift, _curve_points(w, lam)
 
 
-def _lower_prob(w, lam, x, lo, hi, c) -> np.ndarray:
-    """Unclipped P(Q_n <= x[n, k]) for the forms with active terms w, lam
-    (N, m), at points x (N, K) net of each form's deterministic shift.
+def _lower_prob(w, lam, shift, points, x) -> np.ndarray:
+    """P(Q_n <= x[n, k]) for the forms prepared by _prepare, at points x
+    (N, K), or (1, K) shared by every form.
 
-    lo, hi and c are each form's saddle-curve points (N,): cells at or
-    below lo are 0, at or above hi 1, and those in between are inverted
-    with shift c, which only their forms need.
+    Net of each form's shift, cells at or below lo are 0 and at or above
+    hi 1. A form with one active term takes the closed form at x > 0, and
+    the remaining cells are inverted with shift c.
     """
+    lo, hi, c = points
+    x = x - shift[:, None]
     p = (x >= hi[:, None]).astype(float)
     todo = (x > lo[:, None]) & (x < hi[:, None])
-    if w.shape[1] == 1:
-        r, k = np.nonzero(x > 0.0)
-        closed = _ncx2_cdf(x[r, k] / w[r, 0], lam[r, 0])
+    one = np.count_nonzero(w, axis=1) == 1
+    if one.any():
+        r, k = np.nonzero(one[:, None] & (x > 0.0))
+        closed = _ncx2_cdf(x[r, k] / w[r].max(axis=1), lam[r].sum(axis=1))
         ok = np.isfinite(closed)
         p[r[ok], k[ok]] = closed[ok]
         todo[r[ok], k[ok]] = False
     r, k = np.nonzero(todo)
     if r.size:
         p[r, k] = _euler_cdf(w[r], lam[r], c[r], x[r, k])
-    return p
+    return np.clip(p, 0.0, 1.0)
 
 
 def _ncx2_cdf(x, lam) -> np.ndarray:
@@ -313,14 +293,15 @@ def _ncx2_cdf(x, lam) -> np.ndarray:
 # the form only through rho and lam, apart from the factor max w in K'.
 
 
-def _curve_points(w, lam, kinds) -> np.ndarray:
-    """Points on each form's saddle-point curve, shape (len(kinds), N).
+def _curve_points(w, lam) -> np.ndarray:
+    """The points _CURVE_POINTS on each form's saddle-point curve, shape
+    (3, N), for the forms in the rows of w, lam (N, L).
 
-    kinds lists (log_mass, upper) pairs; the forms are the rows of w, lam
-    (N, m). Each point x = K'(t) lies above the mean if upper, else below
-    it, and has E(t) in [log_mass - 2e-9, log_mass]: the Chernoff bound
-    puts the tail beyond it, P(Q > x) or P(Q <= x), at most exp(log_mass),
-    and E is monotone along the curve, so the same holds further out.
+    _CURVE_POINTS lists (log_mass, upper) pairs. Each point x = K'(t) lies
+    above the mean if upper, else below it, and has E(t) in
+    [log_mass - 2e-9, log_mass]: the Chernoff bound puts the tail beyond
+    it, P(Q > x) or P(Q <= x), at most exp(log_mass), and E is monotone
+    along the curve, so the same holds further out.
 
     The Newton target is L = log_mass - 1e-9. The start, |t| =
     sqrt(-2 L / Var Q), ends the bracket on the mean's side, since
@@ -328,10 +309,11 @@ def _curve_points(w, lam, kinds) -> np.ndarray:
     the largest term's exponent alone, which bounds E from above, reaches L.
     """
     n = w.shape[0]
-    target = np.repeat([log_mass for log_mass, _ in kinds], n) - 1e-9
-    upper = np.repeat([side for _, side in kinds], n)
-    w = np.tile(w, (len(kinds), 1))
-    lam = np.tile(lam, (len(kinds), 1))
+    kinds = len(_CURVE_POINTS)
+    target = np.repeat([log_mass for log_mass, _ in _CURVE_POINTS], n) - 1e-9
+    upper = np.repeat([side for _, side in _CURVE_POINTS], n)
+    w = np.tile(w, (kinds, 1))
+    lam = np.tile(lam, (kinds, 1))
     w_max = w.max(axis=1)
     rho = w / w_max[:, None]
     log_target = np.log(-target)
@@ -363,7 +345,7 @@ def _curve_points(w, lam, kinds) -> np.ndarray:
         x[met] = w_max[met] * np.sum(q[met] * (1.0 + lam[met] / r[met]),
                                      axis=1)
         if not np.isnan(x).any():
-            return x.reshape(len(kinds), n)
+            return x.reshape(kinds, n)
         below = ~(g >= 0.0)
         left = np.where(below, y, left)
         right = np.where(below, right, y)

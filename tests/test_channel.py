@@ -137,3 +137,11 @@ def test_params_validation_messages():
         ChannelParams(signal_design_gain=0.0)
     with pytest.raises(DomainError, match="transmit power must be finite"):
         ChannelParams(transmit_power_db=float("inf"))
+
+
+@pytest.mark.parametrize("field", ["frequency_khz", "sound_speed_mps",
+                                   "spreading_factor", "transmit_power_db",
+                                   "signal_design_gain"])
+def test_params_reject_non_finite_fields(field):
+    with pytest.raises(DomainError, match="must be finite"):
+        ChannelParams(**{field: math.inf})

@@ -206,6 +206,36 @@ def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command, field, literal", [
+    ("localize", "channel.sound_speed_mps", "Infinity"),
+    ("localize", "channel.spreading_factor", "Infinity"),
+    ("roc", "sweep.power_db.1", "Infinity"),
+    ("sweep", "region.width_m", "Infinity"),
+    ("localize", "channel.signal_design_gain", "NaN"),
+    ("sweep", "region.height_m", "1e999"),
+])
+def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, field,
+                                          literal):
+    # json reads these literals as non-finite floats, which the schema's
+    # "number" accepts; the loader must refuse them.
+    path = write_config(tmp_path / "c.json")
+    cfg = json.loads(path.read_text())
+    *parents, key = field.split(".")
+    node = cfg
+    for name in parents:
+        node = node[name]
+    node[int(key) if key.isdigit() else key] = "LITERAL"
+    path.write_text(json.dumps(cfg).replace('"LITERAL"', literal))
+    argv = [command, str(path)]
+    if command == "sweep":
+        argv += ["--out", str(tmp_path / "x.csv")]
+    rc, out, err = run(argv, capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:") and literal in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def test_accuracy_failure_exits_3_with_its_error_figures(tmp_path, capsys,
                                                          monkeypatch):
     def fail(*args):

@@ -97,6 +97,15 @@ def test_negligible_scale_folds_into_shift():
     for x in (5.0, 30.0, 80.0):
         assert folded.cdf(x + 25.0) == pytest.approx(plain.cdf(x), abs=1e-9)
     assert folded.mean() == pytest.approx(plain.mean() + 25.0, rel=1e-14)
+    # One active term among folded ones takes the ncx2 closed form through
+    # both routes, also at x - shift = 4e-12, where the density is singular
+    # and the inversion cannot reach 1e-15.
+    scales, offsets, shift = [1e-30, 2.0, 1e-25], [5.0, 1.0, 3.0], 34.0
+    x = shift + np.array([4e-12, 1e-9, 1e-4, 0.5, 5.0, 40.0])
+    exact = ncx2.cdf((x - shift) / 4.0, 1, 0.25)
+    dist = QuadFormDist(scales, offsets)
+    for got in ([dist.cdf(v) for v in x], cdf_grid([scales], [offsets], x)[0]):
+        np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-15)
 
 
 def test_monte_carlo_agreement_random_instances():
@@ -245,9 +254,9 @@ def _without_shift(monkeypatch):
     """Make every inversion shift 0, leaving the saturation points alone."""
     solve = quadform._curve_points
 
-    def no_shift(w, lam, kinds):
-        points = solve(w, lam, kinds)
-        points[[kind == quadform._SHIFT for kind in kinds]] = 0.0
+    def no_shift(w, lam):
+        points = solve(w, lam)
+        points[2] = 0.0
         return points
 
     monkeypatch.setattr(quadform, "_curve_points", no_shift)
@@ -285,6 +294,30 @@ def test_cdf_grid_matches_scalar_calls_bit_for_bit():
             assert [dist.sf(v) for v in x] == (1.0 - row).tolist()
     assert np.any(grid == 0.0) and np.any(grid == 1.0)
     assert np.any((grid > 0.0) & (grid < 1.0))
+    # Rows with 1, 2 and 3 active terms of three in one call, with folded
+    # terms first, middle and last, two in one row, and one whose d / a
+    # overflows. A folded term's zero column adds nothing, so each row also
+    # equals the form of its active terms alone, at x net of the shift.
+    scales = np.array([[1e-12, 2.0, 0.5],
+                       [1.5, 1e-13, 0.7],
+                       [0.3, 1.2, 1e-200],
+                       [1e-14, 3.0, 1e-11],
+                       [1.0, 2.0, 0.5],
+                       [2.5, 1e-15, 1e-12]])
+    offsets = np.array([[2.0, 1.0, 0.0],
+                        [0.5, -3.0, 1.0],
+                        [1.0, 0.0, 2.0],
+                        [1.5, 2.0, -0.5],
+                        [0.0, 1.0, -1.0],
+                        [3.0, 0.0, 1.0]])
+    grid = cdf_grid(scales, offsets, x)
+    for a, d, row in zip(scales, offsets, grid):
+        dist = QuadFormDist(a, d)
+        assert [dist.cdf(v) for v in x] == row.tolist()
+        keep = a >= 1e-10 * a.max()
+        shift = float(np.sum(d[~keep] ** 2))
+        alone = QuadFormDist(a[keep], d[keep])
+        assert [alone.cdf(v - shift) for v in x] == row.tolist()
 
 
 def test_cdf_grid_validation():
@@ -333,8 +366,7 @@ def test_tail_classifier_matches_brute_force_minimum():
         if abs(low - cut) <= 1e-6:
             continue
         expected = 0 if low >= cut else (-1 if lower else 1)
-        lo, hi = quadform._curve_points(w[None], lam[None],
-                                        (quadform._LO, quadform._HI))[:, 0]
+        lo, hi, _ = quadform._curve_points(w[None], lam[None])[:, 0]
         side = -1 if x <= lo else (1 if x >= hi else 0)
         assert side == expected, (w, lam, x, low)
         cells += 1
@@ -386,8 +418,7 @@ def test_saturation_points_certify_at_50_digits():
         w = 10.0 ** rng.uniform(-8.0, 0.0, terms)
         lam = np.where(rng.random(terms) < 0.3, 0.0,
                        10.0 ** rng.uniform(-2.0, 20.0, terms))
-        lo, hi = quadform._curve_points(w[None], lam[None],
-                                        (quadform._LO, quadform._HI))[:, 0]
+        lo, hi, _ = quadform._curve_points(w[None], lam[None])[:, 0]
         assert 0.0 < lo < float(np.sum(w * (1.0 + lam))) < hi
         for x, upper in ((lo, False), (hi, True)):
             with mp.workdps(50):
@@ -445,8 +476,8 @@ def _cold_bisection(dist, p):
     """One level at a time, through scalar cdf calls: a fixed number of
     halvings in log x between the form's points lo and hi, as quantile
     documents."""
-    _, _, shift = dist._effective
-    lo, hi, _ = dist._points[:, 0] + shift
+    _, _, shift, points = dist._form
+    lo, hi, _ = points[:, 0] + shift[0]
     y_lo, y_hi = np.log(lo), np.log(hi)
     for _ in range(quadform._QUANTILE_HALVINGS):
         mid = 0.5 * (y_lo + y_hi)
@@ -519,11 +550,11 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
                        10.0 ** rng.uniform(-2.0, 6.0, (n, terms)))
         sd = np.sqrt(np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=1))
         x = np.sum(w * (1.0 + lam), axis=1) + sd * rng.uniform(-2.0, 4.0, n)
-        lo, hi = quadform._curve_points(w, lam, (quadform._LO, quadform._HI))
+        lo, hi, c = quadform._curve_points(w, lam)
         keep = (x > lo) & (x < hi)
-        w, lam, x, n = w[keep], lam[keep], x[keep], np.count_nonzero(keep)
+        w, lam, c, x = w[keep], lam[keep], c[keep], x[keep]
+        n = np.count_nonzero(keep)
         assert n > quadform._EULER_CHUNK
-        (c,) = quadform._curve_points(w, lam, (quadform._SHIFT,))
         batch = quadform._euler_cdf(w, lam, c, x)
         single = [quadform._euler_cdf(w[i:i + 1], lam[i:i + 1], c[i:i + 1],
                                       x[i:i + 1])[0] for i in range(n)]
