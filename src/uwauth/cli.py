@@ -269,9 +269,18 @@ def _load_config(path: str) -> dict:
             raise ConfigError(f"{path}: number {token} is not finite")
         return value
 
+    # int() refuses literals over Python's digit limit (4300 by default).
+    def integer(token: str) -> int:
+        try:
+            return int(token)
+        except ValueError:
+            raise ConfigError(f"{path}: integer literal of {len(token)} "
+                              f"digits is too long") from None
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
+            cfg = json.load(fh, parse_float=finite, parse_int=integer,
+                            parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -284,7 +293,30 @@ def _load_config(path: str) -> dict:
         err = jsonschema.exceptions.best_match(errors)
         field = "/".join(str(p) for p in err.absolute_path) or "(top level)"
         raise ConfigError(f"{path}: field {field}: {err.message}")
+    # Integers stay exact Python ints, which the numeric code turns into
+    # floats; the seed alone is used as an integer, of any size.
+    for field, value in _leaves(cfg):
+        if field != "seed" and isinstance(value, int):
+            try:
+                float(value)
+            except OverflowError:
+                raise ConfigError(f"{path}: field {field}: integer is too "
+                                  f"large for a float") from None
     return cfg
+
+
+def _leaves(node, prefix: str = ""):
+    """(field, value) for every scalar in a parsed JSON tree, the field as
+    the slash-joined path that schema errors report."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        yield prefix, node
+        return
+    for key, child in items:
+        yield from _leaves(child, f"{prefix}/{key}" if prefix else str(key))
 
 
 def _scenario_from(cfg: dict, *, power_db: float) -> Scenario:

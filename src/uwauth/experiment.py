@@ -17,7 +17,6 @@ import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import qmc
 
 from ._fields import _equal_fields
 from .authentication import (
@@ -207,13 +206,19 @@ def default_thresholds(scenario: Scenario, *, at_power_db: float = 50.0,
 def region_point_set(count: int, region: tuple[float, float]) -> np.ndarray:
     """Deterministic low-discrepancy points covering the region.
 
-    Halton points with the degenerate first sample dropped; it would land
-    exactly on the region corner, which a deployment may use as an anchor
-    site.
+    The unscrambled 2-d Halton points 1..count: point i is the radical
+    inverse of i in base 2 and in base 3, its digits summed lowest first.
+    Point 0 is dropped; it would land exactly on the region corner, which
+    a deployment may use as an anchor site.
     """
-    sampler = qmc.Halton(d=2, scramble=False)
-    sampler.fast_forward(1)
-    unit = sampler.random(count)
+    unit = np.zeros((count, 2))
+    for column, base in zip(unit.T, (2, 3)):
+        q = np.arange(1, count + 1)
+        scale = 1.0 / base
+        while q.any():
+            q, digit = np.divmod(q, base)
+            column += digit * scale
+            scale /= base
     w, h = region
     return (unit - 0.5) * np.array([w, h])
 

@@ -6,7 +6,9 @@ with weights w_i = a_i^2 and noncentralities lam_i = (delta_i / a_i)^2.
 
 Terms whose scale is negligible next to their form's largest are folded
 into a deterministic shift, the sum of their delta_i^2. Forms with one
-active term after folding use the exact (non)central chi-square CDF.
+active term after folding use the exact (non)central chi-square(1) CDF,
+scipy.special's chdtr and chndtr (what scipy.stats' chi2 and ncx2 call;
+the package does not import scipy.stats, which takes about a second).
 Saturated tails are reported as exactly 0 or 1. Every other CDF value
 comes from one route: Abate and Whitt's EULER inversion (ORSA J.
 Computing 7:36, 1995) of the Laplace transform of the CDF,
@@ -59,22 +61,25 @@ amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0.
 
-Quantiles. QuadFormDist.quantile bisects each level in y = log x between
-the form's points lo and hi, where the CDF is within 1e-14 of 0 and 1,
-with the same _QUANTILE_HALVINGS halvings for every level, so each
-threshold has relative resolution log(hi / lo) 2^-41: at most 3.2e-11 on
-every form measured, where log(hi / lo) <= 70.
+Quantiles. QuadFormDist.quantile bisects each level in y = log(x - shift),
+net of the form's deterministic shift, between the form's points lo and
+hi, where the CDF is within 1e-14 of 0 and 1, with the same
+_QUANTILE_HALVINGS halvings for every level, so each threshold net of the
+shift has relative resolution log(hi / lo) 2^-41: at most 3.2e-11 on
+every form measured, where log(hi / lo) <= 70. A one-term form with a
+folded shift puts a low level at x - shift ~ 1e-12, under its singular
+density, which a bracket in log x would resolve only to ~1e-12 of the
+shift.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from math import comb, log
 
 import numpy as np
-from scipy.stats import chi2, ncx2
+from scipy.special import chdtr, chndtr
 
 from ._fields import _equal_fields
 from .errors import AccuracyError, DomainError
@@ -174,15 +179,15 @@ class QuadFormDist:
         if not np.all((0.0 < p) & (p < 1.0)):
             raise DomainError("quantile probability must lie in (0, 1)")
         _, _, shift, points = self._form
-        lo, hi, _ = points[:, 0] + shift[0]
+        lo, hi, _ = points[:, 0]
         y_lo = np.full(p.size, np.log(lo))
         y_hi = np.full(p.size, np.log(hi))
         for _ in range(_QUANTILE_HALVINGS):
             mid = 0.5 * (y_lo + y_hi)
-            below = self._cdf(np.exp(mid)) < p
+            below = self._cdf(shift + np.exp(mid)) < p
             y_lo = np.where(below, mid, y_lo)
             y_hi = np.where(below, y_hi, mid)
-        q = np.exp(0.5 * (y_lo + y_hi))
+        q = shift + np.exp(0.5 * (y_lo + y_hi))
         gap = np.abs(self._cdf(q) - p)
         if np.any(gap > 1e-6):
             worst = float(np.max(gap))
@@ -269,20 +274,15 @@ def _lower_prob(w, lam, shift, points, x) -> np.ndarray:
 
 
 def _ncx2_cdf(x, lam) -> np.ndarray:
-    """Single-term closed form per cell; NaN where the library breaks down
-    (its series overflows for extreme noncentrality) and the caller should
-    use the generic machinery instead."""
-    p = np.full(x.shape, np.nan)
+    """Single-term closed form per cell, the chi-square(1) CDF at lam = 0
+    and the noncentral one otherwise; NaN where the library breaks down
+    (its series fails for extreme noncentrality) and the caller should use
+    the generic machinery instead."""
+    p = np.empty(x.shape)
     central = lam == 0.0
-    if central.any():
-        p[central] = chi2.cdf(x[central], 1)
-    if not central.all():
-        try:
-            with warnings.catch_warnings(), np.errstate(all="ignore"):
-                warnings.simplefilter("ignore")
-                p[~central] = ncx2.cdf(x[~central], 1, lam[~central])
-        except (OverflowError, FloatingPointError):
-            pass
+    with np.errstate(all="ignore"):
+        p[central] = chdtr(1.0, x[central])
+        p[~central] = chndtr(x[~central], 1.0, lam[~central])
     return p
 
 

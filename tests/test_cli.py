@@ -218,6 +218,32 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, field,
                                           literal):
     # json reads these literals as non-finite floats, which the schema's
     # "number" accepts; the loader must refuse them.
+    rc, out, err = run_with_literal(tmp_path, capsys, command, field, literal)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:") and literal in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+@pytest.mark.parametrize("command, field", [
+    ("localize", "channel.sound_speed_mps"),
+    ("roc", "sweep.power_db.1"),
+    ("sweep", "trials"),
+])
+def test_integers_too_large_for_a_float_exit_2(tmp_path, capsys, command,
+                                               field):
+    rc, out, err = run_with_literal(tmp_path, capsys, command, field,
+                                    "1" + "0" * 400)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:")
+    assert f"field {field.replace('.', '/')}: integer is too large" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def run_with_literal(tmp_path, capsys, command, field, literal):
+    """Run command on the test config with the dotted field set to the raw
+    JSON literal."""
     path = write_config(tmp_path / "c.json")
     cfg = json.loads(path.read_text())
     *parents, key = field.split(".")
@@ -229,11 +255,27 @@ def test_non_finite_config_numbers_exit_2(tmp_path, capsys, command, field,
     argv = [command, str(path)]
     if command == "sweep":
         argv += ["--out", str(tmp_path / "x.csv")]
-    rc, out, err = run(argv, capsys)
+    return run(argv, capsys)
+
+
+def test_seeds_of_any_size_are_accepted(tmp_path, capsys):
+    path = write_config(tmp_path / "c.json", seed=10 ** 400, trials=10)
+    rc, out, _ = run(["localize", str(path)], capsys)
+    assert rc == 0 and "x_m" in json.loads(out)
+    csv = tmp_path / "x.csv"
+    rc, _, _ = run(["sweep", str(path), "--out", str(csv)], capsys)
+    assert rc == 0
+    meta = json.loads((tmp_path / "x.csv.meta.json").read_text())
+    assert meta["seed"] == 10 ** 400
+
+
+def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
+    # Python's int() refuses literals over 4300 digits by default.
+    rc, out, err = run_with_literal(tmp_path, capsys, "localize", "seed",
+                                    "7" * 5000)
     assert rc == 2
     assert out == ""
-    assert err.startswith("config error:") and literal in err
-    assert not (tmp_path / "x.csv").exists()
+    assert err.startswith("config error:") and "digits" in err
 
 
 def test_accuracy_failure_exits_3_with_its_error_figures(tmp_path, capsys,

@@ -246,6 +246,18 @@ def test_region_points_fill_the_rectangle_deterministically():
     assert np.any(pts[:, 1] > 0) and np.any(pts[:, 1] < 0)
 
 
+@pytest.mark.parametrize("count", [1, 16, 1000, 100_000])
+def test_region_points_are_the_unscrambled_halton_set(count):
+    from scipy.stats import qmc
+
+    sampler = qmc.Halton(d=2, scramble=False)
+    sampler.fast_forward(1)
+    expected = (sampler.random(count) - 0.5) * np.array([1000.0, 600.0])
+    got = region_point_set(count, (1000.0, 600.0))
+    assert got.shape == (count, 2)
+    assert np.array_equal(got, expected)
+
+
 def test_region_points_avoid_the_corner_start():
     pts = region_point_set(4, (1000.0, 1000.0))
     assert not np.any(np.all(pts == [-500.0, -500.0], axis=1))

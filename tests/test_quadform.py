@@ -108,6 +108,37 @@ def test_negligible_scale_folds_into_shift():
         np.testing.assert_allclose(got, exact, rtol=0.0, atol=1e-15)
 
 
+def test_one_term_closed_form_matches_scipy_stats():
+    # _ncx2_cdf calls the scipy.special functions behind chi2.cdf and
+    # ncx2.cdf; on x from 1e-14 to 1e4 and noncentralities 0 and 1e-8 to
+    # 1e12 the two agree bit for bit on scipy 1.17.
+    x, lam = np.meshgrid(np.geomspace(1e-14, 1e4, 200),
+                         np.r_[0.0, np.geomspace(1e-8, 1e12, 99)])
+    x, lam = x.ravel(), lam.ravel()
+    central = lam == 0.0
+    expected = np.empty(x.size)
+    expected[central] = chi2.cdf(x[central], 1)
+    with np.errstate(over="ignore"):
+        expected[~central] = ncx2.cdf(x[~central], 1, lam[~central])
+    got = quadform._ncx2_cdf(x, lam)
+    assert np.all(np.isfinite(expected))
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_quantile_resolves_low_levels_over_a_folded_shift():
+    # The 1e-6 level of a central chi-square(1) term lies 1.57e-12 above
+    # the shift of 9 folded in from the second term: a bisection in log x
+    # would resolve it only to ~1e-12 of the shift. Net of the shift, each
+    # quantile is exact up to rounding at the shift's ulp.
+    dist = QuadFormDist([1.0, 1e-30], [0.0, 3.0])
+    levels = np.array([1e-6, 1e-3, 0.5, 1.0 - 1e-6])
+    q = dist.quantile(levels)
+    np.testing.assert_allclose(q - 9.0, chi2.ppf(levels, 1), rtol=1e-9,
+                               atol=4.0 * np.spacing(9.0))
+    for p, x in zip(levels, q):
+        assert dist.cdf(x) == pytest.approx(p, abs=1e-6)
+
+
 def test_monte_carlo_agreement_random_instances():
     rng = np.random.default_rng(2)
     for _ in range(20):
@@ -474,18 +505,18 @@ def test_sampler_shapes():
 
 def _cold_bisection(dist, p):
     """One level at a time, through scalar cdf calls: a fixed number of
-    halvings in log x between the form's points lo and hi, as quantile
-    documents."""
-    _, _, shift, points = dist._form
-    lo, hi, _ = points[:, 0] + shift[0]
+    halvings in log(x - shift) between the form's points lo and hi, as
+    quantile documents."""
+    _, _, (shift,), points = dist._form
+    lo, hi, _ = points[:, 0]
     y_lo, y_hi = np.log(lo), np.log(hi)
     for _ in range(quadform._QUANTILE_HALVINGS):
         mid = 0.5 * (y_lo + y_hi)
-        if dist.cdf(np.exp(mid)) < p:
+        if dist.cdf(shift + np.exp(mid)) < p:
             y_lo = mid
         else:
             y_hi = mid
-    return float(np.exp(0.5 * (y_lo + y_hi)))
+    return float(shift + np.exp(0.5 * (y_lo + y_hi)))
 
 
 def test_batched_quantile_matches_cold_bisection_bit_for_bit():
