@@ -78,15 +78,11 @@ class DecisionConfig:
 
 @dataclass(frozen=True)
 class ErrorRates:
-    """False-alarm and missed-detection probabilities.
-
-    stderr fields hold binomial standard errors for empirical estimates
-    and are 0 for analytic ones, as is the trial count.
-    """
+    """Monte Carlo false-alarm and missed-detection rates, their binomial
+    standard errors, and the number of trials behind them."""
 
     p_fa: float
     p_md: float
-    method: str
     stderr_fa: float = 0.0
     stderr_md: float = 0.0
     trials: int = 0
@@ -181,29 +177,35 @@ def calibrate_threshold(scenario: Scenario, target_pfa):
 
 
 def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
-                             *, eve_mode: str = "fixed",
+                             *, eve_mode: str | None = None,
                              workers: int = 1) -> tuple[np.ndarray, np.ndarray]:
     """Simulate TS through the full pipeline under both hypotheses.
 
-    Returns (ts_h0, ts_h1), each of shape (trials,). eve_mode 'fixed'
-    transmits every H1 packet from scenario.eve; 'uniform' redraws the
-    impersonator position uniformly over the deployment region per trial.
-    Results are a pure function of (master_seed, trials): trials are
-    processed in fixed blocks whose generators derive from the seed and
-    the block index, so worker count and scheduling cannot change them.
+    Returns (ts_h0, ts_h1), each of shape (trials,). A scenario with an
+    eve transmits every H1 packet from that point; with eve None the
+    impersonator position is redrawn uniformly over the deployment region
+    per trial. eve_mode, when given, must name that same choice ('fixed'
+    or 'uniform'); it adds nothing. Results are a pure function of
+    (master_seed, trials): trials are processed in fixed blocks whose
+    generators derive from the seed and the block index, so worker count
+    and scheduling cannot change them.
     """
     if trials <= 0:
         raise DomainError("trials must be positive")
     if workers < 1:
         raise DomainError("workers must be at least 1")
-    check_eve_mode(eve_mode, scenario)
+    fixed = scenario.eve is not None
+    mode = "fixed" if fixed else "uniform"
+    if eve_mode not in (None, mode):
+        raise DomainError(
+            f"eve_mode must be {mode!r} for this scenario, not {eve_mode!r}")
 
     seed = _seed_entropy(master_seed)
     anchors = scenario.anchors
     half_region = np.asarray(scenario.region) / 2
     d_alice = scenario.alice_distances()
     sig_alice = np.sqrt(distance_noise_variance(d_alice, scenario.channel))
-    if eve_mode == "fixed":
+    if fixed:
         d_eve = scenario.eve_distances()
         sig_eve = np.sqrt(distance_noise_variance(d_eve, scenario.channel))
 
@@ -212,7 +214,7 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
         n = min(_BLOCK, trials - start)
         rng = np.random.default_rng(seed + (g,))
         obs0 = draw_squared_distances(d_alice, sig_alice, rng, n)
-        if eve_mode == "fixed":
+        if fixed:
             de, se = d_eve, sig_eve
         else:
             de = anchors.distances_to(
@@ -236,14 +238,15 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
 
 
 def empirical_rates(scenario: Scenario, config: DecisionConfig, trials: int,
-                    master_seed, *, eve_mode: str = "fixed",
-                    workers: int = 1) -> ErrorRates:
-    """Monte Carlo error rates over independent H0 and H1 transmissions.
+                    master_seed, *, workers: int = 1) -> ErrorRates:
+    """Monte Carlo error rates over independent H0 and H1 transmissions,
+    the impersonator placed as simulate_test_statistics places it: at
+    scenario.eve, or uniformly over the region when that is None.
 
     Deterministic in (master_seed, trials) regardless of worker count.
     """
     ts_h0, ts_h1 = simulate_test_statistics(
-        scenario, trials, master_seed, eve_mode=eve_mode, workers=workers)
+        scenario, trials, master_seed, workers=workers)
     return count_error_rates(ts_h0, ts_h1, config.threshold)
 
 
@@ -257,20 +260,10 @@ def count_error_rates(ts_h0: np.ndarray, ts_h1: np.ndarray,
     return ErrorRates(
         p_fa=p_fa,
         p_md=p_md,
-        method="empirical",
         stderr_fa=float(np.sqrt(p_fa * (1.0 - p_fa) / n)),
         stderr_md=float(np.sqrt(p_md * (1.0 - p_md) / n)),
         trials=n,
     )
-
-
-def check_eve_mode(eve_mode: str, scenario: Scenario) -> None:
-    """Raise DomainError unless eve_mode is 'fixed' (which needs
-    scenario.eve) or 'uniform'."""
-    if eve_mode not in ("fixed", "uniform"):
-        raise DomainError("eve_mode must be 'fixed' or 'uniform'")
-    if eve_mode == "fixed" and scenario.eve is None:
-        raise DomainError("fixed eve_mode requires an eve position")
 
 
 def _lift(point) -> np.ndarray:

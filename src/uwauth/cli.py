@@ -111,7 +111,8 @@ CONFIG_SCHEMA = {
                 "analytic_eve_count": {"type": "integer", "minimum": 1},
             },
         },
-        "trials": {"type": "integer", "minimum": 0},
+        # 10^7 trials hold 160 MB of statistics per grid power.
+        "trials": {"type": "integer", "minimum": 0, "maximum": 10_000_000},
         "seed": {"type": "integer"},
     },
 }
@@ -218,7 +219,6 @@ def _cmd_sweep(args) -> int:
         thresholds=thresholds,
         trials_per_point=cfg["trials"],
         master_seed=cfg["seed"],
-        eve_mode="uniform" if cfg["eve"] == "uniform" else "fixed",
     )
     count = cfg["sweep"].get("analytic_eve_count")
     if count is not None:
@@ -233,7 +233,7 @@ def _cmd_sweep(args) -> int:
     meta = {
         "seed": cfg["seed"],
         "trials_per_point": cfg["trials"],
-        "eve_mode": spec.eve_mode,
+        "eve_mode": "uniform" if scen.eve is None else "fixed",
         "analytic_eve_count": spec.analytic_eve_count,
         "power_grid_db": [float(p) for p in grid],
         "thresholds": [float(t) for t in thresholds],
@@ -287,14 +287,9 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        field = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise ConfigError(f"{path}: field {field}: {err.message}")
     # Integers stay exact Python ints, which the numeric code turns into
-    # floats; the seed alone is used as an integer, of any size.
+    # floats; the seed alone is used as an integer, of any size. Like the
+    # non-finite literals above, these are refused before the schema runs.
     for field, value in _leaves(cfg):
         if field != "seed" and isinstance(value, int):
             try:
@@ -302,6 +297,12 @@ def _load_config(path: str) -> dict:
             except OverflowError:
                 raise ConfigError(f"{path}: field {field}: integer is too "
                                   f"large for a float") from None
+    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
+    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.path))
+    if errors:
+        err = jsonschema.exceptions.best_match(errors)
+        field = "/".join(str(p) for p in err.absolute_path) or "(top level)"
+        raise ConfigError(f"{path}: field {field}: {err.message}")
     return cfg
 
 

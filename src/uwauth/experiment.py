@@ -21,7 +21,6 @@ import numpy as np
 from ._fields import _equal_fields
 from .authentication import (
     calibrate_threshold,
-    check_eve_mode,
     count_error_rates,
     simulate_test_statistics,
     statistic_form,
@@ -49,8 +48,10 @@ class SweepSpec:
 
     The scenario's own transmit power is ignored; each grid point
     replaces it. trials_per_point = 0 skips the Monte Carlo columns.
-    analytic_eve_count controls how many region points the analytic
-    missed-detection average uses in 'uniform' mode.
+    The scenario's eve decides where the impersonator transmits: from
+    that point, or, when it is None, uniformly over the region. In the
+    uniform case the analytic missed-detection rate is averaged over
+    analytic_eve_count region points; a fixed eve ignores that count.
     """
 
     scenario: Scenario
@@ -58,7 +59,6 @@ class SweepSpec:
     thresholds: np.ndarray
     trials_per_point: int = 0
     master_seed: int = 0
-    eve_mode: str = "fixed"
     analytic_eve_count: int = 1000
 
     __eq__ = _equal_fields
@@ -75,7 +75,6 @@ class SweepSpec:
             raise DomainError("thresholds must be nonnegative and finite")
         if self.trials_per_point < 0:
             raise DomainError("trials_per_point must be nonnegative")
-        check_eve_mode(self.eve_mode, self.scenario)
         if self.analytic_eve_count < 1:
             raise DomainError("analytic_eve_count must be positive")
 
@@ -105,7 +104,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     if workers < 1:
         raise DomainError("workers must be at least 1")
     scen = spec.scenario
-    if spec.eve_mode == "uniform":
+    if scen.eve is None:
         d_eve = scen.anchors.distances_to(
             region_point_set(spec.analytic_eve_count, scen.region))
     else:
@@ -122,7 +121,7 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
         if spec.trials_per_point > 0:
             ts0, ts1 = simulate_test_statistics(
                 scen_i, spec.trials_per_point, (spec.master_seed, i),
-                eve_mode=spec.eve_mode, workers=workers)
+                workers=workers)
 
         for th, fa_analytic, md_analytic in zip(spec.thresholds, p_fa, p_md):
             th = float(th)

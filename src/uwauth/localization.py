@@ -88,10 +88,12 @@ class AnchorArray:
 class Scenario:
     """One authentication scenario: geometry plus channel configuration.
 
-    eve is the impersonator's true position; it may be None for setups
-    that only exercise the legitimate-transmitter hypothesis or draw the
-    impersonator position elsewhere. The deployment region is a
-    width_m x height_m rectangle centered on the origin.
+    eve is the impersonator's true position. None means no single
+    position: sweeps and simulations then place the impersonator
+    uniformly over the deployment region, and single-position quantities
+    (eve_distances, h1_distribution, roc_curve) raise DomainError. The
+    deployment region is a width_m x height_m rectangle centered on the
+    origin.
     """
 
     anchors: AnchorArray

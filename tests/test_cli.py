@@ -241,6 +241,16 @@ def test_integers_too_large_for_a_float_exit_2(tmp_path, capsys, command,
     assert not (tmp_path / "x.csv").exists()
 
 
+@pytest.mark.parametrize("literal", [str(10 ** 30), "10000001"])
+def test_trials_over_ten_million_exit_2(tmp_path, capsys, literal):
+    rc, out, err = run_with_literal(tmp_path, capsys, "sweep", "trials",
+                                    literal)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("config error:") and "field trials:" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
 def run_with_literal(tmp_path, capsys, command, field, literal):
     """Run command on the test config with the dotted field set to the raw
     JSON literal."""

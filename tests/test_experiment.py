@@ -80,7 +80,7 @@ def test_empirical_columns_track_analytic_ones():
 def test_uniform_impersonator_averages_the_analytic_miss_rate():
     scen = baseline_scenario(signal_design_gain=1.0, eve=None)
     spec = SweepSpec(scenario=scen, power_grid_db=[50.0], thresholds=[2e5],
-                     eve_mode="uniform", analytic_eve_count=16)
+                     analytic_eve_count=16)
     (row,) = run_sweep(spec)
     pts = region_point_set(16, scen.region)
     mds = []
@@ -106,8 +106,7 @@ def test_uniform_sweep_makes_no_per_cell_cdf_calls(monkeypatch):
     monkeypatch.setattr(QuadFormDist, "cdf", counting_cdf)
     scen = baseline_scenario(signal_design_gain=1.0, eve=None)
     spec = SweepSpec(scenario=scen, power_grid_db=[40.0, 50.0],
-                     thresholds=[1e5, 2e5], eve_mode="uniform",
-                     analytic_eve_count=25)
+                     thresholds=[1e5, 2e5], analytic_eve_count=25)
     rows = run_sweep(spec)
     assert len(rows) == 4
     assert calls == []
@@ -152,11 +151,10 @@ def test_batched_paths_make_no_scalar_cdf_or_per_level_quantile_calls(
     assert calls == {"cdf": [], "sf": [], "quantile": [3]}
 
     calls["quantile"].clear()
-    for eve_mode, eve in (("fixed", (100.0, 100.0)), ("uniform", None)):
+    for eve in ((100.0, 100.0), None):
         spec = SweepSpec(
             scenario=baseline_scenario(signal_design_gain=1.0, eve=eve),
-            power_grid_db=[40.0, 50.0], thresholds=ths, eve_mode=eve_mode,
-            analytic_eve_count=9)
+            power_grid_db=[40.0, 50.0], thresholds=ths, analytic_eve_count=9)
         assert len(run_sweep(spec)) == 6
     assert calls == {"cdf": [], "sf": [], "quantile": []}
 
@@ -177,12 +175,9 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         SweepSpec(scenario=scen, power_grid_db=[10.0], thresholds=[1.0],
                   trials_per_point=-5)
-    with pytest.raises(DomainError, match="eve_mode"):
-        SweepSpec(scenario=scen, power_grid_db=[10.0], thresholds=[1.0],
-                  eve_mode="sometimes")
     with pytest.raises(DomainError):
         SweepSpec(scenario=scen, power_grid_db=[10.0], thresholds=[1.0],
-                  eve_mode="uniform", analytic_eve_count=0)
+                  analytic_eve_count=0)
 
 
 def test_roc_spans_both_corners_and_is_monotone():
