@@ -88,11 +88,16 @@ def distance_noise_variance(distance_m, params: ChannelParams):
     """Variance (m^2) of a ToA-based range estimate at a given distance.
 
     Grows with pathloss (linear scale) and shrinks with transmit power
-    and the ranging waveform's design gain.
+    and the ranging waveform's design gain. Raises DomainError where the
+    variance is not finite and positive, as at transmit powers of +-4000 dB.
     """
     pl_db = pathloss_db(distance_m, params)
-    pl_lin = 10.0 ** (pl_db / 10.0)
-    p_lin = 10.0 ** (params.transmit_power_db / 10.0)
-    c = params.sound_speed_mps
-    var = c * c * pl_lin / (4.0 * p_lin * params.signal_design_gain)
+    # numpy scalars, unlike Python floats, overflow and divide by 0 to inf.
+    with np.errstate(all="ignore"):
+        pl_lin = np.float64(10.0) ** (pl_db / 10.0)
+        p_lin = np.float64(10.0) ** (params.transmit_power_db / 10.0)
+        c = params.sound_speed_mps
+        var = c * c * pl_lin / (4.0 * p_lin * params.signal_design_gain)
+    if not np.all((var > 0.0) & (var < np.inf)):
+        raise DomainError("range variance is not finite and positive")
     return float(var) if np.isscalar(distance_m) else var

@@ -338,6 +338,10 @@ def _power_grid(cfg: dict) -> np.ndarray:
         raise ConfigError("sweep.power_db step must be positive")
     if stop < start:
         raise ConfigError("sweep.power_db stop must not precede start")
+    # np.arange makes ceil(count) powers: at most as many as ROC points.
+    count = (stop + step / 2.0 - start) / step
+    if not count <= MAX_ROC_POINTS:
+        raise ConfigError(f"sweep.power_db holds over {MAX_ROC_POINTS} powers")
     return np.arange(start, stop + step / 2.0, step, dtype=float)
 
 

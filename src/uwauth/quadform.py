@@ -7,8 +7,7 @@ with weights w_i = a_i^2 and noncentralities lam_i = (delta_i / a_i)^2.
 Terms whose scale is negligible next to their form's largest are folded
 into a deterministic shift, the sum of their delta_i^2. Forms with one
 active term after folding use the exact (non)central chi-square(1) CDF,
-scipy.special's chdtr and chndtr (what scipy.stats' chi2 and ncx2 call;
-the package does not import scipy.stats, which takes about a second).
+a difference of two erfc values, good to ~2e-16 absolute at every lam.
 Saturated tails are reported as exactly 0 or 1. Every other CDF value
 comes from one route: Abate and Whitt's EULER inversion (ORSA J.
 Computing 7:36, 1995) of the Laplace transform of the CDF,
@@ -76,16 +75,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import comb, log
+from math import comb, erfc, log, sqrt
 
 import numpy as np
-# Keep this import at module level even though only _ncx2_cdf uses it.
-# Importing scipy.special frees an mmapped block, which raises glibc's
-# dynamic heap-trim threshold. Without that, glibc trims the heap after
-# every EULER step's ~70 KiB of temporaries: about 2,700-3,200 minor page
-# faults per `roc --points 11` request instead of about 2, and roc-fixed
-# wall_s about 26 % worse.
-from scipy.special import chdtr, chndtr
+# Freeing a 2 MiB mmapped block raises glibc's dynamic heap-trim threshold,
+# which spares each EULER step's ~70 KiB of temporaries a trim: otherwise a
+# `roc --points 11` request takes ~2,700-2,900 minor page faults, not ~1,
+# and ~25 % longer.
+np.empty(1 << 18)
 
 from ._fields import _equal_fields
 from .errors import AccuracyError, DomainError
@@ -259,20 +256,18 @@ def _lower_prob(w, lam, shift, points, x) -> np.ndarray:
     (N, K), or (1, K) shared by every form.
 
     Net of each form's shift, cells at or below lo are 0 and at or above
-    hi 1. A form with one active term takes the closed form at x > 0, and
-    the remaining cells are inverted with shift c.
+    hi 1. Between them, a form with one active term takes the closed form,
+    and the remaining cells are inverted with shift c.
     """
     lo, hi, c = points
     x = x - shift[:, None]
     p = (x >= hi[:, None]).astype(float)
     todo = (x > lo[:, None]) & (x < hi[:, None])
-    one = np.count_nonzero(w, axis=1) == 1
+    one = todo & (np.count_nonzero(w, axis=1) == 1)[:, None]
     if one.any():
-        r, k = np.nonzero(one[:, None] & (x > 0.0))
-        closed = _ncx2_cdf(x[r, k] / w[r].max(axis=1), lam[r].sum(axis=1))
-        ok = np.isfinite(closed)
-        p[r[ok], k[ok]] = closed[ok]
-        todo[r[ok], k[ok]] = False
+        r, k = np.nonzero(one)
+        p[r, k] = _ncx2_cdf(x[r, k] / w[r].max(axis=1), lam[r].sum(axis=1))
+        todo &= ~one
     r, k = np.nonzero(todo)
     if r.size:
         p[r, k] = _euler_cdf(w[r], lam[r], c[r], x[r, k])
@@ -280,16 +275,11 @@ def _lower_prob(w, lam, shift, points, x) -> np.ndarray:
 
 
 def _ncx2_cdf(x, lam) -> np.ndarray:
-    """Single-term closed form per cell, the chi-square(1) CDF at lam = 0
-    and the noncentral one otherwise; NaN where the library breaks down
-    (its series fails for extreme noncentrality) and the caller should use
-    the generic machinery instead."""
-    p = np.empty(x.shape)
-    central = lam == 0.0
-    with np.errstate(all="ignore"):
-        p[central] = chdtr(1.0, x[central])
-        p[~central] = chndtr(x[~central], 1.0, lam[~central])
-    return p
+    """Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) per cell, x > 0,
+    with sqrt lam - sqrt x as (lam - x) / (sqrt lam + sqrt x)."""
+    s = np.sqrt(lam) + np.sqrt(x)
+    a, b = ((lam - x) / (s * sqrt(2.0))).tolist(), (s / sqrt(2.0)).tolist()
+    return np.array([0.5 * (erfc(u) - erfc(v)) for u, v in zip(a, b)])
 
 
 # ---------------------------------------------------------------------------

@@ -112,6 +112,16 @@ def test_variance_drops_tenfold_per_10db_of_power():
             base / 10.0 ** (extra / 10.0), rel=1e-12)
 
 
+@pytest.mark.parametrize("power_db", [4000.0, -4000.0])
+@pytest.mark.parametrize("distance", [500.0, np.array([300.0, 500.0])])
+def test_variance_out_of_float_range_raises(power_db, distance):
+    # 10^400 overflows and 10^-400 underflows to 0, so the variance is 0
+    # or inf; scalar and array distances are refused alike.
+    params = ChannelParams(transmit_power_db=power_db)
+    with pytest.raises(DomainError, match="not finite and positive"):
+        distance_noise_variance(distance, params)
+
+
 def test_variance_inverse_in_design_gain():
     d = 300.0
     v1 = distance_noise_variance(d, ChannelParams(signal_design_gain=1.0))

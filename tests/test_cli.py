@@ -195,6 +195,62 @@ def test_sweep_rejects_bad_power_grid(tmp_path, capsys):
     assert "power" in err
 
 
+@pytest.mark.parametrize("power_db", [
+    [0.0, 1e9, 1e-9],      # 1e18 powers
+    [0.0, 100.0, 1e-300],  # 1e302 powers
+    [0.0, 100.0, 5e-324],  # an infinite count
+    [0.0, 1e5, 1.0],       # one power too many
+])
+def test_sweep_rejects_power_grids_over_100000_powers(tmp_path, capsys,
+                                                      power_db):
+    cfg = write_config(tmp_path / "c.json",
+                       sweep={"power_db": power_db, "thresholds": [1.0e5]})
+    out = tmp_path / "x.csv"
+    rc, stdout, err = run(["sweep", str(cfg), "--out", str(out)], capsys)
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("config error:") and "sweep.power_db" in err
+    assert not out.exists()
+
+
+def test_power_grid_holds_up_to_100000_powers():
+    grid = cli._power_grid({"sweep": {"power_db": [0.0, 99999.0, 1.0]}})
+    assert grid.size == 100_000 and grid[-1] == 99999.0
+
+
+@pytest.mark.parametrize("command, flags", [
+    ("localize", ["--power", "4000"]),
+    ("localize", ["--power", "-4000"]),
+    ("roc", ["--power", "4000", "--points", "3"]),
+    ("sweep", ["--out", "x.csv"]),
+])
+def test_transmit_powers_without_a_finite_variance_exit_2(
+        tmp_path, capsys, monkeypatch, command, flags):
+    # 10^400 overflows a float and 10^-400 underflows to 0, so the range
+    # variance is zero or infinite. The sweep grid reaches 4000 dB.
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path / "c.json", trials=0,
+                       sweep={"power_db": [0.0, 4000.0, 1000.0],
+                              "thresholds": [1.0e5]})
+    rc, stdout, err = run([command, str(cfg), *flags], capsys)
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error:") and "variance" in err
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_localize_at_3000_db_prints_finite_json(tmp_path, capsys):
+    def refuse(token):
+        raise ValueError(token)
+
+    cfg = write_config(tmp_path / "c.json")
+    rc, out, _ = run(["localize", str(cfg), "--power", "3000"], capsys)
+    assert rc == 0
+    payload = json.loads(out, parse_constant=refuse)
+    assert payload["x_m"] == pytest.approx(0.0, abs=1e-9)
+    assert all(0.0 < s < 1e-140 for s in payload["noise_std_m"])
+
+
 def test_sweep_rejects_nonpositive_workers(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json", trials=0)
     out = tmp_path / "x.csv"

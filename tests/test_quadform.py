@@ -1,10 +1,10 @@
 """Distribution of weighted noncentral chi-square sums.
 
 Reference values come from routes the implementation does not take:
-normal-cdf differences for one term, the library chi-square family for
-equal weights, a 30-digit mpmath quadrature for two terms, a 50-digit
-mpmath saddle-point solve for the saturation points, and plain Monte Carlo
-everywhere else.
+normal-cdf differences for one term (in scipy and at 40 digits in
+mpmath), the library chi-square family for equal weights, a 30-digit
+mpmath quadrature for two terms, a 50-digit mpmath saddle-point solve
+for the saturation points, and plain Monte Carlo everywhere else.
 """
 
 import math
@@ -109,9 +109,8 @@ def test_negligible_scale_folds_into_shift():
 
 
 def test_one_term_closed_form_matches_scipy_stats():
-    # _ncx2_cdf calls the scipy.special functions behind chi2.cdf and
-    # ncx2.cdf; on x from 1e-14 to 1e4 and noncentralities 0 and 1e-8 to
-    # 1e12 the two agree bit for bit on scipy 1.17.
+    # _ncx2_cdf's erfc formula against scipy.stats' chi2 and ncx2, on x
+    # from 1e-14 to 1e4 and noncentralities 0 and 1e-8 to 1e12.
     x, lam = np.meshgrid(np.geomspace(1e-14, 1e4, 200),
                          np.r_[0.0, np.geomspace(1e-8, 1e12, 99)])
     x, lam = x.ravel(), lam.ravel()
@@ -123,6 +122,29 @@ def test_one_term_closed_form_matches_scipy_stats():
     got = quadform._ncx2_cdf(x, lam)
     assert np.all(np.isfinite(expected))
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+
+
+def test_one_term_closed_form_against_mpmath_oracle():
+    # Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) at 40 digits, for
+    # lam = 0 and 1e-8 to 1e20, where scipy's chndtr returned NaN from
+    # about 1e12 on, and x from 1e-14 through +-8 sd of the bulk.
+    mp = pytest.importorskip("mpmath")
+    xs, lams = [], []
+    for lam in np.r_[0.0, np.geomspace(1e-8, 1e20, 29)]:
+        mean, sd = 1.0 + lam, math.sqrt(2.0 + 4.0 * lam)
+        bulk = np.linspace(mean - 8.0 * sd, mean + 8.0 * sd, 33)
+        x = np.r_[np.geomspace(1e-14, mean + 8.0 * sd, 15), bulk[bulk > 0]]
+        xs.append(x)
+        lams.append(np.full(x.size, lam))
+    x, lam = np.concatenate(xs), np.concatenate(lams)
+    with mp.workdps(40):
+        expected = np.array([
+            float(mp.ncdf(mp.sqrt(v) - mp.sqrt(l))
+                  - mp.ncdf(-mp.sqrt(v) - mp.sqrt(l)))
+            for v, l in zip(map(mp.mpf, x), map(mp.mpf, lam))])
+    got = quadform._ncx2_cdf(x, lam)
+    assert x.size > 1000
+    np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
 
 
 def test_quantile_resolves_low_levels_over_a_folded_shift():
@@ -195,6 +217,10 @@ def test_far_tails_saturate_exactly():
     assert d.sf(d.mean() * 1e4) == 0.0
     assert d.cdf(-5.0) == 0.0
     assert d.cdf(0.0) == 0.0
+    # A one-term form saturates as well, also where x / a^2 overflows.
+    one = QuadFormDist([1e-5], [0.0])
+    assert one.cdf(1e300) == 1.0
+    assert one.cdf(1e-300) == 0.0
 
 
 def test_slow_phase_tail_regression():
