@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import os
 from dataclasses import dataclass
 from enum import Enum
 
@@ -188,7 +189,8 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
     or 'uniform'); it adds nothing. Results are a pure function of
     (master_seed, trials): trials are processed in fixed blocks whose
     generators derive from the seed and the block index, so worker count
-    and scheduling cannot change them.
+    and scheduling cannot change them. At most one thread runs per core
+    the process may use, however many workers are asked for.
     """
     if trials <= 0:
         raise DomainError("trials must be positive")
@@ -226,6 +228,9 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
         return start, (r0 ** 2).sum(axis=1), (r1 ** 2).sum(axis=1)
 
     blocks = range((trials + _BLOCK - 1) // _BLOCK)
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count() or 1)
+    workers = min(workers, cores)
     ts_h0 = np.empty(trials)
     ts_h1 = np.empty(trials)
     with (concurrent.futures.ThreadPoolExecutor(max_workers=workers)

@@ -13,6 +13,7 @@ there is no fallback seed, so every emitted number is reproducible.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import math
 import sys
@@ -40,9 +41,6 @@ from .localization import (
 )
 
 __all__ = ["main", "CONFIG_SCHEMA"]
-
-CSV_HEADER = ("power_db,threshold,p_fa_analytic,p_md_analytic,"
-              "p_fa_emp,p_md_emp,stderr_fa,stderr_md")
 
 _POINT = {
     "type": "array", "items": {"type": "number"},
@@ -147,9 +145,11 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pathloss",
                        help="print absorption and pathloss for one link")
-    p.add_argument("-f", "--frequency-khz", type=float, default=10.0)
+    p.add_argument("-f", "--frequency-khz", type=float,
+                   default=ChannelParams.frequency_khz)
     p.add_argument("-d", "--distance-m", type=float, default=1000.0)
-    p.add_argument("-v", "--spreading-factor", type=float, default=1.5)
+    p.add_argument("-v", "--spreading-factor", type=float,
+                   default=ChannelParams.spreading_factor)
     p.set_defaults(handler=_cmd_pathloss)
 
     p = sub.add_parser("localize",
@@ -166,7 +166,9 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="evaluate error rates over the power grid")
     p.add_argument("config", help="scenario config JSON path")
     p.add_argument("--out", required=True, help="CSV output path")
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--workers", type=int, default=1,
+                   help="Monte Carlo threads, at most one per usable core; "
+                        "the output does not depend on it (default 1)")
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("roc", help="print the analytic ROC curve as CSV")
@@ -213,23 +215,17 @@ def _cmd_sweep(args) -> int:
     grid = _power_grid(cfg)
     scen = _scenario_from(cfg, power_db=float(grid[0]))
     thresholds, provenance = _thresholds_from(cfg, scen)
-    spec_kwargs = dict(
-        scenario=scen,
-        power_grid_db=grid,
-        thresholds=thresholds,
-        trials_per_point=cfg["trials"],
-        master_seed=cfg["seed"],
-    )
-    count = cfg["sweep"].get("analytic_eve_count")
-    if count is not None:
-        spec_kwargs["analytic_eve_count"] = count
-    spec = SweepSpec(**spec_kwargs)
+    spec = SweepSpec(
+        scenario=scen, power_grid_db=grid, thresholds=thresholds,
+        trials_per_point=cfg["trials"], master_seed=cfg["seed"],
+        **{k: v for k, v in cfg["sweep"].items() if k == "analytic_eve_count"})
     rows = run_sweep(spec, workers=args.workers)
 
     with open(args.out, "w", newline="\n") as fh:
-        fh.write(CSV_HEADER + "\n")
+        fh.write(",".join(f.name for f in dataclasses.fields(SweepRow)) + "\n")
         for row in rows:
-            fh.write(_format_row(row) + "\n")
+            fh.write(",".join("" if v is None else repr(v)
+                              for v in dataclasses.astuple(row)) + "\n")
     meta = {
         "seed": cfg["seed"],
         "trials_per_point": cfg["trials"],
@@ -250,8 +246,6 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_roc(args) -> int:
     cfg = _load_config(args.config)
-    if cfg["eve"] == "uniform":
-        raise ConfigError("roc requires a fixed eve position, not \"uniform\"")
     scen = _scenario_from(cfg, power_db=_pick_power(cfg, args.power))
     p_fa, p_d = roc_curve(scen, points=args.points)
     print("p_fa,p_d")
@@ -361,17 +355,6 @@ def _thresholds_from(cfg: dict, scen: Scenario) -> tuple[np.ndarray, dict]:
     ths = default_thresholds(scen, at_power_db=at_power,
                              h0_quantiles=quantiles)
     return ths, {"h0_quantiles": quantiles, "at_power_db": at_power}
-
-
-def _format_row(row: SweepRow) -> str:
-    cells = [repr(row.power_db), repr(row.threshold),
-             repr(row.p_fa_analytic), repr(row.p_md_analytic)]
-    if row.p_fa_emp is None:
-        cells += ["", "", "", ""]
-    else:
-        cells += [repr(row.p_fa_emp), repr(row.p_md_emp),
-                  repr(row.stderr_fa), repr(row.stderr_md)]
-    return ",".join(cells)
 
 
 if __name__ == "__main__":

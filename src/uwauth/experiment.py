@@ -125,17 +125,13 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
 
         for th, fa_analytic, md_analytic in zip(spec.thresholds, p_fa, p_md):
             th = float(th)
-            row = {
-                "power_db": float(power),
-                "threshold": th,
-                "p_fa_analytic": float(fa_analytic),
-                "p_md_analytic": md_analytic,
-            }
+            emp = ()
             if spec.trials_per_point > 0:
-                emp = count_error_rates(ts0, ts1, th)
-                row.update(p_fa_emp=emp.p_fa, p_md_emp=emp.p_md,
-                           stderr_fa=emp.stderr_fa, stderr_md=emp.stderr_md)
-            rows.append(SweepRow(**row))
+                rates = count_error_rates(ts0, ts1, th)
+                emp = (rates.p_fa, rates.p_md,
+                       rates.stderr_fa, rates.stderr_md)
+            rows.append(SweepRow(float(power), th, float(fa_analytic),
+                                 md_analytic, *emp))
     return rows
 
 
@@ -152,13 +148,16 @@ def roc_curve(scenario: Scenario, points: int = 101
     exact threshold for each, and returns (p_fa, p_d) arrays. p_fa is
     the achieved rate at the calibrated threshold, which matches the
     target up to quantile tolerance. points lies in [2, MAX_ROC_POINTS].
+    A scenario whose eve is None raises DomainError before any threshold
+    is calibrated.
     """
     if not 2 <= points <= MAX_ROC_POINTS:
         raise DomainError(
             f"a ROC needs between 2 and {MAX_ROC_POINTS} points")
+    d_eve = scenario.eve_distances()[None]
     targets = np.linspace(1e-6, 1.0 - 1e-6, points)
     th = [cfg.threshold for cfg in calibrate_threshold(scenario, targets)]
-    p_fa, miss = _error_grid(scenario, scenario.eve_distances()[None], th)
+    p_fa, miss = _error_grid(scenario, d_eve, th)
     return p_fa, 1.0 - miss[0]
 
 

@@ -92,6 +92,9 @@ __all__ = ["QuadFormDist", "cdf_grid"]
 # Terms with a_i below this fraction of the largest scale behave as the
 # deterministic shift delta_i^2.
 _DEGENERATE_RTOL = 1e-10
+# Largest mean and noncentrality of a form: its saddle-curve points reach
+# ~70 times its mean, and the curve solve doubles each noncentrality.
+_FORM_MAX = np.finfo(float).max / 128
 # Tail probabilities certified below this level by a Chernoff bound are
 # reported as exactly 0 (or 1 on the complementary side).
 _SATURATION = 1e-14
@@ -117,7 +120,8 @@ _QUANTILE_HALVINGS = 40
 @dataclass(frozen=True, eq=False)
 class QuadFormDist:
     """Weighted noncentral chi-square sum, parametrized by the per-term
-    Gaussian scale a_i and offset delta_i."""
+    Gaussian scale a_i and offset delta_i. A mean or noncentrality above
+    1.4e306 raises DomainError, since the evaluation would overflow."""
 
     scales: np.ndarray
     offsets: np.ndarray
@@ -227,10 +231,14 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
 def _check_terms(a, d) -> None:
     if a.shape[-1] == 0:
         raise DomainError("at least one term is required")
-    if not (np.all(np.isfinite(a)) and np.all(np.isfinite(d))):
-        raise DomainError("scales and offsets must be finite")
     if np.any(a <= 0):
         raise DomainError("every scale must be positive")
+    # The mean bounds every weight and shift; NaN and inf fail the test too.
+    with np.errstate(over="ignore"):
+        mean = np.sum(a * a + d * d, axis=-1)
+    if not np.all(mean <= _FORM_MAX):
+        raise DomainError(f"scales and offsets must be finite, and a mean "
+                          f"over {_FORM_MAX:.2g} overflows a double")
 
 
 def _prepare(a, d):
@@ -248,6 +256,9 @@ def _prepare(a, d):
     # d / a overflows on some folded terms, which the mask discards.
     with np.errstate(over="ignore"):
         lam = np.where(tiny, 0.0, (d / a) ** 2)
+    if not np.all(lam <= _FORM_MAX):
+        raise DomainError(f"a noncentrality over {_FORM_MAX:.2g} overflows "
+                          f"a double")
     return w, lam, shift, _curve_points(w, lam)
 
 

@@ -1,10 +1,13 @@
 """Residual test statistic and its distributions under both hypotheses."""
 
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
 
+from uwauth import authentication
 from uwauth import test_statistic as statistic
 from uwauth import test_statistic_pinv as statistic_pinv
 from uwauth import (
@@ -171,6 +174,26 @@ def test_simulation_is_reproducible_and_worker_invariant():
     np.testing.assert_array_equal(a1, c1)
     d0, _ = simulate_test_statistics(scen, 9000, (1, 3))
     assert not np.array_equal(a0, d0)
+
+
+def test_workers_never_exceed_the_usable_cores(monkeypatch):
+    cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+             else os.cpu_count())
+    threads = set()
+    draw = authentication.draw_squared_distances
+
+    def spy(*args):
+        threads.add(threading.get_ident())
+        return draw(*args)
+
+    monkeypatch.setattr(authentication, "draw_squared_distances", spy)
+    # Eight blocks, so a pool sized by the request would start 8 threads.
+    scen = make_scenario()
+    a0, a1 = simulate_test_statistics(scen, 8 * 4096, 7, workers=64)
+    assert 1 <= len(threads) <= cores
+    b0, b1 = simulate_test_statistics(scen, 8 * 4096, 7)
+    np.testing.assert_array_equal(a0, b0)
+    np.testing.assert_array_equal(a1, b1)
 
 
 def test_simulated_stream_follows_the_documented_contract():

@@ -11,6 +11,7 @@ import pytest
 
 from uwauth import (
     AccuracyError,
+    SweepSpec,
     authentication,
     baseline_scenario,
     cli,
@@ -18,6 +19,7 @@ from uwauth import (
     localization,
     quadform,
     roc_curve,
+    run_sweep,
 )
 from uwauth.cli import main
 
@@ -422,6 +424,44 @@ def test_uniform_eve_config_is_valid_for_sweep(tmp_path, capsys):
     assert rc == 0
     meta = json.loads((tmp_path / "u.csv.meta.json").read_text())
     assert meta["eve_mode"] == "uniform"
+
+
+def test_sweep_passes_the_configured_analytic_eve_count(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", eve="uniform", trials=0,
+                       sweep={"power_db": [40.0, 60.0, 10.0],
+                              "thresholds": [1.0e5, 2.0e5],
+                              "analytic_eve_count": 9})
+    out = tmp_path / "u.csv"
+    assert run(["sweep", str(cfg), "--out", str(out)], capsys)[0] == 0
+    spec = SweepSpec(scenario=baseline_scenario(eve=None),
+                     power_grid_db=[40.0, 50.0, 60.0],
+                     thresholds=[1.0e5, 2.0e5], analytic_eve_count=9)
+    rows = run_sweep(spec)
+    lines = out.read_text().splitlines()
+    assert len(lines) == 1 + len(rows)
+    for line, row in zip(lines[1:], rows):
+        assert line == ",".join([repr(row.power_db), repr(row.threshold),
+                                 repr(row.p_fa_analytic),
+                                 repr(row.p_md_analytic), "", "", "", ""])
+    meta = json.loads((tmp_path / "u.csv.meta.json").read_text())
+    assert meta["analytic_eve_count"] == 9
+
+
+def test_forms_beyond_the_float_range_exit_2(tmp_path, capsys):
+    # Ranging noise so large that the statistic's scales square past the
+    # largest double; RuntimeWarnings fail the suite, so none may occur.
+    cfg = write_config(
+        tmp_path / "c.json", trials=0,
+        anchors=[[0.0, 1e8], [-1e8, -1e8], [-1e8, 1e8]],
+        channel={"frequency_khz": 1e-6, "sound_speed_mps": 1500.0,
+                 "spreading_factor": 1.5, "signal_design_gain": 1e-235},
+        sweep={"power_db": [0.0, 0.0, 5.0], "thresholds": [1.0, 1e300]})
+    for args in (["sweep", str(cfg), "--out", str(tmp_path / "x.csv")],
+                 ["roc", str(cfg)]):
+        rc, out, err = run(args, capsys)
+        assert rc == 2
+        assert out == ""
+        assert "overflows a double" in err
 
 
 def _assert_matches_recorded(text, name, analytic):

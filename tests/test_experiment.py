@@ -180,6 +180,16 @@ def test_spec_validation():
                   analytic_eve_count=0)
 
 
+def test_roc_refuses_a_uniform_impersonator_before_any_quantile(
+        monkeypatch):
+    def fail(self, p):
+        raise AssertionError("quantile solved")
+
+    monkeypatch.setattr(QuadFormDist, "quantile", fail)
+    with pytest.raises(DomainError, match="eve"):
+        roc_curve(baseline_scenario(eve=None), points=11)
+
+
 def test_roc_spans_both_corners_and_is_monotone():
     scen = baseline_scenario(signal_design_gain=1.0)
     fa, pd = roc_curve(scen, points=51)

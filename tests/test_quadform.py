@@ -522,6 +522,22 @@ def test_constructor_validation():
         QuadFormDist([1.0], [0.0]).cdf(np.inf)
 
 
+@pytest.mark.parametrize("scales, offsets", [
+    ([1e160], [0.0]),             # the mean overflows
+    ([1.0], [1e160]),             # so does the offset's square
+    ([1.0, 1e-9], [0.0, 1e150]),  # an unfolded term's noncentrality 1e318
+    ([1e154], [0.0]),             # finite mean; the tail points overflow
+    ([1e-100], [1e54]),           # noncentrality 1e308, doubled to inf
+])
+def test_forms_beyond_the_float_range_raise(scales, offsets):
+    # RuntimeWarnings fail the suite, so each form must be refused before
+    # any arithmetic overflows.
+    with pytest.raises(DomainError, match="overflows a double"):
+        QuadFormDist(scales, offsets).cdf(1.0)
+    with pytest.raises(DomainError, match="overflows a double"):
+        cdf_grid([scales], [offsets], [1.0])
+
+
 def test_sampler_shapes():
     d = QuadFormDist([1.0, 2.0], [0.0, 1.0])
     assert isinstance(d.sample(np.random.default_rng(0)), float)
