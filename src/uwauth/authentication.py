@@ -31,6 +31,7 @@ from .localization import (
     AnchorArray,
     NoisySquaredDistances,
     Scenario,
+    _pseudo_inverse,
     build_system,
     draw_squared_distances,
     solve_position,
@@ -113,7 +114,7 @@ def test_statistic_pinv(observed: NoisySquaredDistances, anchors: AnchorArray,
     """
     A, b = build_system(anchors, observed.observed_sq_m2)
     estimate = solve_position(A, b)[:2]
-    estimator_rows = np.linalg.pinv(A)[:2]
+    estimator_rows = _pseudo_inverse(A)[:2]
     back = np.linalg.pinv(estimator_rows) @ (estimate - np.asarray(claimed, dtype=float))
     return float(back @ back)
 

@@ -11,6 +11,7 @@ All coordinates and distances are in meters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -32,11 +33,20 @@ __all__ = [
 
 # Smallest acceptable ratio of the design matrix's extreme singular values.
 _RANK_RTOL = 1e-9
+# Distinct design matrices whose pseudo-inverse is kept.
+_PINV_CACHE_SIZE = 8
 
 
 @dataclass(frozen=True, eq=False)
 class AnchorArray:
-    """Fixed anchor positions, shape (L, 2) with L >= 3."""
+    """Fixed anchor positions, shape (L, 2) with L >= 3.
+
+    Construction factorizes the design matrix once, into a cache keyed
+    by the matrix's content. It raises GeometryError when the coordinates
+    are not finite or that matrix is numerically rank deficient.
+    solve_position then reuses the factorization for every packet, one
+    at a time or in a batch.
+    """
 
     xy: np.ndarray
 
@@ -53,10 +63,7 @@ class AnchorArray:
             raise GeometryError("anchor coordinates must be finite")
         design = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1],
                                   np.ones(len(xy))])
-        sv = np.linalg.svd(design, compute_uv=False)
-        if sv[-1] <= _RANK_RTOL * sv[0]:
-            raise GeometryError(
-                "degenerate anchor geometry: design matrix is rank deficient")
+        _pseudo_inverse(design)  # the rank check; solve_position reuses it
         # Read-only, so the cached design matrix and norms stay in step with xy.
         sq_norms = (xy ** 2).sum(axis=1)
         for a in (xy, design, sq_norms):
@@ -187,16 +194,41 @@ def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndar
 def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Least-squares solution X = (x, y, s) of the lifted system.
 
-    Uses an orthogonal factorization rather than the normal equations.
-    Raises GeometryError when A is numerically rank deficient.
+    b is one right-hand side, shape (L,), giving X of shape (3,), or a
+    batch of n transmissions, shape (n, L), solved row by row into
+    (n, 3). X = b @ pinv(A).T, with the pseudo-inverse taken from an SVD
+    of A that is cached by A's content, so a fixed anchor geometry is
+    factorized once. Raises GeometryError when A is not finite, is
+    numerically rank deficient, or has fewer rows than columns.
     """
+    return np.asarray(b, dtype=float) @ _pseudo_inverse(A).T
+
+
+def _pseudo_inverse(A) -> np.ndarray:
+    """Read-only Moore-Penrose pseudo-inverse of a full-rank A, shape
+    (3, L), cached by A's shape and bytes."""
     A = np.asarray(A, dtype=float)
-    b = np.asarray(b, dtype=float)
-    X, _, _, sv = np.linalg.lstsq(A, b, rcond=None)
+    return _factorize(A.shape, A.tobytes())
+
+
+@functools.lru_cache(maxsize=_PINV_CACHE_SIZE)
+def _factorize(shape: tuple, data: bytes) -> np.ndarray:
+    A = np.frombuffer(data, dtype=float).reshape(shape)
+    # Fewer rows than unknowns would pass the singular-value test below
+    # and return the minimum-norm solution of an underdetermined system.
+    if A.ndim != 2 or A.shape[0] < A.shape[1]:
+        raise GeometryError("design matrix must be 2-d with at least as "
+                            "many rows as columns")
+    # LAPACK stalls or fails untyped on NaN or inf, so they never reach it.
+    if not np.all(np.isfinite(A)):
+        raise GeometryError("design matrix must be finite")
+    u, sv, vt = np.linalg.svd(A, full_matrices=False)
     if sv[-1] <= _RANK_RTOL * sv[0]:
         raise GeometryError(
             "degenerate anchor geometry: design matrix is rank deficient")
-    return X
+    pinv = (vt.T / sv) @ u.T
+    pinv.flags.writeable = False
+    return pinv
 
 
 def consistency_gap(X) -> float:

@@ -146,7 +146,13 @@ class QuadFormDist:
 
     def variance(self) -> float:
         a2 = self.scales ** 2
-        return float(np.sum(2.0 * a2 ** 2 + 4.0 * a2 * self.offsets ** 2))
+        # Construction bounds the mean, not its square: scales over ~1e77
+        # pass there and overflow here.
+        with np.errstate(over="ignore"):
+            var = float(np.sum(2.0 * a2 ** 2 + 4.0 * a2 * self.offsets ** 2))
+        if not np.isfinite(var):
+            raise DomainError("the variance of this form overflows a double")
+        return var
 
     def sample(self, rng: np.random.Generator, size: int | None = None):
         """Draw realizations of Q; a float for size=None, else shape (size,)."""

@@ -121,6 +121,106 @@ def test_solver_rejects_rank_deficient_system():
         solve_position(A, np.ones(3))
 
 
+def test_solver_rejects_rank_deficient_system_on_every_call():
+    # A failed factorization is not cached, so no call returns a solution.
+    A = np.array([[1.0, 0.0, 1.0], [0.0, 1.0, 1.0], [1.0, 1.0, 2.0]])
+    for _ in range(3):
+        with pytest.raises(GeometryError, match="rank deficient"):
+            solve_position(A, np.ones(3))
+
+
+@pytest.mark.parametrize("A", [
+    TRIANGLE.design_matrix()[:2],
+    TRIANGLE.design_matrix()[0],
+    np.zeros((0, 3)),
+], ids=["two-rows", "one-dimensional", "empty"])
+def test_solver_rejects_a_design_matrix_with_too_few_rows(A):
+    with pytest.raises(GeometryError, match="at least as many rows"):
+        solve_position(A, np.ones(3)[:len(A)])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_solver_rejects_non_finite_design_matrix_before_lapack(
+        bad, monkeypatch, capfd):
+    A = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [0.0, 0.0, bad]])
+    with pytest.raises(GeometryError, match="design matrix must be finite"):
+        solve_position(A, np.ones(3))
+    assert capfd.readouterr().err == ""
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("np.linalg.svd called on a non-finite matrix")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    with pytest.raises(GeometryError, match="design matrix must be finite"):
+        solve_position(A, np.ones(3))
+
+
+def test_anchor_array_factorizes_its_design_matrix_once(monkeypatch):
+    anchors = AnchorArray(np.array([[1.0, 2.0], [-310.0, 40.0],
+                                    [75.0, -260.0], [190.0, 205.0]]))
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("design matrix factorized again")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    p = np.array([-12.0, 34.0])
+    X = solve_position(*build_system(anchors, anchors.distances_to(p) ** 2))
+    np.testing.assert_allclose(X, lifted(p), rtol=1e-9, atol=1e-9)
+
+
+def test_solver_follows_a_design_matrix_mutated_in_place():
+    # The cache is keyed on the matrix content, not on the array object.
+    A = TRIANGLE.design_matrix().copy()
+    X0 = np.array([30.0, -40.0, 2500.0])
+    b = A @ X0
+    np.testing.assert_allclose(solve_position(A, b), X0, rtol=1e-12)
+    A[0] = [700.0, -300.0, 1.0]
+    expected = np.linalg.lstsq(A, b, rcond=None)[0]
+    np.testing.assert_allclose(solve_position(A, b), expected, rtol=1e-12)
+    assert np.abs(expected - X0).max() > 1.0
+
+
+@pytest.mark.parametrize("xy", [
+    TRIANGLE.xy,
+    np.random.default_rng(3).uniform(-500.0, 500.0, (5, 2)),
+    np.array([[-500.0, 0.0], [0.0, 6.7e-4], [500.0, 0.0]]),
+    np.array([[8000.0, 8000.0], [8001.0, 8000.0], [8000.0, 8001.0]]),
+], ids=["triangle", "random-5", "near-collinear", "far-cluster"])
+def test_batch_solve_matches_lstsq_oracle(xy):
+    anchors = AnchorArray(xy)
+    A = anchors.design_matrix()
+    pts = np.random.default_rng(8).uniform(-500.0, 500.0, (2000, 2))
+    _, b = build_system(anchors, anchors.distances_to(pts) ** 2)
+    X = solve_position(A, b)
+    assert X.shape == (2000, 3)
+    oracle = np.linalg.lstsq(A, b.T, rcond=None)[0].T
+    worst = np.hypot(*(X[:, :2] - pts).T).max()
+    worst_oracle = np.hypot(*(oracle[:, :2] - pts).T).max()
+    assert worst <= 2.0 * worst_oracle + 1e-12
+
+
+@pytest.mark.parametrize("xy, n", [
+    (TRIANGLE.xy, 3),
+    (TRIANGLE.xy, 5),
+    (np.array([[0.0, 500.0], [-500.0, -500.0], [-500.0, 500.0],
+               [500.0, 0.0], [250.0, -400.0]]), 2),
+])
+def test_batch_solve_equals_row_by_row_solves(xy, n):
+    # Each row of b is one transmission, including when n equals L; the
+    # batched product may round differently from the one-row product.
+    anchors = AnchorArray(xy)
+    pts = np.array([[10.0, 20.0], [-100.0, 50.0], [200.0, -300.0],
+                    [-450.0, -5.0], [333.0, 444.0]])[:n]
+    A, b = build_system(anchors, anchors.distances_to(pts) ** 2)
+    X = solve_position(A, b)
+    assert X.shape == (n, 3)
+    for row, b_row in zip(X, b):
+        np.testing.assert_allclose(row, solve_position(A, b_row),
+                                   rtol=1e-13, atol=1e-9)
+    np.testing.assert_allclose(X, [lifted(p) for p in pts],
+                               rtol=1e-9, atol=1e-7)
+
+
 def test_sampler_reproduces_linearized_model():
     channel = ChannelParams(transmit_power_db=60.0)
     p = np.array([150.0, -200.0])

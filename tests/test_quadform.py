@@ -8,6 +8,7 @@ for the saturation points, and plain Monte Carlo everywhere else.
 """
 
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -536,6 +537,21 @@ def test_forms_beyond_the_float_range_raise(scales, offsets):
         QuadFormDist(scales, offsets).cdf(1.0)
     with pytest.raises(DomainError, match="overflows a double"):
         cdf_grid([scales], [offsets], [1.0])
+
+
+@pytest.mark.parametrize("scales, offsets", [
+    ([1e100], [0.0]),
+    ([1e80, 1.0], [0.0, 0.0]),
+    ([1e60], [1e100]),
+])
+def test_variance_beyond_the_float_range_raises(scales, offsets):
+    # Construction accepts these forms; their variance overflows a double.
+    d = QuadFormDist(scales, offsets)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="variance .*overflows a double"):
+            d.variance()
+    assert QuadFormDist([1e70], [1e70]).variance() == pytest.approx(6e280)
 
 
 def test_sampler_shapes():
