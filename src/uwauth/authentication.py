@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextlib
+import math
 import os
 from dataclasses import dataclass
 from enum import Enum
@@ -34,7 +35,6 @@ from .localization import (
     _pseudo_inverse,
     build_system,
     draw_squared_distances,
-    solve_position,
 )
 from .quadform import QuadFormDist
 
@@ -108,15 +108,23 @@ def test_statistic_pinv(observed: NoisySquaredDistances, anchors: AnchorArray,
 
     Maps the gap between the least-squares position estimate and the
     claim back into observation space through the Moore-Penrose
-    pseudoinverse of the truncated estimator matrix. Equals
+    pseudoinverse of the truncated estimator matrix E. Equals
     test_statistic exactly when the residual lies in the row space of
     that matrix and never exceeds it otherwise.
     """
     A, b = build_system(anchors, observed.observed_sq_m2)
-    estimate = solve_position(A, b)[:2]
     estimator_rows = _pseudo_inverse(A)[:2]
-    back = np.linalg.pinv(estimator_rows) @ (estimate - np.asarray(claimed, dtype=float))
-    return float(back @ back)
+    gap = estimator_rows @ b - np.asarray(claimed, dtype=float)
+    e1, e2 = estimator_rows
+    # For E^T = QR, |pinv(E) gap|^2 = |R^-T gap|^2. Two Gram-Schmidt steps
+    # give R with an error of order cond(E) * eps; solving with E E^T
+    # instead squares that condition number.
+    r11 = math.sqrt(e1 @ e1)
+    r12 = e1 @ e2 / r11
+    rest = e2 - r12 / r11 * e1
+    y1 = gap[0] / r11
+    y2 = (gap[1] - r12 * y1) / math.sqrt(rest @ rest)
+    return float(y1 * y1 + y2 * y2)
 
 
 def decide(ts: float, config: DecisionConfig) -> Hypothesis:

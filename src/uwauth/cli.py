@@ -18,7 +18,6 @@ import json
 import math
 import sys
 
-import jsonschema
 import numpy as np
 
 from .channel import ChannelParams, absorption_db_per_km, pathloss_db
@@ -40,80 +39,7 @@ from .localization import (
     solve_position,
 )
 
-__all__ = ["main", "CONFIG_SCHEMA"]
-
-_POINT = {
-    "type": "array", "items": {"type": "number"},
-    "minItems": 2, "maxItems": 2,
-}
-
-CONFIG_SCHEMA = {
-    "type": "object",
-    "additionalProperties": False,
-    "required": ["region", "anchors", "alice", "eve", "channel",
-                 "sweep", "trials", "seed"],
-    "properties": {
-        "region": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["width_m", "height_m"],
-            "properties": {
-                "width_m": {"type": "number", "exclusiveMinimum": 0},
-                "height_m": {"type": "number", "exclusiveMinimum": 0},
-            },
-        },
-        "anchors": {"type": "array", "items": _POINT, "minItems": 3},
-        "alice": _POINT,
-        "eve": {"oneOf": [_POINT, {"const": "uniform"}]},
-        "channel": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["frequency_khz", "sound_speed_mps",
-                         "spreading_factor", "signal_design_gain"],
-            "properties": {
-                "frequency_khz": {"type": "number"},
-                "sound_speed_mps": {"type": "number"},
-                "spreading_factor": {"type": "number"},
-                "signal_design_gain": {"type": "number"},
-            },
-        },
-        "sweep": {
-            "type": "object",
-            "additionalProperties": False,
-            "required": ["power_db", "thresholds"],
-            "properties": {
-                "power_db": {
-                    "type": "array", "items": {"type": "number"},
-                    "minItems": 3, "maxItems": 3,
-                },
-                "thresholds": {
-                    "oneOf": [
-                        {"type": "array", "minItems": 1,
-                         "items": {"type": "number", "minimum": 0}},
-                        {
-                            "type": "object",
-                            "additionalProperties": False,
-                            "required": ["h0_quantiles"],
-                            "properties": {
-                                "h0_quantiles": {
-                                    "type": "array", "minItems": 1,
-                                    "items": {"type": "number",
-                                              "exclusiveMinimum": 0,
-                                              "exclusiveMaximum": 1},
-                                },
-                                "at_power_db": {"type": "number"},
-                            },
-                        },
-                    ],
-                },
-                "analytic_eve_count": {"type": "integer", "minimum": 1},
-            },
-        },
-        # 10^7 trials hold 160 MB of statistics per grid power.
-        "trials": {"type": "integer", "minimum": 0, "maximum": 10_000_000},
-        "seed": {"type": "integer"},
-    },
-}
+__all__ = ["main"]
 
 
 class ConfigError(ValueError):
@@ -128,7 +54,8 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except (DomainError, GeometryError) as exc:
+    # OSError: an output file that cannot be written.
+    except (DomainError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except AccuracyError as exc:
@@ -193,6 +120,8 @@ def _cmd_pathloss(args) -> int:
 def _cmd_localize(args) -> int:
     cfg = _load_config(args.config)
     scen = _scenario_from(cfg, power_db=_pick_power(cfg, args.power))
+    if args.seed is not None and args.seed < 0:
+        raise DomainError("--seed must be nonnegative")
     seed = cfg["seed"] if args.seed is None else args.seed
     rng = np.random.default_rng(seed)
     override = 0.0 if args.noise == "off" else None
@@ -256,7 +185,7 @@ def _cmd_roc(args) -> int:
 
 def _load_config(path: str) -> dict:
     # json reads Infinity, NaN and out-of-range literals such as 1e999 as
-    # non-finite floats, and the schema's "number" lets them through.
+    # non-finite floats; they are refused here, where the literal is seen.
     def finite(token: str) -> float:
         value = float(token)
         if not math.isfinite(value):
@@ -281,37 +210,97 @@ def _load_config(path: str) -> dict:
         raise ConfigError(
             f"{path}: invalid JSON at line {exc.lineno} column {exc.colno}: "
             f"{exc.msg}") from exc
-    # Integers stay exact Python ints, which the numeric code turns into
-    # floats; the seed alone is used as an integer, of any size. Like the
-    # non-finite literals above, these are refused before the schema runs.
-    for field, value in _leaves(cfg):
-        if field != "seed" and isinstance(value, int):
-            try:
-                float(value)
-            except OverflowError:
-                raise ConfigError(f"{path}: field {field}: integer is too "
-                                  f"large for a float") from None
-    validator = jsonschema.Draft202012Validator(CONFIG_SCHEMA)
-    errors = sorted(validator.iter_errors(cfg), key=lambda e: list(e.path))
-    if errors:
-        err = jsonschema.exceptions.best_match(errors)
-        field = "/".join(str(p) for p in err.absolute_path) or "(top level)"
-        raise ConfigError(f"{path}: field {field}: {err.message}")
+    _check_config(cfg, path)
     return cfg
 
 
-def _leaves(node, prefix: str = ""):
-    """(field, value) for every scalar in a parsed JSON tree, the field as
-    the slash-joined path that schema errors report."""
-    if isinstance(node, dict):
-        items = node.items()
-    elif isinstance(node, list):
-        items = enumerate(node)
+def _check_config(cfg, path: str) -> None:
+    """Refuse a parsed config unless it has the documented shape, naming
+    the first offending field by its slash-joined path. Converts nothing.
+
+    Numbers are ints or floats that fit a float, never booleans. trials,
+    seed and analytic_eve_count are integer literals; the seed, used only
+    as an integer, is nonnegative and may have any size.
+    """
+    def fail(at, reason):
+        field = "/".join(str(part) for part in at) or "(top level)"
+        raise ConfigError(f"{path}: field {field}: {reason}")
+
+    def fields(node, at, required, optional=()):
+        if not isinstance(node, dict):
+            fail(at, "must be an object")
+        for key in [*node, *required]:
+            if key not in required and key not in optional:
+                fail((*at, key), "unknown field")
+            if key not in node:
+                fail((*at, key), "required field is missing")
+
+    def number(value, at, ok=lambda x: True, reason=None):
+        if isinstance(value, bool) or not isinstance(value, (int, float)):
+            fail(at, "must be a number")
+        try:
+            float(value)
+        except OverflowError:
+            fail(at, "integer is too large for a float")
+        if not ok(value):
+            fail(at, reason)
+
+    def integer(value, at, low, high=math.inf):
+        if isinstance(value, bool) or not isinstance(value, int):
+            fail(at, "must be an integer literal")
+        if value < low:
+            fail(at, f"must be at least {low}")
+        if value > high:
+            fail(at, f"integer is too large (at most {high})")
+
+    def array(value, at, size, item, exact=True):
+        if not isinstance(value, list):
+            fail(at, "must be an array")
+        if len(value) < size or exact and len(value) > size:
+            fail(at, f"must hold {'' if exact else 'at least '}{size} items")
+        for i, element in enumerate(value):
+            item(element, (*at, i))
+
+    def point(value, at):
+        array(value, at, 2, number)
+
+    fields(cfg, (), ("region", "anchors", "alice", "eve", "channel", "sweep",
+                     "trials", "seed"))
+    fields(cfg["region"], ("region",), ("width_m", "height_m"))
+    for key, size in cfg["region"].items():
+        number(size, ("region", key), lambda x: x > 0, "must be positive")
+    array(cfg["anchors"], ("anchors",), 3, point, exact=False)
+    point(cfg["alice"], ("alice",))
+    if cfg["eve"] != "uniform":
+        if not isinstance(cfg["eve"], list):
+            fail(("eve",), 'must be a coordinate pair or "uniform"')
+        point(cfg["eve"], ("eve",))
+    fields(cfg["channel"], ("channel",), ("frequency_khz", "sound_speed_mps",
+                                          "spreading_factor",
+                                          "signal_design_gain"))
+    for key, value in cfg["channel"].items():
+        number(value, ("channel", key))
+    sweep = cfg["sweep"]
+    fields(sweep, ("sweep",), ("power_db", "thresholds"),
+           ("analytic_eve_count",))
+    array(sweep["power_db"], ("sweep", "power_db"), 3, number)
+    raw, at = sweep["thresholds"], ("sweep", "thresholds")
+    if isinstance(raw, dict):
+        fields(raw, at, ("h0_quantiles",), ("at_power_db",))
+        array(raw["h0_quantiles"], (*at, "h0_quantiles"), 1, exact=False,
+              item=lambda q, a: number(q, a, lambda x: 0 < x < 1,
+                                       "must lie strictly between 0 and 1"))
+        number(raw.get("at_power_db", 0), (*at, "at_power_db"))
+    elif isinstance(raw, list):
+        array(raw, at, 1, exact=False, item=lambda t, a: number(
+            t, a, lambda x: x >= 0, "must not be negative"))
     else:
-        yield prefix, node
-        return
-    for key, child in items:
-        yield from _leaves(child, f"{prefix}/{key}" if prefix else str(key))
+        fail(at, "must be an array of thresholds or an object")
+    integer(sweep.get("analytic_eve_count", 1),
+            ("sweep", "analytic_eve_count"), 1, sys.float_info.max)
+    # 10^7 trials hold 160 MB of statistics per grid power.
+    integer(cfg["trials"], ("trials",), 0, 10_000_000)
+    integer(cfg["seed"], ("seed",), 0)
 
 
 def _scenario_from(cfg: dict, *, power_db: float) -> Scenario:

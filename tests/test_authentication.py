@@ -1,5 +1,6 @@
 """Residual test statistic and its distributions under both hypotheses."""
 
+import itertools
 import math
 import os
 import threading
@@ -7,7 +8,7 @@ import threading
 import numpy as np
 import pytest
 
-from uwauth import authentication
+from uwauth import authentication, localization
 from uwauth import test_statistic as statistic
 from uwauth import test_statistic_pinv as statistic_pinv
 from uwauth import (
@@ -289,6 +290,33 @@ def test_position_space_statistic_never_exceeds_residual_norm():
         ts = statistic(residual_vector(obs, anchors, claim))
         ts_p = statistic_pinv(obs, anchors, claim)
         assert ts_p <= ts * (1.0 + 1e-9) + 1e-9
+
+
+def test_position_space_statistic_matches_the_pseudoinverse_oracle():
+    # The statistic is |pinv(E) (E b - claim)|^2 for the estimator rows E;
+    # the oracle takes pinv(E) from numpy's SVD. Anchors lie anywhere in a
+    # square, or within 2 m of a line, where cond(E) reaches ~2e4 and a
+    # solve with E E^T is off by ~1e-8.
+    rng = np.random.default_rng(23)
+    for L, spread in itertools.product((3, 5, 7), (None, 2.0)):
+        for _ in range(50):
+            if spread is None:
+                xy = rng.uniform(-500.0, 500.0, (L, 2))
+            else:
+                u = rng.normal(size=2)
+                u /= np.hypot(*u)
+                xy = (np.outer(rng.uniform(-500.0, 500.0, L), u)
+                      + np.outer(rng.uniform(-spread, spread, L),
+                                 [-u[1], u[0]]))
+            anchors = AnchorArray(xy)
+            d = anchors.distances_to(rng.uniform(-300.0, 300.0, 2))
+            obs = obs_from_squared(d * d + 2.0 * rng.normal(0, 3.0, L) * d)
+            claim = rng.uniform(-300.0, 300.0, 2)
+            A, b = localization.build_system(anchors, obs.observed_sq_m2)
+            E = np.linalg.pinv(A)[:2]
+            back = np.linalg.pinv(E) @ (E @ b - claim)
+            assert statistic_pinv(obs, anchors, claim) == pytest.approx(
+                back @ back, rel=1e-10)
 
 
 def test_position_space_statistic_equality_in_row_space():

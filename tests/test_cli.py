@@ -337,6 +337,144 @@ def test_seeds_of_any_size_are_accepted(tmp_path, capsys):
     assert meta["seed"] == 10 ** 400
 
 
+MISSING = object()
+
+# (command, {dotted field: new value or MISSING}, exit code, the field as
+# the diagnostic names it). Accepted rows run localize, which reads the
+# whole config.
+READER_ROWS = [
+    # Each required key, missing at each level.
+    *[("localize", {key: MISSING}, 2, key)
+      for key in ("region", "anchors", "alice", "eve", "channel", "sweep",
+                  "trials", "seed")],
+    ("localize", {"region.height_m": MISSING}, 2, "region/height_m"),
+    ("localize", {"channel.spreading_factor": MISSING}, 2,
+     "channel/spreading_factor"),
+    ("localize", {"sweep.power_db": MISSING}, 2, "sweep/power_db"),
+    ("localize", {"sweep.thresholds": MISSING}, 2, "sweep/thresholds"),
+    ("localize", {"sweep.thresholds.h0_quantiles": MISSING}, 2,
+     "sweep/thresholds/h0_quantiles"),
+    # An unknown key at each level.
+    ("localize", {"extra": 1}, 2, "extra"),
+    ("localize", {"region.depth_m": 1.0}, 2, "region/depth_m"),
+    ("localize", {"channel.extra": 1.0}, 2, "channel/extra"),
+    ("localize", {"sweep.extra": 1.0}, 2, "sweep/extra"),
+    ("localize", {"sweep.thresholds.extra": 1.0}, 2,
+     "sweep/thresholds/extra"),
+    # Wrong types.
+    ("localize", {"": []}, 2, "(top level)"),
+    ("localize", {"region": [1000.0, 1000.0]}, 2, "region"),
+    ("localize", {"channel.frequency_khz": True}, 2, "channel/frequency_khz"),
+    ("localize", {"channel.sound_speed_mps": "fast"}, 2,
+     "channel/sound_speed_mps"),
+    ("localize", {"channel.signal_design_gain": None}, 2,
+     "channel/signal_design_gain"),
+    ("localize", {"anchors": "triangle"}, 2, "anchors"),
+    ("localize", {"anchors.2": [0.0]}, 2, "anchors/2"),
+    ("localize", {"anchors.1.0": False}, 2, "anchors/1/0"),
+    ("localize", {"alice": [0.0, 0.0, 0.0]}, 2, "alice"),
+    ("localize", {"eve": "random"}, 2, "eve"),
+    ("localize", {"eve": {"x": 1.0}}, 2, "eve"),
+    ("localize", {"eve.1": "a"}, 2, "eve/1"),
+    ("localize", {"sweep.power_db": [40.0, 60.0]}, 2, "sweep/power_db"),
+    ("localize", {"sweep.power_db.2": "10"}, 2, "sweep/power_db/2"),
+    ("localize", {"sweep.thresholds": "auto"}, 2, "sweep/thresholds"),
+    ("localize", {"sweep.thresholds.at_power_db": "50"}, 2,
+     "sweep/thresholds/at_power_db"),
+    ("localize", {"trials": True}, 2, "trials"),
+    ("localize", {"seed": True}, 2, "seed"),
+    # Bound edges.
+    ("localize", {"region.width_m": 0}, 2, "region/width_m"),
+    ("localize", {"region.height_m": -1.0}, 2, "region/height_m"),
+    ("localize", {"region.width_m": 1e-300, "eve": "uniform"}, 0, None),
+    ("localize", {"anchors": [[0.0, 500.0], [-500.0, -500.0]]}, 2, "anchors"),
+    ("localize", {"sweep.thresholds.h0_quantiles": [0.5, 0]}, 2,
+     "sweep/thresholds/h0_quantiles/1"),
+    ("localize", {"sweep.thresholds.h0_quantiles": [1]}, 2,
+     "sweep/thresholds/h0_quantiles/0"),
+    ("localize", {"sweep.thresholds.h0_quantiles": []}, 2,
+     "sweep/thresholds/h0_quantiles"),
+    ("localize", {"sweep.thresholds.h0_quantiles": [1e-300, 1 - 1e-16]}, 0,
+     None),
+    ("localize", {"sweep.thresholds": [1.0e5, -1.0]}, 2, "sweep/thresholds/1"),
+    ("localize", {"sweep.thresholds": []}, 2, "sweep/thresholds"),
+    ("localize", {"sweep.thresholds": [0, 1.0e5]}, 0, None),
+    ("localize", {"sweep.thresholds": {"h0_quantiles": [0.9]}}, 0, None),
+    ("localize", {"trials": 10_000_000}, 0, None),
+    ("localize", {"trials": 10_000_001}, 2, "trials"),
+    ("localize", {"trials": -1}, 2, "trials"),
+    ("localize", {"trials": 0, "seed": 0}, 0, None),
+    ("localize", {"sweep.analytic_eve_count": 0}, 2,
+     "sweep/analytic_eve_count"),
+    ("localize", {"sweep.analytic_eve_count": 1}, 0, None),
+    # Integer fields take integer literals only; the seed is nonnegative.
+    ("sweep", {"trials": 20.0}, 2, "trials"),
+    ("localize", {"seed": 5.0}, 2, "seed"),
+    ("sweep", {"eve": "uniform", "sweep.analytic_eve_count": 9.0}, 2,
+     "sweep/analytic_eve_count"),
+    ("localize", {"seed": -5}, 2, "seed"),
+    ("sweep", {"seed": -5}, 2, "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, changes, code, field", READER_ROWS,
+    ids=[command + "-" + ",".join(
+        f"{key or 'config'}=" + ("missing" if value is MISSING
+                                 else json.dumps(value))
+        for key, value in changes.items())
+        for command, changes, _, _ in READER_ROWS])
+def test_config_reader_names_the_offending_field(tmp_path, capsys, command,
+                                                 changes, code, field):
+    path = write_config(tmp_path / "c.json")
+    cfg = json.loads(path.read_text())
+    for dotted, value in changes.items():
+        if not dotted:
+            cfg = value
+            continue
+        *parents, key = dotted.split(".")
+        node = cfg
+        for name in parents:
+            node = node[int(name) if name.isdigit() else name]
+        key = int(key) if key.isdigit() else key
+        if value is MISSING:
+            del node[key]
+        else:
+            node[key] = value
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "x.csv"
+    argv = [command, str(path)]
+    if command == "sweep":
+        argv += ["--out", str(out)]
+    rc, stdout, err = run(argv, capsys)
+    assert rc == code, err
+    if code == 2:
+        assert stdout == ""
+        assert err.startswith("config error:") and err.count("\n") == 1
+        assert f"field {field}:" in err
+        assert not out.exists()
+
+
+def test_negative_seed_flag_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json")
+    rc, out, err = run(["localize", str(cfg), "--seed", "-1"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "--seed" in err
+
+
+def test_sweep_to_an_unwritable_path_exits_2(tmp_path, capsys):
+    cfg = write_config(tmp_path / "c.json", trials=0)
+    out = tmp_path / "missing" / "x.csv"
+    rc, stdout, err = run(["sweep", str(cfg), "--out", str(out)], capsys)
+    assert rc == 2
+    assert stdout == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert str(out) in err
+    assert not (tmp_path / "missing").exists()
+
+
 def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):
     # Python's int() refuses literals over 4300 digits by default.
     rc, out, err = run_with_literal(tmp_path, capsys, "localize", "seed",
