@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -32,6 +33,7 @@ from .experiment import (
 )
 from .localization import (
     AnchorArray,
+    NoisySquaredDistances,
     Scenario,
     build_system,
     consistency_gap,
@@ -123,11 +125,13 @@ def _cmd_localize(args) -> int:
     if args.seed is not None and args.seed < 0:
         raise DomainError("--seed must be nonnegative")
     seed = cfg["seed"] if args.seed is None else args.seed
-    rng = np.random.default_rng(seed)
-    override = 0.0 if args.noise == "off" else None
-    obs = sample_noisy_squared_distances(
-        scen.alice, scen.anchors, scen.channel, rng,
-        noise_std_override=override)
+    if args.noise == "off":
+        d = scen.alice_distances()
+        obs = NoisySquaredDistances(d, np.zeros_like(d), d * d)
+    else:
+        obs = sample_noisy_squared_distances(
+            scen.alice, scen.anchors, scen.channel,
+            np.random.default_rng(seed))
     estimate = solve_position(*build_system(scen.anchors, obs.observed_sq_m2))
     payload = {
         "x_m": estimate[0],
@@ -141,6 +145,11 @@ def _cmd_localize(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args.config)
+    # Checked here, without creating the file, so a bad path wastes no sweep.
+    directory = os.path.dirname(args.out) or "."
+    if not os.path.isdir(directory):
+        raise OSError(f"cannot write {args.out}: {directory} is not a "
+                      f"directory")
     grid = _power_grid(cfg)
     scen = _scenario_from(cfg, power_db=float(grid[0]))
     thresholds, provenance = _thresholds_from(cfg, scen)
@@ -296,8 +305,9 @@ def _check_config(cfg, path: str) -> None:
             t, a, lambda x: x >= 0, "must not be negative"))
     else:
         fail(at, "must be an array of thresholds or an object")
+    # Each region point is one form per grid power and threshold.
     integer(sweep.get("analytic_eve_count", 1),
-            ("sweep", "analytic_eve_count"), 1, sys.float_info.max)
+            ("sweep", "analytic_eve_count"), 1, 100_000)
     # 10^7 trials hold 160 MB of statistics per grid power.
     integer(cfg["trials"], ("trials",), 0, 10_000_000)
     integer(cfg["seed"], ("seed",), 0)

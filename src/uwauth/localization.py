@@ -151,23 +151,13 @@ class NoisySquaredDistances:
 
 def sample_noisy_squared_distances(point, anchors: AnchorArray,
                                    channel: ChannelParams,
-                                   rng: np.random.Generator, *,
-                                   noise_std_override=None) -> NoisySquaredDistances:
+                                   rng: np.random.Generator
+                                   ) -> NoisySquaredDistances:
     """Draw one set of noisy squared-distance observations from a
     transmitter at point, following the linearized model
-    d_hat^2 = d^2 + 2*n*d.
-
-    noise_std_override replaces the channel-derived sigma per anchor
-    (a scalar or length-L array; 0 gives noiseless observations).
-    """
+    d_hat^2 = d^2 + 2*n*d."""
     d = anchors.distances_to(point)
-    if noise_std_override is None:
-        sigma = np.sqrt(distance_noise_variance(d, channel))
-    else:
-        sigma = np.broadcast_to(
-            np.asarray(noise_std_override, dtype=float), d.shape).copy()
-        if np.any(sigma < 0):
-            raise DomainError("noise std override must be nonnegative")
+    sigma = np.sqrt(distance_noise_variance(d, channel))
     return NoisySquaredDistances(d, sigma,
                                  draw_squared_distances(d, sigma, rng, 1)[0])
 

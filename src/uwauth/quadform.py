@@ -2,7 +2,9 @@
 
 Q = sum_i (a_i Z_i + delta_i)^2 with Z_i independent standard normal and
 a_i > 0, which is a weighted sum of noncentral chi-square(1) variables
-with weights w_i = a_i^2 and noncentralities lam_i = (delta_i / a_i)^2.
+with weights a_i^2 and noncentralities lam_i = (delta_i / a_i)^2. Each
+form is evaluated in units of its largest weight, scale = max a_i^2: the
+weights w_i = a_i^2 / scale peak at 1, and x is read as (x - shift) / scale.
 
 Terms whose scale is negligible next to their form's largest are folded
 into a deterministic shift, the sum of their delta_i^2. Forms with one
@@ -31,11 +33,11 @@ exponent is E(t) = K(t) - t K'(t). E falls from 0 monotonically as t
 moves away from 0 either way (Kuonen, Biometrika 86:929, 1999), so the
 points certified below 1e-14 form two tails, cut off by one point per
 form on the saddle-point curve x = K'(t): lo below the mean (t < 0),
-where E reaches log 1e-14, and hi above it (0 < t < 1 / (2 max w)). A
+where E reaches log 1e-14, and hi above it (0 < t < 1/2). A
 cell is reported as 0 if x <= lo and as 1 if x >= hi. Both points come
 from one vectorized Newton solve on log(-E), bracketed, with a bisection
-fallback, in u = log(-t max w) below the mean and v = -log(1 - 2 t max w)
-above it, in which log(-E) grows about linearly; E is summed as
+fallback, in u = log(-t) below the mean and v = -log(1 - 2 t) above it,
+in which log(-E) grows about linearly; E is summed as
 sum(-1/2 log r - w t / r - 2 lam (w t)^2 / r^2), r = 1 - 2 w t, since
 K - t K' cancels badly far out. Each point's exponent lies within 2e-9
 below the cut. The solve runs once per batch of forms, for lo, hi and the
@@ -60,15 +62,15 @@ amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0.
 
-Quantiles. QuadFormDist.quantile bisects each level in y = log(x - shift),
-net of the form's deterministic shift, between the form's points lo and
-hi, where the CDF is within 1e-14 of 0 and 1, with the same
-_QUANTILE_HALVINGS halvings for every level, so each threshold net of the
-shift has relative resolution log(hi / lo) 2^-41: at most 3.2e-11 on
-every form measured, where log(hi / lo) <= 70. A one-term form with a
-folded shift puts a low level at x - shift ~ 1e-12, under its singular
-density, which a bracket in log x would resolve only to ~1e-12 of the
-shift.
+Quantiles. QuadFormDist.quantile bisects each level in y = log(x / lo),
+x in the form's unit, over [0, log(hi / lo)], where the CDF is within
+1e-14 of 0 at lo and of 1 at hi, with the same _QUANTILE_HALVINGS
+halvings for every level, so each threshold net of the shift has
+relative resolution log(hi / lo) 2^-41: at most 3.2e-11 on every form
+measured, where log(hi / lo) <= 70. As y starts from 0, a form
+concentrated far from zero keeps that resolution, and a one-term form
+with a folded shift resolves a low level at x - shift ~ 1e-12 under its
+singular density.
 """
 
 from __future__ import annotations
@@ -191,16 +193,16 @@ class QuadFormDist:
         p = levels.ravel()
         if not np.all((0.0 < p) & (p < 1.0)):
             raise DomainError("quantile probability must lie in (0, 1)")
-        _, _, shift, points = self._form
+        _, _, shift, scale, points = self._form
         lo, hi, _ = points[:, 0]
-        y_lo = np.full(p.size, np.log(lo))
-        y_hi = np.full(p.size, np.log(hi))
+        y_lo = np.zeros(p.size)
+        y_hi = np.full(p.size, np.log(hi / lo))
         for _ in range(_QUANTILE_HALVINGS):
             mid = 0.5 * (y_lo + y_hi)
-            below = self._cdf(shift + np.exp(mid)) < p
+            below = self._cdf(shift + scale * (lo * np.exp(mid))) < p
             y_lo = np.where(below, mid, y_lo)
             y_hi = np.where(below, y_hi, mid)
-        q = shift + np.exp(0.5 * (y_lo + y_hi))
+        q = shift + scale * (lo * np.exp(0.5 * (y_lo + y_hi)))
         gap = np.abs(self._cdf(q) - p)
         if np.any(gap > 1e-6):
             worst = float(np.max(gap))
@@ -248,42 +250,45 @@ def _check_terms(a, d) -> None:
 
 
 def _prepare(a, d):
-    """The forms in the rows of a, d (N, L) as weights w and
-    noncentralities lam (N, L), deterministic shifts (N,) and saddle-curve
-    points lo, hi, c (3, N).
+    """The forms in the rows of a, d (N, L) as unit weights w and
+    noncentralities lam (N, L), deterministic shifts and scales (N,) and
+    saddle-curve points lo, hi, c (3, N) in units of the scale.
 
     Terms whose scale is below _DEGENERATE_RTOL of their form's largest
     add delta^2 to its shift and keep their column with w = lam = 0, which
     adds exactly nothing to _curve_points or _euler_chunk.
     """
-    tiny = a < _DEGENERATE_RTOL * a.max(axis=1, keepdims=True)
+    a_max = a.max(axis=1, keepdims=True)
+    tiny = a < _DEGENERATE_RTOL * a_max
     shift = np.sum(np.where(tiny, d, 0.0) ** 2, axis=1)
-    w = np.where(tiny, 0.0, a ** 2)
+    w = np.where(tiny, 0.0, (a / a_max) ** 2)
     # d / a overflows on some folded terms, which the mask discards.
     with np.errstate(over="ignore"):
         lam = np.where(tiny, 0.0, (d / a) ** 2)
     if not np.all(lam <= _FORM_MAX):
         raise DomainError(f"a noncentrality over {_FORM_MAX:.2g} overflows "
                           f"a double")
-    return w, lam, shift, _curve_points(w, lam)
+    return w, lam, shift, a_max[:, 0] ** 2, _curve_points(w, lam)
 
 
-def _lower_prob(w, lam, shift, points, x) -> np.ndarray:
+def _lower_prob(w, lam, shift, scale, points, x) -> np.ndarray:
     """P(Q_n <= x[n, k]) for the forms prepared by _prepare, at points x
     (N, K), or (1, K) shared by every form.
 
-    Net of each form's shift, cells at or below lo are 0 and at or above
-    hi 1. Between them, a form with one active term takes the closed form,
-    and the remaining cells are inverted with shift c.
+    In each form's unit, cells at or below lo are 0 and at or above hi 1.
+    Between them, a form with one active term takes the closed form, and
+    the remaining cells are inverted with shift c.
     """
     lo, hi, c = points
-    x = x - shift[:, None]
+    # A point beyond the double range in the unit lies in a saturated tail.
+    with np.errstate(over="ignore"):
+        x = (x - shift[:, None]) / scale[:, None]
     p = (x >= hi[:, None]).astype(float)
     todo = (x > lo[:, None]) & (x < hi[:, None])
     one = todo & (np.count_nonzero(w, axis=1) == 1)[:, None]
     if one.any():
         r, k = np.nonzero(one)
-        p[r, k] = _ncx2_cdf(x[r, k] / w[r].max(axis=1), lam[r].sum(axis=1))
+        p[r, k] = _ncx2_cdf(x[r, k], lam[r].sum(axis=1))
         todo &= ~one
     r, k = np.nonzero(todo)
     if r.size:
@@ -301,14 +306,11 @@ def _ncx2_cdf(x, lam) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Saddle-point curve x = K'(t), with exponent E(t) = K(t) - t K'(t)
-#
-# With alpha = 2 t max w and rho = w / max w, every quantity below depends on
-# the form only through rho and lam, apart from the factor max w in K'.
 
 
 def _curve_points(w, lam) -> np.ndarray:
     """The points _CURVE_POINTS on each form's saddle-point curve, shape
-    (3, N), for the forms in the rows of w, lam (N, L).
+    (3, N), for the unit forms in the rows of w, lam (N, L).
 
     _CURVE_POINTS lists (log_mass, upper) pairs. Each point x = K'(t) lies
     above the mean if upper, else below it, and has E(t) in
@@ -327,10 +329,8 @@ def _curve_points(w, lam) -> np.ndarray:
     upper = np.repeat([side for _, side in _CURVE_POINTS], n)
     w = np.tile(w, (kinds, 1))
     lam = np.tile(lam, (kinds, 1))
-    w_max = w.max(axis=1)
-    rho = w / w_max[:, None]
     log_target = np.log(-target)
-    u0 = 0.5 * (log_target - np.log(np.sum(rho * rho * (1.0 + 2.0 * lam),
+    u0 = 0.5 * (log_target - np.log(np.sum(w * w * (1.0 + 2.0 * lam),
                                              axis=1)))
     alpha0 = 2.0 * np.exp(u0)
     with np.errstate(invalid="ignore"):
@@ -341,12 +341,12 @@ def _curve_points(w, lam) -> np.ndarray:
     y = np.where(upper, right, left)
     x = np.full(y.size, np.nan)
     for _ in range(_SADDLE_MAX):
-        # alpha = 2 t max w is -2 e^u below the mean and 1 - e^-v above it.
+        # alpha = 2 t is -2 e^u below the mean and 1 - e^-v above it.
         e_y = np.exp(np.where(upper, -y, y))
         alpha = np.where(upper, -np.expm1(-y), -2.0 * e_y)
-        a = rho * alpha[:, None]
+        a = w * alpha[:, None]
         r = 1.0 - a
-        q = rho / r
+        q = w / r
         with np.errstate(divide="ignore", invalid="ignore"):
             e = -0.5 * np.sum(np.log1p(-a) + a / r * (1.0 + lam * a / r),
                               axis=1)
@@ -355,8 +355,7 @@ def _curve_points(w, lam) -> np.ndarray:
         slope = 0.5 * alpha * np.where(upper, e_y, alpha) * np.sum(
             q * q * (1.0 + 2.0 * lam / r), axis=1)
         met = np.isnan(x) & (np.abs(e - target) <= 1e-9)
-        x[met] = w_max[met] * np.sum(q[met] * (1.0 + lam[met] / r[met]),
-                                     axis=1)
+        x[met] = np.sum(q[met] * (1.0 + lam[met] / r[met]), axis=1)
         if not np.isnan(x).any():
             return x.reshape(kinds, n)
         below = ~(g >= 0.0)

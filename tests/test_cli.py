@@ -407,6 +407,11 @@ READER_ROWS = [
     ("localize", {"sweep.analytic_eve_count": 0}, 2,
      "sweep/analytic_eve_count"),
     ("localize", {"sweep.analytic_eve_count": 1}, 0, None),
+    ("localize", {"sweep.analytic_eve_count": 100_000}, 0, None),
+    ("localize", {"sweep.analytic_eve_count": 100_001}, 2,
+     "sweep/analytic_eve_count"),
+    ("sweep", {"eve": "uniform", "sweep.analytic_eve_count": 10 ** 19}, 2,
+     "sweep/analytic_eve_count"),
     # Integer fields take integer literals only; the seed is nonnegative.
     ("sweep", {"trials": 20.0}, 2, "trials"),
     ("localize", {"seed": 5.0}, 2, "seed"),
@@ -464,15 +469,23 @@ def test_negative_seed_flag_exits_2(tmp_path, capsys):
     assert "--seed" in err
 
 
-def test_sweep_to_an_unwritable_path_exits_2(tmp_path, capsys):
+def test_sweep_to_an_unwritable_path_exits_2(tmp_path, capsys, monkeypatch):
+    # A directory that is missing or a file is refused before the sweep.
+    def refuse(*args, **kwargs):
+        pytest.fail("run_sweep ran although --out cannot be written")
+
+    monkeypatch.setattr(cli, "run_sweep", refuse)
     cfg = write_config(tmp_path / "c.json", trials=0)
-    out = tmp_path / "missing" / "x.csv"
-    rc, stdout, err = run(["sweep", str(cfg), "--out", str(out)], capsys)
-    assert rc == 2
-    assert stdout == ""
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert str(out) in err
+    (tmp_path / "file.txt").write_text("")
+    for parent in ("missing", "file.txt"):
+        out = tmp_path / parent / "x.csv"
+        rc, stdout, err = run(["sweep", str(cfg), "--out", str(out)], capsys)
+        assert rc == 2
+        assert stdout == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert str(out) in err
     assert not (tmp_path / "missing").exists()
+    assert (tmp_path / "file.txt").read_text() == ""
 
 
 def test_integer_literal_over_the_digit_limit_exits_2(tmp_path, capsys):

@@ -83,6 +83,7 @@ def test_scale_equivariance():
     a = rng.uniform(0.5, 3.0, 4)
     off = rng.normal(0.0, 2.0, 4)
     base = QuadFormDist(a, off)
+    levels = np.array([1e-6, 0.1, 0.5, 0.9, 1.0 - 1e-6])
     for c in (1e-3, 12.0, 1e5):
         scaled = QuadFormDist(c * a, c * off)
         for q in (0.1, 0.5, 0.9):
@@ -90,6 +91,33 @@ def test_scale_equivariance():
             x = max(x, base.mean() * 0.05)
             assert scaled.cdf(c * c * x) == pytest.approx(base.cdf(x),
                                                           abs=2e-7)
+    # Each form is evaluated in units of its largest weight, so scaling by
+    # a power of two, exact in doubles, changes no bit of either answer.
+    x = base.mean() * np.array([0.05, 0.5, 1.0, 2.0, 5.0])
+    for c in (2.0 ** -498, 2.0 ** 498):
+        scaled = QuadFormDist(c * a, c * off)
+        assert [scaled.cdf(c * c * v) for v in x] == [base.cdf(v) for v in x]
+        np.testing.assert_array_equal(scaled.quantile(levels) / (c * c),
+                                      base.quantile(levels))
+
+
+def test_quantile_of_a_form_with_only_tiny_scales():
+    # Weight 1e-300: the saddle-curve points of the raw form would
+    # underflow, and the quantile stalled at |cdf - p| = 1.
+    q = QuadFormDist([1e-150], [0.0]).quantile(0.5)
+    assert q == pytest.approx(1e-300 * chi2.ppf(0.5, 1), rel=1e-9)
+
+
+def test_quantile_of_a_form_with_noncentrality_1e20():
+    # sd / mean = 2e-10: log x cannot resolve it, and the quantile stalled
+    # at |cdf - p| = 1.27e-5. Exact: Phi(sqrt x - 1e10) - Phi(-sqrt x - 1e10),
+    # with sqrt x - 1e10 = (x - 1e20) / (sqrt x + 1e10).
+    dist = QuadFormDist([1.0], [1e10])
+    levels = np.array([1e-6, 0.5, 1.0 - 1e-6])
+    q = dist.quantile(levels)
+    exact = norm.cdf((q - 1e20) / (np.sqrt(q) + 1e10))
+    assert np.max(np.abs(exact - levels)) <= 1e-6
+    assert max(abs(dist.cdf(v) - p) for v, p in zip(q, levels)) <= 1e-6
 
 
 def test_negligible_scale_folds_into_shift():
@@ -416,7 +444,9 @@ def test_tail_classifier_matches_brute_force_minimum():
     cells = saturated = 0
     for _ in range(300):
         terms = int(rng.integers(2, 7))
+        # _curve_points takes forms in units of their largest weight.
         w = 10.0 ** rng.uniform(-4.0, 0.0, terms)
+        w /= w.max()
         lam = np.where(rng.random(terms) < 0.3, 0.0,
                        10.0 ** rng.uniform(-2.0, 4.0, terms))
         x = float(np.sum(w * (1.0 + lam))) * 10.0 ** rng.uniform(-3.0, 1.0)
@@ -474,6 +504,7 @@ def test_saturation_points_certify_at_50_digits():
     cut = math.log(1e-14)
     for terms in list(range(1, 7)) * 4:
         w = 10.0 ** rng.uniform(-8.0, 0.0, terms)
+        w /= w.max()
         lam = np.where(rng.random(terms) < 0.3, 0.0,
                        10.0 ** rng.uniform(-2.0, 20.0, terms))
         lo, hi, _ = quadform._curve_points(w[None], lam[None])[:, 0]
@@ -563,18 +594,18 @@ def test_sampler_shapes():
 
 def _cold_bisection(dist, p):
     """One level at a time, through scalar cdf calls: a fixed number of
-    halvings in log(x - shift) between the form's points lo and hi, as
-    quantile documents."""
-    _, _, (shift,), points = dist._form
+    halvings in log(x / lo), x in the form's unit, over [0, log(hi / lo)],
+    as quantile documents."""
+    _, _, (shift,), (scale,), points = dist._form
     lo, hi, _ = points[:, 0]
-    y_lo, y_hi = np.log(lo), np.log(hi)
+    y_lo, y_hi = 0.0, np.log(hi / lo)
     for _ in range(quadform._QUANTILE_HALVINGS):
         mid = 0.5 * (y_lo + y_hi)
-        if dist.cdf(shift + np.exp(mid)) < p:
+        if dist.cdf(shift + scale * (lo * np.exp(mid))) < p:
             y_lo = mid
         else:
             y_hi = mid
-    return float(shift + np.exp(0.5 * (y_lo + y_hi)))
+    return float(shift + scale * (lo * np.exp(0.5 * (y_lo + y_hi))))
 
 
 def test_batched_quantile_matches_cold_bisection_bit_for_bit():
@@ -630,11 +661,13 @@ def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
 
 def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
     # Cells the classifier leaves to the inversion, more than one chunk of
-    # them, so the chunk seam is crossed.
+    # them, so the chunk seam is crossed; forms in units of their largest
+    # weight, as _prepare hands them on.
     rng = np.random.default_rng(12)
     for terms in (1, 3, 6):
         n = 2 * quadform._EULER_CHUNK
         w = 10.0 ** rng.uniform(-3.0, 1.0, (n, terms))
+        w /= w.max(axis=1, keepdims=True)
         lam = np.where(rng.random((n, terms)) < 0.3, 0.0,
                        10.0 ** rng.uniform(-2.0, 6.0, (n, terms)))
         sd = np.sqrt(np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=1))
@@ -650,7 +683,7 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
         assert batch.tolist() == single
         assert np.all((batch > -1e-7) & (batch < 1.0 + 1e-7))
     # Without the shift, far-off forms fail; the batch reports the worst.
-    w = np.array([[1.0, 4.0], [1.0, 4.0], [1.0, 4.0]])
+    w = np.array([[0.25, 1.0], [0.25, 1.0], [0.25, 1.0]])
     lam = np.array([[1500.0 ** 2, 1100.0 ** 2]] * 2 + [[1.0, 1.0]])
     x = np.sum(w * (1.0 + lam), axis=1)
     achieved = []
