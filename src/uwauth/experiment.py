@@ -7,8 +7,8 @@ deployment region. The analytic average uses a low-discrepancy point set,
 so reruns are reproducible, but it is not free of sampling error: the
 miss mass sits in a small region around the claimed position that the
 default 1000 points miss, so on configs/baseline.json p_md_analytic
-prints 0.0 from 45 dB on, where the true average is ~1e-7 to 3e-6
-(item 1 of ROADMAP.md).
+prints 0.0 from 40 dB on (2.4e-17 at 40 dB, threshold 3), where the true
+average is ~1e-7 to 3e-6 (item 1 of ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -135,8 +135,9 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     return rows
 
 
-# Upper limit on roc_curve's points: every level bisects at once, so the
-# work and memory of one call grow with it.
+# Upper limit on roc_curve's points: every level is solved at once, each
+# CDF pass over the levels still open, so the work and memory of one call
+# grow with it.
 MAX_ROC_POINTS = 100_000
 
 

@@ -3,8 +3,9 @@
 Q = sum_i (a_i Z_i + delta_i)^2 with Z_i independent standard normal and
 a_i > 0, which is a weighted sum of noncentral chi-square(1) variables
 with weights a_i^2 and noncentralities lam_i = (delta_i / a_i)^2. Each
-form is evaluated in units of its largest weight, scale = max a_i^2: the
-weights w_i = a_i^2 / scale peak at 1, and x is read as (x - shift) / scale.
+form is evaluated in units of its largest weight a_max^2, a_max = max a_i:
+the weights w_i = (a_i / a_max)^2 peak at 1, and x is read as
+(x - shift) / a_max / a_max, dividing twice since a_max^2 can underflow.
 
 Terms whose scale is negligible next to their form's largest are folded
 into a deterministic shift, the sum of their delta_i^2. Forms with one
@@ -62,15 +63,25 @@ amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0.
 
-Quantiles. QuadFormDist.quantile bisects each level in y = log(x / lo),
-x in the form's unit, over [0, log(hi / lo)], where the CDF is within
-1e-14 of 0 at lo and of 1 at hi, with the same _QUANTILE_HALVINGS
-halvings for every level, so each threshold net of the shift has
-relative resolution log(hi / lo) 2^-41: at most 3.2e-11 on every form
-measured, where log(hi / lo) <= 70. As y starts from 0, a form
-concentrated far from zero keeps that resolution, and a one-term form
-with a folded shift resolves a low level at x - shift ~ 1e-12 under its
-singular density.
+Quantiles. QuadFormDist.quantile solves F(x) = p for each level in y =
+log(x / lo), x in the form's unit, over [0, log(hi / lo)], where the CDF
+is within 1e-14 of 0 at lo and of 1 at hi. The levels share three
+halvings of that bracket; from the midpoint of what remains, each takes
+safeguarded Newton steps with dF/dy = f(x) x: the density f comes from
+the same pass as F, as the closed form of a one-term form, as 0 in a
+saturated tail, and otherwise from the same EULER sum with phi(s), the
+transform of the density, in place of phi(s) / s. A step that leaves the
+bracket, starts where f is 0, or is longer than half the step before it
+halves the bracket instead, so noise in F cannot stall the search. A
+level stops at the last point it evaluated once |F - p| <= 1e-12, or
+1e-8 of its tail mass min(p, 1 - p) where that is smaller (1e-6 once a
+Newton step has been refused, as it is where noise in F dominates), or
+once its next step is below log(hi / lo) 2^-41 (at most 3.2e-11 on every
+form measured, where log(hi / lo) <= 70). Stopped levels are not
+evaluated again, so each gets the value it would get alone. The shipped
+forms stop within 16 passes. As y starts from 0, a form concentrated far
+from zero keeps that resolution, and a one-term form with a folded shift
+resolves a low level at x - shift ~ 1e-12 under its singular density.
 """
 
 from __future__ import annotations
@@ -115,8 +126,20 @@ _CURVE_POINTS = ((log(_SATURATION), False), (log(_SATURATION), True),
 # Newton with bisection fallback meets its 1e-9 window within ~50 halvings
 # of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
 _SADDLE_MAX = 100
-# Halvings of each quantile's log-x bracket [log lo, log hi].
-_QUANTILE_HALVINGS = 40
+# Quantile search: shared halvings of each level's log-x bracket
+# [log lo, log hi] before Newton takes over from the midpoint of the rest.
+# A level stops once its next step is below 2^-_QUANTILE_RESOLUTION of the
+# bracket, or its CDF is within _QUANTILE_CDF_TOL of the level, or
+# _QUANTILE_TAIL_RTOL of its tail mass if that is smaller
+# (_QUANTILE_STALL_RTOL once Newton stalls). Shipped forms stop within 16
+# passes, and levels down to 1e-15 within ~50; _QUANTILE_STEPS passes
+# raise AccuracyError.
+_QUANTILE_HALVINGS = 3
+_QUANTILE_RESOLUTION = 41
+_QUANTILE_CDF_TOL = 1e-12
+_QUANTILE_TAIL_RTOL = 1e-8
+_QUANTILE_STALL_RTOL = 1e-6
+_QUANTILE_STEPS = 100
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,24 +209,75 @@ class QuadFormDist:
         """Smallest x with P(Q <= x) = p, located so |cdf(x) - p| <= 1e-6.
 
         p is a level or an array of levels; a float comes back for a
-        scalar p, else an array of p's shape. All levels share each CDF
-        evaluation, and each gets the value it would get alone, bit for bit.
+        scalar p, else an array of p's shape. A safeguarded Newton search
+        in log x (see the module docstring) returns, for each level, the
+        last point it evaluated, which usually has |cdf(x) - p| <= 1e-12.
+        All levels share each CDF pass, and a level that has stopped is
+        not evaluated again, so each gets the value it would get alone,
+        bit for bit. AccuracyError is raised if a level ends farther than
+        1e-6 from p, or the search does not end within _QUANTILE_STEPS
+        passes.
         """
         levels = np.asarray(p, dtype=float)
         p = levels.ravel()
         if not np.all((0.0 < p) & (p < 1.0)):
             raise DomainError("quantile probability must lie in (0, 1)")
-        _, _, shift, scale, points = self._form
+        _, _, shift, a_max, points = self._form
         lo, hi, _ = points[:, 0]
+        top = np.log(hi / lo)
+        resolution = top * 2.0 ** -_QUANTILE_RESOLUTION
+        # |F - p| that stops a level: 1e-12, or a share of its tail mass
+        # where that is smaller, since a deep level needs more than 1e-12.
+        # The share is larger once Newton stalls on the noise in F.
+        tail = np.minimum(p, 1.0 - p)
+        cdf_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_TAIL_RTOL * tail)
+        stall_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_STALL_RTOL * tail)
+        q = np.empty(p.size)
+        gap = np.empty(p.size)
+        # The levels still open, their brackets [y_lo, y_hi] in
+        # y = log(x / lo), x in the form's unit, their next points y and
+        # the length of their last step.
+        todo = np.arange(p.size)
         y_lo = np.zeros(p.size)
-        y_hi = np.full(p.size, np.log(hi / lo))
-        for _ in range(_QUANTILE_HALVINGS):
-            mid = 0.5 * (y_lo + y_hi)
-            below = self._cdf(shift + scale * (lo * np.exp(mid))) < p
-            y_lo = np.where(below, mid, y_lo)
-            y_hi = np.where(below, y_hi, mid)
-        q = shift + scale * (lo * np.exp(0.5 * (y_lo + y_hi)))
-        gap = np.abs(self._cdf(q) - p)
+        y_hi = np.full(p.size, top)
+        y = 0.5 * y_hi
+        moved = y
+        for step in range(_QUANTILE_STEPS):
+            x = lo * np.exp(y)
+            point = shift + a_max * (a_max * x)
+            cdf, density = _lower_prob(*self._form, point[None])
+            miss = cdf[0] - p[todo]
+            below = miss < 0.0
+            y_lo = np.where(below, y, y_lo)
+            y_hi = np.where(below, y_hi, y)
+            # After the shared halvings, Newton on F(y) - p with
+            # dF/dy = f(x) x. A step out of the bracket, from a point of
+            # density 0, or longer than half the last step (as where noise
+            # in F stalls it) halves the bracket instead.
+            slope = density[0] * x
+            newton = y - np.divide(miss, slope, out=np.full(y.size, np.inf),
+                                   where=slope > 0.0)
+            by_newton = ((step >= _QUANTILE_HALVINGS)
+                         & (newton > y_lo) & (newton < y_hi)
+                         & (np.abs(newton - y) <= 0.5 * moved))
+            nxt = np.where(by_newton, newton, 0.5 * (y_lo + y_hi))
+            moved = np.abs(nxt - y)
+            # A level stops within its CDF tolerance, or the looser one once
+            # Newton stalls, or once its next step is below the resolution.
+            stalled = (step >= _QUANTILE_HALVINGS) & ~by_newton
+            done = ((np.abs(miss) <= cdf_tol[todo])
+                    | (stalled & (np.abs(miss) <= stall_tol[todo]))
+                    | (moved < resolution))
+            q[todo[done]] = point[done]
+            gap[todo[done]] = np.abs(miss[done])
+            if done.all():
+                break
+            todo, y_lo, y_hi, y, moved = (
+                v[~done] for v in (todo, y_lo, y_hi, nxt, moved))
+        else:
+            raise AccuracyError(
+                f"quantile search did not converge in {_QUANTILE_STEPS} steps",
+                achieved=float(np.max(np.abs(miss[~done]))), target=1e-6)
         if np.any(gap > 1e-6):
             worst = float(np.max(gap))
             raise AccuracyError(
@@ -215,7 +289,7 @@ class QuadFormDist:
         """cdf at each point of the 1-d array x, in one batch."""
         if not np.all(np.isfinite(x)):
             raise DomainError("evaluation point must be finite")
-        return _lower_prob(*self._form, x[None])[0]
+        return _lower_prob(*self._form, x[None])[0][0]
 
 
 def cdf_grid(scales, offsets, x) -> np.ndarray:
@@ -233,7 +307,7 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
     _check_terms(a, d)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise DomainError("evaluation points must be finite and 1-d")
-    return _lower_prob(*_prepare(a, d), x[None])
+    return _lower_prob(*_prepare(a, d), x[None])[0]
 
 
 def _check_terms(a, d) -> None:
@@ -251,8 +325,9 @@ def _check_terms(a, d) -> None:
 
 def _prepare(a, d):
     """The forms in the rows of a, d (N, L) as unit weights w and
-    noncentralities lam (N, L), deterministic shifts and scales (N,) and
-    saddle-curve points lo, hi, c (3, N) in units of the scale.
+    noncentralities lam (N, L), deterministic shifts and largest scales
+    a_max (N,) and saddle-curve points lo, hi, c (3, N) in the unit
+    a_max^2, which is applied as a_max twice: its square can underflow.
 
     Terms whose scale is below _DEGENERATE_RTOL of their form's largest
     add delta^2 to its shift and keep their column with w = lam = 0, which
@@ -268,40 +343,47 @@ def _prepare(a, d):
     if not np.all(lam <= _FORM_MAX):
         raise DomainError(f"a noncentrality over {_FORM_MAX:.2g} overflows "
                           f"a double")
-    return w, lam, shift, a_max[:, 0] ** 2, _curve_points(w, lam)
+    return w, lam, shift, a_max[:, 0], _curve_points(w, lam)
 
 
-def _lower_prob(w, lam, shift, scale, points, x) -> np.ndarray:
+def _lower_prob(w, lam, shift, a_max, points, x):
     """P(Q_n <= x[n, k]) for the forms prepared by _prepare, at points x
-    (N, K), or (1, K) shared by every form.
+    (N, K), or (1, K) shared by every form, and the density there of
+    (Q_n - shift_n) / a_max_n^2, the form in its unit; both (N, K).
 
-    In each form's unit, cells at or below lo are 0 and at or above hi 1.
-    Between them, a form with one active term takes the closed form, and
-    the remaining cells are inverted with shift c.
+    In each form's unit, cells at or below lo are 0 and at or above hi 1,
+    with density 0. Between them, a form with one active term takes the
+    closed form, and the remaining cells are inverted with shift c.
     """
     lo, hi, c = points
     # A point beyond the double range in the unit lies in a saturated tail.
     with np.errstate(over="ignore"):
-        x = (x - shift[:, None]) / scale[:, None]
+        x = (x - shift[:, None]) / a_max[:, None] / a_max[:, None]
     p = (x >= hi[:, None]).astype(float)
+    density = np.zeros(x.shape)
     todo = (x > lo[:, None]) & (x < hi[:, None])
     one = todo & (np.count_nonzero(w, axis=1) == 1)[:, None]
     if one.any():
         r, k = np.nonzero(one)
-        p[r, k] = _ncx2_cdf(x[r, k], lam[r].sum(axis=1))
+        p[r, k], density[r, k] = _ncx2(x[r, k], lam[r].sum(axis=1))
         todo &= ~one
     r, k = np.nonzero(todo)
     if r.size:
-        p[r, k] = _euler_cdf(w[r], lam[r], c[r], x[r, k])
-    return np.clip(p, 0.0, 1.0)
+        p[r, k], density[r, k] = _euler_cdf(w[r], lam[r], c[r], x[r, k])
+    return np.clip(p, 0.0, 1.0), density
 
 
-def _ncx2_cdf(x, lam) -> np.ndarray:
-    """Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) per cell, x > 0,
-    with sqrt lam - sqrt x as (lam - x) / (sqrt lam + sqrt x)."""
+def _ncx2(x, lam) -> tuple[np.ndarray, np.ndarray]:
+    """CDF Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) and density
+    [n(sqrt x - sqrt lam) + n(sqrt x + sqrt lam)] / (2 sqrt x) per cell,
+    x > 0, n the standard normal density, with sqrt lam - sqrt x as
+    (lam - x) / (sqrt lam + sqrt x)."""
     s = np.sqrt(lam) + np.sqrt(x)
-    a, b = ((lam - x) / (s * sqrt(2.0))).tolist(), (s / sqrt(2.0)).tolist()
-    return np.array([0.5 * (erfc(u) - erfc(v)) for u, v in zip(a, b)])
+    u, v = (lam - x) / (s * sqrt(2.0)), s / sqrt(2.0)
+    cdf = np.array([0.5 * (erfc(a) - erfc(b))
+                    for a, b in zip(u.tolist(), v.tolist())])
+    density = (np.exp(-u * u) + np.exp(-v * v)) / np.sqrt(8.0 * np.pi * x)
+    return cdf, density
 
 
 # ---------------------------------------------------------------------------
@@ -383,30 +465,37 @@ _EULER_BINOMIAL = np.array(
 _EULER_CHUNK = 128
 
 
-def _euler_cdf(w, lam, c, x) -> np.ndarray:
-    """P(Q_n <= x_n) per cell by inverting the transform of the CDF of
-    Q_n - c_n; cells are forms w, lam (M, m) with shifts c and points x (M,).
+def _euler_cdf(w, lam, c, x) -> tuple[np.ndarray, np.ndarray]:
+    """P(Q_n <= x_n) and the density of Q_n at x_n per cell, by inverting
+    the transforms of the CDF and the density of Q_n - c_n; cells are
+    forms w, lam (M, m) with shifts c and points x (M,).
 
     Cells run _EULER_CHUNK at a time; EULER's terms do not couple cells,
-    so a cell's value is the same as in a batch of one. An AccuracyError
-    reports the worst cell's error estimate.
+    so a cell's values are the same as in a batch of one. An AccuracyError
+    reports the worst cell's error estimate, which is the CDF's.
     """
     p = np.empty(x.size)
+    density = np.empty(x.size)
     err = np.empty(x.size)
     for k in range(0, x.size, _EULER_CHUNK):
         i = slice(k, k + _EULER_CHUNK)
-        p[i], err[i] = _euler_chunk(w[i], lam[i], c[i], x[i])
+        p[i], density[i], err[i] = _euler_chunk(w[i], lam[i], c[i], x[i])
     bad = ~(err <= _TARGET_ERR)
     if bad.any():
         worst = float(np.max(err[bad]))
         raise AccuracyError(
             f"Laplace inversion error estimate {worst:.2e} exceeds target",
             achieved=worst, target=_TARGET_ERR)
-    return p
+    return p, density
 
 
-def _euler_chunk(w, lam, c, x) -> tuple[np.ndarray, np.ndarray]:
-    """Values and error estimates of one chunk of _euler_cdf's cells."""
+def _euler_chunk(w, lam, c, x):
+    """CDF values, densities and CDF error estimates of one chunk of
+    _euler_cdf's cells.
+
+    The density's transform is phi(s) itself, so its series reuses the
+    CDF's terms phi(s) / s before the division by s.
+    """
     t = x - c
     a = _EULER_A
     s = (a[:, None] + 2j * np.pi * _EULER_K) / (2.0 * t[:, None, None])
@@ -419,14 +508,20 @@ def _euler_chunk(w, lam, c, x) -> tuple[np.ndarray, np.ndarray]:
                - 0.5 * np.sum(np.log1p(ws2), axis=-1)
                + np.sum(2.0 * lam[:, None, None, :] * ws * ws / (1.0 + ws2),
                         axis=-1))
-    terms = _EULER_SIGN * (np.exp(log_phi) / s).real
-    partial = np.cumsum(terms, axis=-1)
+    phi = np.exp(log_phi)
+    partial = np.cumsum(_EULER_SIGN * (phi / s).real, axis=-1)
     scale = np.exp(a / 2.0) / t[:, None]
     p = scale * (partial[..., _EULER_N:] @ _EULER_BINOMIAL)
+    # Reduced in the same (M, 2, n) shape as p: as an (M, n) product,
+    # numpy's sum for a cell depends on the size of its batch.
+    f = scale * (np.cumsum(_EULER_SIGN * phi.real, axis=-1)[..., _EULER_N:]
+                 @ _EULER_BINOMIAL)
     p_prev = scale[:, 1] * (partial[:, 1, _EULER_N - 1:-1] @ _EULER_BINOMIAL)
     # Disagreement between the two A, and the step of the Euler average
     # from n - 1 to n, which tracks truncation the A pair can miss.
     err = np.maximum(np.abs(p[:, 1] - p[:, 0]), np.abs(p[:, 1] - p_prev))
     # Aliasing adds e^-A F(3t) + e^-2A F(5t) + ... with coefficients that
     # do not depend on A, so extrapolating the pair cancels its first term.
-    return p[:, 1] + (p[:, 1] - p[:, 0]) / np.expm1(a[1] - a[0]), err
+    ratio = np.expm1(a[1] - a[0])
+    return (p[:, 1] + (p[:, 1] - p[:, 0]) / ratio,
+            f[:, 1] + (f[:, 1] - f[:, 0]) / ratio, err)

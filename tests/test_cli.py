@@ -633,10 +633,10 @@ def _assert_matches_recorded(text, name, analytic):
 
 
 def test_shipped_outputs_match_recorded_files(tmp_path, capsys):
-    # Recorded from the fixed-Eve config with quantiles bisected in log x
-    # between the saddle-curve points; a change that keeps the numerical
-    # method must keep every certified 0 and 1 and move inverted values by
-    # rounding only.
+    # Recorded from the fixed-Eve config with quantiles found by Newton
+    # steps in log x between the saddle-curve points; a change that keeps
+    # the numerical method must keep every certified 0 and 1 and move
+    # inverted values by rounding only.
     out = tmp_path / "fixed.csv"
     rc, _, _ = run(["sweep", FIXED_EVE, "--out", str(out)], capsys)
     assert rc == 0

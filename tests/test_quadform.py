@@ -108,6 +108,30 @@ def test_quantile_of_a_form_with_only_tiny_scales():
     assert q == pytest.approx(1e-300 * chi2.ppf(0.5, 1), rel=1e-9)
 
 
+def test_forms_whose_unit_underflows():
+    # The unit a_max^2 of these forms is subnormal (1e-320) or 0 (1e-340),
+    # so it is applied as a_max twice. Rounded to a subnormal, the unit is
+    # off by 1.1e-5, ~560 standard deviations of the first form, whose
+    # quantiles and CDF lie in the normal range.
+    a = 1e-160
+    tiny = QuadFormDist([a], [1e8 * a])
+    (lam,) = tiny._form[1][0]
+    unit = QuadFormDist([1.0], [np.sqrt(lam)])
+    levels = np.array([1e-6, 0.5, 1.0 - 1e-6])
+    q = tiny.quantile(levels)
+    np.testing.assert_allclose(q / a / a, unit.quantile(levels), rtol=1e-15)
+    assert [tiny.cdf(v) for v in q] == [unit.cdf(v / a / a) for v in q]
+    # 1e-340 is 0.0 as a double, which a zero unit divided into NaN.
+    assert QuadFormDist([1e-170], [0.0]).cdf(1e-340) == 0.0
+    assert QuadFormDist([1e-170], [0.0]).cdf(5e-324) == 1.0
+    # The median 4.55e-321 of 1e-320 chi-square(1) is subnormal: doubles
+    # there are 1.1e-3 apart relatively, so none has |cdf - 0.5| <= 1e-6,
+    # and the quantile refuses every double it could return.
+    with pytest.raises(AccuracyError) as info:
+        QuadFormDist([a], [0.0]).quantile(0.5)
+    assert 1e-6 < info.value.achieved < 1e-3
+
+
 def test_quantile_of_a_form_with_noncentrality_1e20():
     # sd / mean = 2e-10: log x cannot resolve it, and the quantile stalled
     # at |cdf - p| = 1.27e-5. Exact: Phi(sqrt x - 1e10) - Phi(-sqrt x - 1e10),
@@ -138,8 +162,11 @@ def test_negligible_scale_folds_into_shift():
 
 
 def test_one_term_closed_form_matches_scipy_stats():
-    # _ncx2_cdf's erfc formula against scipy.stats' chi2 and ncx2, on x
-    # from 1e-14 to 1e4 and noncentralities 0 and 1e-8 to 1e12.
+    # _ncx2's erfc formula against scipy.stats' chi2 and ncx2, on x from
+    # 1e-14 to 1e4 and noncentralities 0 and 1e-8 to 1e12, and its central
+    # density against chi2's. scipy's ncx2.pdf is off by up to 9e-4
+    # relative on this grid (at lam ~ 62, x ~ 1e-9, against 40-digit
+    # mpmath), so the noncentral density is checked in the mpmath test.
     x, lam = np.meshgrid(np.geomspace(1e-14, 1e4, 200),
                          np.r_[0.0, np.geomspace(1e-8, 1e12, 99)])
     x, lam = x.ravel(), lam.ravel()
@@ -148,15 +175,18 @@ def test_one_term_closed_form_matches_scipy_stats():
     expected[central] = chi2.cdf(x[central], 1)
     with np.errstate(over="ignore"):
         expected[~central] = ncx2.cdf(x[~central], 1, lam[~central])
-    got = quadform._ncx2_cdf(x, lam)
+    got, density = quadform._ncx2(x, lam)
     assert np.all(np.isfinite(expected))
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(density[central], chi2.pdf(x[central], 1),
+                               rtol=1e-10, atol=0.0)
 
 
 def test_one_term_closed_form_against_mpmath_oracle():
-    # Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) at 40 digits, for
-    # lam = 0 and 1e-8 to 1e20, where scipy's chndtr returned NaN from
-    # about 1e12 on, and x from 1e-14 through +-8 sd of the bulk.
+    # Phi(sqrt x - sqrt lam) - Phi(-sqrt x - sqrt lam) and the density
+    # [n(sqrt x - sqrt lam) + n(sqrt x + sqrt lam)] / (2 sqrt x) at 40
+    # digits, for lam = 0 and 1e-8 to 1e20, where scipy's chndtr returned
+    # NaN from about 1e12 on, and x from 1e-14 through +-8 sd of the bulk.
     mp = pytest.importorskip("mpmath")
     xs, lams = [], []
     for lam in np.r_[0.0, np.geomspace(1e-8, 1e20, 29)]:
@@ -171,9 +201,19 @@ def test_one_term_closed_form_against_mpmath_oracle():
             float(mp.ncdf(mp.sqrt(v) - mp.sqrt(l))
                   - mp.ncdf(-mp.sqrt(v) - mp.sqrt(l)))
             for v, l in zip(map(mp.mpf, x), map(mp.mpf, lam))])
-    got = quadform._ncx2_cdf(x, lam)
+        expected_density = np.array([
+            float((mp.npdf(mp.sqrt(v) - mp.sqrt(l))
+                   + mp.npdf(mp.sqrt(v) + mp.sqrt(l))) / (2 * mp.sqrt(v)))
+            for v, l in zip(map(mp.mpf, x), map(mp.mpf, lam))])
+    got, density = quadform._ncx2(x, lam)
     assert x.size > 1000
     np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-15)
+    # Densities below the double range come out as 0.
+    normal = expected_density > 1e-300
+    assert np.count_nonzero(normal) > 1000
+    np.testing.assert_allclose(density[normal], expected_density[normal],
+                               rtol=1e-12, atol=0.0)
+    assert np.all(density[~normal] <= 1e-300)
 
 
 def test_quantile_resolves_low_levels_over_a_folded_shift():
@@ -356,6 +396,38 @@ def test_unresolved_inversion_raises(monkeypatch):
     with pytest.raises(AccuracyError) as info:
         d.cdf(d.mean())
     assert info.value.achieved > info.value.target
+
+
+def test_inverted_density_matches_a_central_difference_of_the_cdf():
+    # The density _lower_prob returns next to the CDF, in the form's unit,
+    # against (F(x + h) - F(x - h)) / 2h, h = 1e-3 min(sd, x - shift), at
+    # quantiles 1e-4 ... 1 - 1e-4 of forms the EULER sum inverts.
+    forms = [
+        ([1.0, 2.0, 0.5], [0.5, -1.5, 0.0]),
+        ([2.0, 1e-30, 1.0], [1.0, 5.0, 0.0]),
+        ([1.0, 2.0], [1500.0, -2200.0]),
+        ([1.0, 1.0], [0.0, 0.0]),
+        ([1.0, 0.1, 0.3, 0.01], [2.0, 1e3, -5.0, 0.0]),
+    ]
+    levels = np.array([1e-4, 0.01, 0.1, 0.5, 0.9, 0.99, 1.0 - 1e-4])
+    for scales, offsets in forms:
+        dist = QuadFormDist(scales, offsets)
+        form = dist._form
+        shift, a_max = form[2][0], form[3][0]
+        x = dist.quantile(levels)
+        h = 1e-3 * np.minimum(np.sqrt(dist.variance()), x - shift)
+        cdf, density = quadform._lower_prob(*form, x[None])
+        assert 0.0 < cdf.min() and cdf.max() < 1.0
+        slope = (quadform._lower_prob(*form, (x + h)[None])[0]
+                 - quadform._lower_prob(*form, (x - h)[None])[0]) / (2.0 * h)
+        f = density / a_max / a_max
+        np.testing.assert_allclose(f, slope, rtol=0.0, atol=1e-5 * f.max())
+    # Saturated cells have density 0.
+    lo, hi, _ = form[4][:, 0]
+    _, density = quadform._lower_prob(
+        *form, np.array([[shift + a_max * (a_max * lo),
+                          shift + a_max * (a_max * hi)]]))
+    assert density.tolist() == [[0.0, 0.0]]
 
 
 def test_cdf_grid_matches_scalar_calls_bit_for_bit():
@@ -592,23 +664,7 @@ def test_sampler_shapes():
     assert len(d) == 2
 
 
-def _cold_bisection(dist, p):
-    """One level at a time, through scalar cdf calls: a fixed number of
-    halvings in log(x / lo), x in the form's unit, over [0, log(hi / lo)],
-    as quantile documents."""
-    _, _, (shift,), (scale,), points = dist._form
-    lo, hi, _ = points[:, 0]
-    y_lo, y_hi = 0.0, np.log(hi / lo)
-    for _ in range(quadform._QUANTILE_HALVINGS):
-        mid = 0.5 * (y_lo + y_hi)
-        if dist.cdf(shift + scale * (lo * np.exp(mid))) < p:
-            y_lo = mid
-        else:
-            y_hi = mid
-    return float(shift + scale * (lo * np.exp(0.5 * (y_lo + y_hi))))
-
-
-def test_batched_quantile_matches_cold_bisection_bit_for_bit():
+def test_batched_quantile_matches_one_level_at_a_time_bit_for_bit():
     levels = np.array([1e-6, 0.01, 0.5, 0.9, 0.99, 1.0 - 1e-6])
     forms = [
         ([1.0, 2.0, 0.5], [0.5, -1.5, 0.0]),   # inversion
@@ -621,10 +677,11 @@ def test_batched_quantile_matches_cold_bisection_bit_for_bit():
         dist = QuadFormDist(scales, offsets)
         batched = dist.quantile(levels)
         assert batched.shape == levels.shape
-        expected = [_cold_bisection(dist, p) for p in levels]
-        np.testing.assert_array_equal(batched, expected)
-        assert [dist.quantile(float(p)) for p in levels] == expected
-        assert isinstance(dist.quantile(0.5), float)
+        alone = [dist.quantile(float(p)) for p in levels]
+        assert batched.tolist() == alone
+        assert isinstance(alone[0], float)
+        for p, x in zip(levels, batched):
+            assert abs(dist.cdf(x) - p) <= 5e-12, (scales, p)
         np.testing.assert_array_equal(dist.quantile(levels[::-1].reshape(2, 3)),
                                       batched[::-1].reshape(2, 3))
     with pytest.raises(DomainError):
@@ -648,6 +705,22 @@ def test_quantile_matches_exact_quantiles():
     for (scales, offsets), exact in cases:
         q = QuadFormDist(scales, offsets).quantile(levels)
         assert np.max(np.abs(exact(q) - levels)) <= 1e-10, scales
+
+
+def test_deep_levels_are_located_relative_to_their_tail():
+    # An absolute stop at |cdf - p| <= 1e-12 put the 1e-13 quantile of
+    # chi-square(1) 13 times too high. Rounding in the closed form, ~1e-16
+    # absolute, limits these levels to ~1e-3 relative.
+    levels = np.array([1e-13, 1e-12, 1.0 - 1e-12, 1.0 - 1e-13])
+    q = QuadFormDist([1.0], [0.0]).quantile(levels)
+    exact = np.r_[chi2.ppf(levels[:2], 1), chi2.isf(1.0 - levels[2:], 1)]
+    np.testing.assert_allclose(q, exact, rtol=1e-3)
+    # Where noise in the inverted CDF exceeds the tolerance, halvings take
+    # over from Newton steps that stall, and the search still ends.
+    levels = np.array([1e-15, 1e-13, 1e-11, 0.5, 1.0 - 1e-11, 1.0 - 1e-15])
+    dist = QuadFormDist([1.0, 1e-3, 1e-6], [0.0, 1e3, 1e3])
+    q = dist.quantile(levels)
+    assert max(abs(dist.cdf(x) - p) for x, p in zip(q, levels)) <= 1e-10
 
 
 def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
@@ -677,10 +750,11 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
         w, lam, c, x = w[keep], lam[keep], c[keep], x[keep]
         n = np.count_nonzero(keep)
         assert n > quadform._EULER_CHUNK
-        batch = quadform._euler_cdf(w, lam, c, x)
+        batch, density = quadform._euler_cdf(w, lam, c, x)
         single = [quadform._euler_cdf(w[i:i + 1], lam[i:i + 1], c[i:i + 1],
-                                      x[i:i + 1])[0] for i in range(n)]
-        assert batch.tolist() == single
+                                      x[i:i + 1]) for i in range(n)]
+        assert batch.tolist() == [p[0] for p, _ in single]
+        assert density.tolist() == [f[0] for _, f in single]
         assert np.all((batch > -1e-7) & (batch < 1.0 + 1e-7))
     # Without the shift, far-off forms fail; the batch reports the worst.
     w = np.array([[0.25, 1.0], [0.25, 1.0], [0.25, 1.0]])

@@ -1,13 +1,18 @@
-"""Write the 40-digit false-alarm reference for the shipped fixed-Eve sweep.
+"""Write the 40-digit false-alarm reference for the shipped fixed-Eve sweep,
+or for its 101-point ROC.
 
 Usage, from the root of the repository:
 
     python tools/p_fa_reference.py > tests/data/fixed-eve-p-fa-reference.csv
+    python tools/p_fa_reference.py roc \
+        > tests/data/fixed-eve-roc-101-p-fa-reference.csv
 
 Only mpmath is used; nothing is imported from uwauth. The range-noise
 variance is transcribed here from the channel model (Thorp absorption,
 log-distance pathloss), and the thresholds are the ones printed in
-tests/data/fixed-eve-sweep.csv, each taken as the double it denotes.
+tests/data/fixed-eve-sweep.csv, or for the ROC, which prints none, the
+ones recorded in tests/data/fixed-eve-roc-101-thresholds.csv by
+tools/roc_thresholds.py; each is taken as the double it denotes.
 
 Method. With no impersonator the statistic is Q = sum_i (2 d_i sigma_i Z_i)^2
 over the anchors at distances d_i from the claimed position. In the shipped
@@ -44,6 +49,7 @@ import mpmath as mp
 ROOT = Path(__file__).resolve().parents[1]
 CONFIG = ROOT / "configs" / "fixed-eve.json"
 SWEEP = ROOT / "tests" / "data" / "fixed-eve-sweep.csv"
+ROC = ROOT / "tests" / "data" / "fixed-eve-roc-101-thresholds.csv"
 DIGITS = 40
 METHOD = "w1 chi2_1 + w2 chi2_2: quadrature = closed form"
 
@@ -88,21 +94,25 @@ def false_alarm(x, w1, w2):
     return p
 
 
-def main() -> int:
+def main(argv: list[str]) -> int:
+    if argv not in ([], ["roc"]):
+        raise SystemExit("usage: p_fa_reference.py [roc]")
+    source, keys = (ROC, ["power_db", "target", "threshold"]) if argv else (
+        SWEEP, ["power_db", "threshold"])
     mp.mp.dps = DIGITS + 10
     cfg = json.loads(CONFIG.read_text())
     out = csv.writer(sys.stdout, lineterminator="\n")
-    out.writerow(["power_db", "threshold", "p_fa", "digits", "method"])
-    with SWEEP.open() as fh:
+    out.writerow([*keys, "p_fa", "digits", "method"])
+    with source.open() as fh:
         for row in csv.DictReader(fh):
             w1, w2 = weights(cfg, float(row["power_db"]))
             x = mp.mpf(float(row["threshold"]))
             p = false_alarm(x, w1, w2)
-            out.writerow([row["power_db"], row["threshold"],
+            out.writerow([*(row[k] for k in keys),
                           mp.nstr(p, DIGITS, min_fixed=1, max_fixed=0),
                           DIGITS, METHOD])
     return 0
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(main(sys.argv[1:]))
