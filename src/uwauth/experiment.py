@@ -52,6 +52,9 @@ class SweepSpec:
     that point, or, when it is None, uniformly over the region. In the
     uniform case the analytic missed-detection rate is averaged over
     analytic_eve_count region points; a fixed eve ignores that count.
+    trials_per_point, master_seed and analytic_eve_count are integers,
+    not bools, and the seed is nonnegative; other values raise
+    DomainError, as does a power grid that is not 1-d.
     """
 
     scenario: Scenario
@@ -69,12 +72,19 @@ class SweepSpec:
         ths = np.atleast_1d(np.asarray(self.thresholds, dtype=float))
         object.__setattr__(self, "power_grid_db", grid)
         object.__setattr__(self, "thresholds", ths)
-        if grid.size == 0 or not np.all(np.isfinite(grid)):
-            raise DomainError("power grid must be nonempty and finite")
+        if (grid.ndim != 1 or grid.size == 0
+                or not np.all(np.isfinite(grid))):
+            raise DomainError("power grid must be 1-d, nonempty and finite")
         if ths.size == 0 or not np.all(np.isfinite(ths)) or np.any(ths < 0):
             raise DomainError("thresholds must be nonnegative and finite")
+        if not _is_integer(self.trials_per_point):
+            raise DomainError("trials_per_point must be an integer")
         if self.trials_per_point < 0:
             raise DomainError("trials_per_point must be nonnegative")
+        if not _is_integer(self.master_seed) or self.master_seed < 0:
+            raise DomainError("master_seed must be a nonnegative integer")
+        if not _is_integer(self.analytic_eve_count):
+            raise DomainError("analytic_eve_count must be an integer")
         if self.analytic_eve_count < 1:
             raise DomainError("analytic_eve_count must be positive")
 
@@ -94,8 +104,23 @@ class SweepRow:
     stderr_md: float | None = None
 
 
+# Forms per cdf_grid call in run_sweep: a block of consecutive grid powers
+# holds as many as fit, and at least one power. The limit keeps a batch's
+# working set from growing with the grid, while small sweeps (21 powers of
+# 21 forms) solve their saddle-curve points and invert their cells in one
+# call.
+_BLOCK_FORMS = 1024
+
+
 def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     """Evaluate the sweep, power-major then threshold.
+
+    The analytic columns of a block of consecutive grid powers come from
+    one cdf_grid call over the statistic forms of every (power,
+    transmitter) pair: the legitimate node and each impersonator position.
+    A block holds as many powers as fit in _BLOCK_FORMS forms, at least
+    one; a cell's value does not depend on the block it is evaluated in.
+    The Monte Carlo columns are then simulated power by power.
 
     Output is a pure function of the sweep settings: Monte Carlo trials
     at grid index i derive their generators from (master_seed, i), so
@@ -109,29 +134,34 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
             region_point_set(spec.analytic_eve_count, scen.region))
     else:
         d_eve = scen.eve_distances()[None]
+    block = max(1, _BLOCK_FORMS // (1 + len(d_eve)))
 
     rows: list[SweepRow] = []
-    for i, power in enumerate(spec.power_grid_db):
-        scen_i = _with_power(scen, float(power))
-        p_fa, miss = _error_grid(scen_i, d_eve, spec.thresholds)
-        # Each threshold's miss column is averaged as a contiguous copy, so
-        # it sums in the order of a 1-d list.
-        p_md = [float(np.mean(col.copy())) for col in miss.T]
+    grid = spec.power_grid_db
+    for start in range(0, grid.size, block):
+        p_fa, miss = _error_grid(scen, grid[start:start + block], d_eve,
+                                 spec.thresholds)
+        for i, (fa_i, miss_i) in enumerate(zip(p_fa, miss), start):
+            power = float(grid[i])
+            # Each threshold's miss column is averaged as a contiguous copy,
+            # so it sums in the order of a 1-d list.
+            p_md = [float(np.mean(col.copy())) for col in miss_i.T]
 
-        if spec.trials_per_point > 0:
-            ts0, ts1 = simulate_test_statistics(
-                scen_i, spec.trials_per_point, (spec.master_seed, i),
-                workers=workers)
-
-        for th, fa_analytic, md_analytic in zip(spec.thresholds, p_fa, p_md):
-            th = float(th)
-            emp = ()
             if spec.trials_per_point > 0:
-                rates = count_error_rates(ts0, ts1, th)
-                emp = (rates.p_fa, rates.p_md,
-                       rates.stderr_fa, rates.stderr_md)
-            rows.append(SweepRow(float(power), th, float(fa_analytic),
-                                 md_analytic, *emp))
+                ts0, ts1 = simulate_test_statistics(
+                    _with_power(scen, power), spec.trials_per_point,
+                    (spec.master_seed, i), workers=workers)
+
+            for th, fa_analytic, md_analytic in zip(spec.thresholds, fa_i,
+                                                    p_md):
+                th = float(th)
+                emp = ()
+                if spec.trials_per_point > 0:
+                    rates = count_error_rates(ts0, ts1, th)
+                    emp = (rates.p_fa, rates.p_md,
+                           rates.stderr_fa, rates.stderr_md)
+                rows.append(SweepRow(power, th, float(fa_analytic),
+                                     md_analytic, *emp))
     return rows
 
 
@@ -148,18 +178,20 @@ def roc_curve(scenario: Scenario, points: int = 101
     Sweeps false-alarm targets over [1e-6, 1 - 1e-6], calibrates the
     exact threshold for each, and returns (p_fa, p_d) arrays. p_fa is
     the achieved rate at the calibrated threshold, which matches the
-    target up to quantile tolerance. points lies in [2, MAX_ROC_POINTS].
+    target up to quantile tolerance. points is an integer in
+    [2, MAX_ROC_POINTS].
     A scenario whose eve is None raises DomainError before any threshold
     is calibrated.
     """
-    if not 2 <= points <= MAX_ROC_POINTS:
+    if not (_is_integer(points) and 2 <= points <= MAX_ROC_POINTS):
         raise DomainError(
-            f"a ROC needs between 2 and {MAX_ROC_POINTS} points")
+            f"a ROC needs an integer number of points, 2 to {MAX_ROC_POINTS}")
     d_eve = scenario.eve_distances()[None]
     targets = np.linspace(1e-6, 1.0 - 1e-6, points)
     th = [cfg.threshold for cfg in calibrate_threshold(scenario, targets)]
-    p_fa, miss = _error_grid(scenario, d_eve, th)
-    return p_fa, 1.0 - miss[0]
+    p_fa, miss = _error_grid(scenario, [scenario.channel.transmit_power_db],
+                             d_eve, th)
+    return p_fa[0], 1.0 - miss[0, 0]
 
 
 def baseline_scenario(*, transmit_power_db: float = 50.0,
@@ -222,18 +254,29 @@ def region_point_set(count: int, region: tuple[float, float]) -> np.ndarray:
     return (unit - 0.5) * np.array([w, h])
 
 
-def _error_grid(scenario: Scenario, d_eve: np.ndarray, thresholds
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Analytic error rates at each threshold: the false-alarm rate (K,)
-    and the miss rate (E, K) of each impersonator position, given by its
-    anchor distances d_eve (E, n_anchors)."""
+def _error_grid(scenario: Scenario, powers_db, d_eve: np.ndarray,
+                thresholds) -> tuple[np.ndarray, np.ndarray]:
+    """Analytic error rates at each transmit power (P,) and threshold (K,):
+    the false-alarm rate (P, K) and the miss rate (P, E, K) of each
+    impersonator position, given by its anchor distances d_eve
+    (E, n_anchors), from one cdf_grid call."""
     d_alice = scenario.alice_distances()
-    # One form per transmitter: row 0 the legitimate node (H0), the rest
-    # one impersonator position each (H1).
+    # One form per power and transmitter: in each power's block of rows,
+    # row 0 is the legitimate node (H0), the rest one impersonator
+    # position each (H1).
     d_tx = np.vstack([d_alice, d_eve])
-    grid = cdf_grid(*statistic_form(d_tx, d_alice, scenario.channel),
-                    thresholds)
-    return 1.0 - grid[0], grid[1:]
+    forms = [statistic_form(d_tx, d_alice,
+                            _with_power(scenario, float(p)).channel)
+             for p in powers_db]
+    grid = cdf_grid(*map(np.concatenate, zip(*forms)), thresholds)
+    grid = grid.reshape(len(forms), len(d_tx), -1)
+    return 1.0 - grid[:, 0], grid[:, 1:]
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))
 
 
 def _with_power(scenario: Scenario, power_db: float) -> Scenario:

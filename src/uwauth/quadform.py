@@ -458,11 +458,12 @@ _EULER_SIGN = np.where(_EULER_K % 2 == 0, 1.0, -1.0)
 _EULER_SIGN[0] = 0.5
 _EULER_BINOMIAL = np.array(
     [comb(_EULER_M, j) for j in range(_EULER_M + 1)]) / 2.0 ** _EULER_M
-# Cells inverted per numpy pass. Each cell's temporaries are a few
-# (2, 66, m) complex arrays, so a chunk needs about a megabyte whatever the
-# batch size; from 32 to 256 cells the time per cell is flat (~50 us at
-# m = 3 on one x86-64 core), below that numpy's per-call overhead shows.
-_EULER_CHUNK = 128
+# Cells inverted per numpy pass. A cell's temporaries, (2, 66, m) complex
+# arrays, peak at ~35 KiB at m = 3, so a chunk of 32 needs ~1.1 MiB
+# whatever the batch size (3.7 MiB at 128). On a 2-core x86-64 host the
+# best time per cell at m = 3 was 30-36 us from 16 to 128 cells, 37-50 us
+# at 8 and 41-57 us at 256; 32 is the smallest chunk on that floor.
+_EULER_CHUNK = 32
 
 
 def _euler_cdf(w, lam, c, x) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ from uwauth import (
     roc_curve,
     run_sweep,
 )
+from uwauth import experiment
 from uwauth.experiment import MAX_ROC_POINTS
 
 
@@ -95,22 +96,44 @@ def test_uniform_impersonator_averages_the_analytic_miss_rate():
 
 
 def test_uniform_sweep_makes_no_per_cell_cdf_calls(monkeypatch):
-    # The region average is one batched cdf_grid call per power, not one
-    # QuadFormDist.cdf call per (region point, threshold) cell.
-    calls = []
-    scalar_cdf = QuadFormDist.cdf
+    # Both powers' 26 forms fit one block, so the sweep is one cdf_grid
+    # call: one saddle-curve solve, and no QuadFormDist.cdf call per
+    # (region point, threshold) cell.
+    solves, cdf_calls = [], []
+    curve_points, scalar_cdf = quadform._curve_points, QuadFormDist.cdf
+
+    def counting_curve_points(w, lam):
+        solves.append(w.shape[0])
+        return curve_points(w, lam)
 
     def counting_cdf(self, x):
-        calls.append(x)
+        cdf_calls.append(x)
         return scalar_cdf(self, x)
 
+    monkeypatch.setattr(quadform, "_curve_points", counting_curve_points)
     monkeypatch.setattr(QuadFormDist, "cdf", counting_cdf)
     scen = baseline_scenario(signal_design_gain=1.0, eve=None)
     spec = SweepSpec(scenario=scen, power_grid_db=[40.0, 50.0],
                      thresholds=[1e5, 2e5], analytic_eve_count=25)
     rows = run_sweep(spec)
     assert len(rows) == 4
-    assert calls == []
+    assert solves == [2 * 26]
+    assert cdf_calls == []
+
+
+def test_blocking_the_power_grid_cannot_change_a_number(monkeypatch):
+    scen = baseline_scenario(signal_design_gain=1.0, eve=None)
+    spec = SweepSpec(scenario=scen,
+                     power_grid_db=[20.0, 35.0, 50.0, 65.0, 80.0],
+                     thresholds=[1e5, 2e5], analytic_eve_count=12)
+    runs = []
+    # Blocks of one power (a 1-form limit still takes one), of two powers'
+    # 26 forms, and the default's one block of all five.
+    for forms in (1, 2 * 13, experiment._BLOCK_FORMS):
+        monkeypatch.setattr(experiment, "_BLOCK_FORMS", forms)
+        runs.append(run_sweep(spec))
+    assert len(runs[0]) == 10
+    assert runs[0] == runs[1] == runs[2]
 
 
 def test_roc_quantile_search_takes_at_most_16_cdf_passes(monkeypatch):
@@ -185,7 +208,7 @@ def test_batched_paths_make_no_scalar_cdf_or_per_level_quantile_calls(
 
 def test_roc_point_count_is_bounded():
     scen = baseline_scenario(signal_design_gain=1.0)
-    for points in (1, MAX_ROC_POINTS + 1):
+    for points in (1, MAX_ROC_POINTS + 1, 2.5, True):
         with pytest.raises(DomainError, match=str(MAX_ROC_POINTS)):
             roc_curve(scen, points=points)
 
@@ -202,6 +225,17 @@ def test_spec_validation():
     with pytest.raises(DomainError):
         SweepSpec(scenario=scen, power_grid_db=[10.0], thresholds=[1.0],
                   analytic_eve_count=0)
+    with pytest.raises(DomainError, match="1-d"):
+        SweepSpec(scenario=scen, power_grid_db=np.zeros((2, 2)),
+                  thresholds=[1.0])
+    for field, value in (("analytic_eve_count", 2.5),
+                         ("analytic_eve_count", True),
+                         ("trials_per_point", 10.5),
+                         ("master_seed", 2.5),
+                         ("master_seed", -1)):
+        with pytest.raises(DomainError, match=f"{field} must be a"):
+            SweepSpec(scenario=scen, power_grid_db=[10.0], thresholds=[1.0],
+                      **{field: value})
 
 
 def test_roc_refuses_a_uniform_impersonator_before_any_quantile(
