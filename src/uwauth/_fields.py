@@ -1,4 +1,6 @@
-"""Value equality for the frozen dataclasses that hold numpy arrays."""
+"""Field checks shared by the modules: value equality for the frozen
+dataclasses that hold numpy arrays, and the integer test for counts and
+seeds."""
 
 from __future__ import annotations
 
@@ -22,3 +24,9 @@ def _equal_fields(self, other):
         elif a != b:
             return False
     return True
+
+
+def _is_integer(value) -> bool:
+    """An int or numpy integer, but not a bool."""
+    return (isinstance(value, (int, np.integer))
+            and not isinstance(value, bool))

@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from ._fields import _is_integer
 from .channel import distance_noise_variance
 from .errors import DomainError
 from .localization import (
@@ -199,10 +200,13 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
     (master_seed, trials): trials are processed in fixed blocks whose
     generators derive from the seed and the block index, so worker count
     and scheduling cannot change them. At most one thread runs per core
-    the process may use, however many workers are asked for.
+    the process may use, however many workers are asked for. trials is a
+    positive integer and master_seed a nonnegative integer or a tuple or
+    list of them, integers meaning ints or numpy integers but not bools;
+    other values raise DomainError.
     """
-    if trials <= 0:
-        raise DomainError("trials must be positive")
+    if not _is_integer(trials) or trials <= 0:
+        raise DomainError("trials must be a positive integer")
     if workers < 1:
         raise DomainError("workers must be at least 1")
     fixed = scenario.eve is not None
@@ -292,6 +296,11 @@ def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
 
 
 def _seed_entropy(master_seed) -> tuple:
-    if isinstance(master_seed, (tuple, list)):
-        return tuple(int(s) for s in master_seed)
-    return (int(master_seed),)
+    """master_seed as the tuple of ints that each block's generator key
+    extends with its block index."""
+    seed = (tuple(master_seed) if isinstance(master_seed, (tuple, list))
+            else (master_seed,))
+    if not all(_is_integer(s) and s >= 0 for s in seed):
+        raise DomainError("master_seed must be a nonnegative integer or a "
+                          "tuple or list of them")
+    return tuple(int(s) for s in seed)

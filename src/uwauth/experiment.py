@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import _equal_fields
+from ._fields import _equal_fields, _is_integer
 from .authentication import (
     calibrate_threshold,
     count_error_rates,
@@ -271,12 +271,6 @@ def _error_grid(scenario: Scenario, powers_db, d_eve: np.ndarray,
     grid = cdf_grid(*map(np.concatenate, zip(*forms)), thresholds)
     grid = grid.reshape(len(forms), len(d_tx), -1)
     return 1.0 - grid[:, 0], grid[:, 1:]
-
-
-def _is_integer(value) -> bool:
-    """An int or numpy integer, but not a bool."""
-    return (isinstance(value, (int, np.integer))
-            and not isinstance(value, bool))
 
 
 def _with_power(scenario: Scenario, power_db: float) -> Scenario:

@@ -65,23 +65,34 @@ that can come out as 0.
 
 Quantiles. QuadFormDist.quantile solves F(x) = p for each level in y =
 log(x / lo), x in the form's unit, over [0, log(hi / lo)], where the CDF
-is within 1e-14 of 0 at lo and of 1 at hi. The levels share three
-halvings of that bracket; from the midpoint of what remains, each takes
-safeguarded Newton steps with dF/dy = f(x) x: the density f comes from
-the same pass as F, as the closed form of a one-term form, as 0 in a
+is within 1e-14 of 0 at lo and of 1 at hi. Each level starts from Imhof's
+three-moment approximation (Biometrika 48:419, 1961, section 4, after
+Pearson 1959), Q ~ k1 + sqrt(k2 / 2 nu) (X - nu) with X chi-square(nu)
+and nu = 8 k2^3 / k3^2, matching the cumulants k_j = 2^(j-1) (j-1)!
+sum w^j (1 + j lam); X's quantile is Wilson and Hilferty's, from Acklam's
+normal quantile. A start nearer lo than 1/8 of the bracket, where the
+inversion can fail its error check on forms led by one term, or nearer
+hi than 1/64, is moved to that distance. From there each level takes
+safeguarded Newton steps on log m, m its tail mass F, or 1 - F above the
+median, with d log m / dy = +-f(x) x / m; in the lower tail F ~ C
+x^(L/2), so log F is nearly linear in y. The density f comes from the
+same pass as F, as the closed form of a one-term form, as 0 in a
 saturated tail, and otherwise from the same EULER sum with phi(s), the
-transform of the density, in place of phi(s) / s. A step that leaves the
-bracket, starts where f is 0, or is longer than half the step before it
-halves the bracket instead, so noise in F cannot stall the search. A
-level stops at the last point it evaluated once |F - p| <= 1e-12, or
-1e-8 of its tail mass min(p, 1 - p) where that is smaller (1e-6 once a
-Newton step has been refused, as it is where noise in F dominates), or
-once its next step is below log(hi / lo) 2^-41 (at most 3.2e-11 on every
-form measured, where log(hi / lo) <= 70). Stopped levels are not
-evaluated again, so each gets the value it would get alone. The shipped
-forms stop within 16 passes. As y starts from 0, a form concentrated far
-from zero keeps that resolution, and a one-term form with a folded shift
-resolves a low level at x - shift ~ 1e-12 under its singular density.
+transform of the density, in place of phi(s) / s. A step from a point of
+mass or density 0, out of the bracket, or longer than half the step
+before it halves the bracket instead, so noise in F cannot stall the
+search. A level stops at the best point it has evaluated, that of least
+|F - p|, once that is within 1e-12, or 1e-8 of its tail mass min(p, 1 -
+p) where that is smaller (1e-6 once a Newton step has been refused, as
+it is where noise in F dominates), or once its next step is below
+log(hi / lo) 2^-41 (at most 3.2e-11 on every form measured, where log(hi
+/ lo) <= 70). Stopped levels are not evaluated again, so each gets the
+value it would get alone. The shipped forms stop within 6 passes (4 for
+a sweep's 3 levels); a level whose tolerance lies below the noise in F,
+such as 1e-10 on an inverted form, ends by halvings within ~50. As y
+starts from 0, a form concentrated far from zero keeps that resolution,
+and a one-term form with a folded shift resolves a low level at x -
+shift ~ 1e-12 under its singular density.
 """
 
 from __future__ import annotations
@@ -126,15 +137,17 @@ _CURVE_POINTS = ((log(_SATURATION), False), (log(_SATURATION), True),
 # Newton with bisection fallback meets its 1e-9 window within ~50 halvings
 # of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
 _SADDLE_MAX = 100
-# Quantile search: shared halvings of each level's log-x bracket
-# [log lo, log hi] before Newton takes over from the midpoint of the rest.
-# A level stops once its next step is below 2^-_QUANTILE_RESOLUTION of the
-# bracket, or its CDF is within _QUANTILE_CDF_TOL of the level, or
-# _QUANTILE_TAIL_RTOL of its tail mass if that is smaller
-# (_QUANTILE_STALL_RTOL once Newton stalls). Shipped forms stop within 16
-# passes, and levels down to 1e-15 within ~50; _QUANTILE_STEPS passes
-# raise AccuracyError.
-_QUANTILE_HALVINGS = 3
+# Quantile search: each level starts from its three-moment approximation,
+# kept at least _QUANTILE_START_LO of the log-x bracket [log lo, log hi]
+# above its lower end and _QUANTILE_START_HI below its upper end, and takes
+# Newton steps on the log of its tail mass. A level stops once its next
+# step is below 2^-_QUANTILE_RESOLUTION of the bracket, or its CDF is
+# within _QUANTILE_CDF_TOL of the level, or _QUANTILE_TAIL_RTOL of its tail
+# mass if that is smaller (_QUANTILE_STALL_RTOL once Newton stalls).
+# Shipped forms stop within 6 passes, and levels down to 1e-15 within ~50;
+# _QUANTILE_STEPS passes raise AccuracyError.
+_QUANTILE_START_LO = 1.0 / 8
+_QUANTILE_START_HI = 1.0 / 64
 _QUANTILE_RESOLUTION = 41
 _QUANTILE_CDF_TOL = 1e-12
 _QUANTILE_TAIL_RTOL = 1e-8
@@ -209,40 +222,48 @@ class QuadFormDist:
         """Smallest x with P(Q <= x) = p, located so |cdf(x) - p| <= 1e-6.
 
         p is a level or an array of levels; a float comes back for a
-        scalar p, else an array of p's shape. A safeguarded Newton search
-        in log x (see the module docstring) returns, for each level, the
-        last point it evaluated, which usually has |cdf(x) - p| <= 1e-12.
-        All levels share each CDF pass, and a level that has stopped is
-        not evaluated again, so each gets the value it would get alone,
-        bit for bit. AccuracyError is raised if a level ends farther than
-        1e-6 from p, or the search does not end within _QUANTILE_STEPS
-        passes.
+        scalar p, else an array of p's shape. Each level starts from
+        Imhof's three-moment approximation and takes safeguarded Newton
+        steps on the log of its tail mass (see the module docstring); it
+        returns the point of least |cdf(x) - p| it evaluated, which
+        usually has |cdf(x) - p| <= 1e-12. All levels share each CDF pass,
+        and a level that has stopped is not evaluated again, so each gets
+        the value it would get alone, bit for bit. AccuracyError is raised
+        if a level ends farther than 1e-6 from p, or the search does not
+        end within _QUANTILE_STEPS passes.
         """
         levels = np.asarray(p, dtype=float)
         p = levels.ravel()
         if not np.all((0.0 < p) & (p < 1.0)):
             raise DomainError("quantile probability must lie in (0, 1)")
-        _, _, shift, a_max, points = self._form
+        w, lam, shift, a_max, points = self._form
         lo, hi, _ = points[:, 0]
         top = np.log(hi / lo)
         resolution = top * 2.0 ** -_QUANTILE_RESOLUTION
-        # |F - p| that stops a level: 1e-12, or a share of its tail mass
-        # where that is smaller, since a deep level needs more than 1e-12.
-        # The share is larger once Newton stalls on the noise in F.
+        # Each level's tail mass m = F, or 1 - F above the median, and the
+        # |F - p| that stops it: 1e-12, or a share of its tail mass where
+        # that is smaller, since a deep level needs more than 1e-12. The
+        # share is larger once Newton stalls on the noise in F.
+        upper = p > 0.5
         tail = np.minimum(p, 1.0 - p)
+        log_tail = np.log(tail)
         cdf_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_TAIL_RTOL * tail)
         stall_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_STALL_RTOL * tail)
+        # Each level's best point so far and its |F - p|.
         q = np.empty(p.size)
-        gap = np.empty(p.size)
+        gap = np.full(p.size, np.inf)
         # The levels still open, their brackets [y_lo, y_hi] in
         # y = log(x / lo), x in the form's unit, their next points y and
-        # the length of their last step.
+        # the length of their last step. The moment start is kept off the
+        # bracket's ends, where the mass is 0 or 1.
         todo = np.arange(p.size)
         y_lo = np.zeros(p.size)
         y_hi = np.full(p.size, top)
-        y = 0.5 * y_hi
-        moved = y
-        for step in range(_QUANTILE_STEPS):
+        y = np.clip(np.log(np.maximum(_moment_start(w[0], lam[0], p) / lo,
+                                      1.0)),
+                    _QUANTILE_START_LO * top, (1.0 - _QUANTILE_START_HI) * top)
+        moved = np.full(p.size, np.inf)
+        for _ in range(_QUANTILE_STEPS):
             x = lo * np.exp(y)
             point = shift + a_max * (a_max * x)
             cdf, density = _lower_prob(*self._form, point[None])
@@ -250,26 +271,33 @@ class QuadFormDist:
             below = miss < 0.0
             y_lo = np.where(below, y, y_lo)
             y_hi = np.where(below, y_hi, y)
-            # After the shared halvings, Newton on F(y) - p with
-            # dF/dy = f(x) x. A step out of the bracket, from a point of
-            # density 0, or longer than half the last step (as where noise
-            # in F stalls it) halves the bracket instead.
+            closer = np.abs(miss) < gap[todo]
+            q[todo[closer]] = point[closer]
+            gap[todo[closer]] = np.abs(miss[closer])
+            # Newton on log m - log(tail), with d log m / dy = +-f(x) x / m.
+            # A step from a point of mass or density 0, out of the bracket,
+            # or longer than half the step before it (as where noise in F
+            # stalls it) halves the bracket instead.
+            up = upper[todo]
+            mass = np.where(up, 1.0 - cdf[0], cdf[0])
             slope = density[0] * x
-            newton = y - np.divide(miss, slope, out=np.full(y.size, np.inf),
-                                   where=slope > 0.0)
-            by_newton = ((step >= _QUANTILE_HALVINGS)
-                         & (newton > y_lo) & (newton < y_hi)
+            ok = (mass > 0.0) & (slope > 0.0)
+            mass = np.where(ok, mass, 1.0)
+            # A step that overflows is out of the bracket.
+            with np.errstate(over="ignore"):
+                step = ((np.log(mass) - log_tail[todo]) * mass
+                        / np.where(ok, slope, 1.0))
+            newton = np.where(ok, np.where(up, y + step, y - step), np.inf)
+            by_newton = ((newton > y_lo) & (newton < y_hi)
                          & (np.abs(newton - y) <= 0.5 * moved))
             nxt = np.where(by_newton, newton, 0.5 * (y_lo + y_hi))
             moved = np.abs(nxt - y)
-            # A level stops within its CDF tolerance, or the looser one once
-            # Newton stalls, or once its next step is below the resolution.
-            stalled = (step >= _QUANTILE_HALVINGS) & ~by_newton
-            done = ((np.abs(miss) <= cdf_tol[todo])
-                    | (stalled & (np.abs(miss) <= stall_tol[todo]))
+            # A level stops once its best point is within its CDF
+            # tolerance, or within the looser one once Newton stalls, or
+            # once its next step is below the resolution.
+            done = ((gap[todo] <= cdf_tol[todo])
+                    | (~by_newton & (gap[todo] <= stall_tol[todo]))
                     | (moved < resolution))
-            q[todo[done]] = point[done]
-            gap[todo[done]] = np.abs(miss[done])
             if done.all():
                 break
             todo, y_lo, y_hi, y, moved = (
@@ -277,7 +305,7 @@ class QuadFormDist:
         else:
             raise AccuracyError(
                 f"quantile search did not converge in {_QUANTILE_STEPS} steps",
-                achieved=float(np.max(np.abs(miss[~done]))), target=1e-6)
+                achieved=float(np.max(gap[todo[~done]])), target=1e-6)
         if np.any(gap > 1e-6):
             worst = float(np.max(gap))
             raise AccuracyError(
@@ -384,6 +412,57 @@ def _ncx2(x, lam) -> tuple[np.ndarray, np.ndarray]:
                     for a, b in zip(u.tolist(), v.tolist())])
     density = (np.exp(-u * u) + np.exp(-v * v)) / np.sqrt(8.0 * np.pi * x)
     return cdf, density
+
+
+# ---------------------------------------------------------------------------
+# Quantile start: Imhof's three-moment approximation
+
+# Acklam's rational approximation of the standard normal quantile: relative
+# error below 1.2e-9, central on [_NORMAL_LOW, 1 - _NORMAL_LOW].
+_NORMAL_LOW = 0.02425
+_NORMAL_A = (-3.969683028665376e+01, 2.209460984245205e+02,
+             -2.759285104469687e+02, 1.383577518672690e+02,
+             -3.066479806614716e+01, 2.506628277459239e+00)
+_NORMAL_B = (-5.447609879822406e+01, 1.615858368580409e+02,
+             -1.556989798598866e+02, 6.680131188771972e+01,
+             -1.328068155288572e+01, 1.0)
+_NORMAL_C = (-7.784894002430293e-03, -3.223964580411365e-01,
+             -2.400758277161838e+00, -2.549732539343734e+00,
+             4.374664141464968e+00, 2.938163982698783e+00)
+_NORMAL_D = (7.784695709041462e-03, 3.224671290700398e-01,
+             2.445134137142996e+00, 3.754408661907416e+00, 1.0)
+
+
+def _normal_quantile(p: np.ndarray) -> np.ndarray:
+    """Standard normal quantile of each level p in (0, 1), by Acklam's
+    approximation."""
+    tail = np.minimum(p, 1.0 - p)
+    r = (p - 0.5) ** 2
+    z = (p - 0.5) * np.polyval(_NORMAL_A, r) / np.polyval(_NORMAL_B, r)
+    t = np.sqrt(-2.0 * np.log(tail))
+    z_tail = np.polyval(_NORMAL_C, t) / np.polyval(_NORMAL_D, t)
+    return np.where(tail < _NORMAL_LOW, np.where(p > 0.5, -z_tail, z_tail), z)
+
+
+def _moment_start(w, lam, p) -> np.ndarray:
+    """Imhof's three-moment approximation to the quantiles p of the unit
+    form w, lam (L,), in its unit.
+
+    k1 + sqrt(k2) (X - nu) / sqrt(2 nu), X = nu (1 - h + z sqrt h)^3 the
+    Wilson-Hilferty quantile of chi-square(nu), h = 2 / (9 nu), is taken
+    as k1 + sqrt(k2) (z - g) (1 + e + e^2 / 3) with g = sqrt h = k3 / (6
+    k2^1.5) and e = g (z - g): the same value, without nu, whose cube
+    overflows at large noncentralities, and without X - nu, which cancels.
+    The cumulants are summed in units of c = max(1 + lam), as s_j = k_j /
+    (2^(j-1) (j-1)! c); unscaled, k3 overflows from ~6 terms of lam ~ 1e306.
+    """
+    c = np.max(1.0 + lam)
+    s1, s2, s3 = (np.sum(w ** j * ((1.0 + j * lam) / c)) for j in (1, 2, 3))
+    sd = sqrt(2.0 * c) * sqrt(s2)
+    g = 2.0 * s3 / (3.0 * sd * s2)
+    z = _normal_quantile(p)
+    e = g * (z - g)
+    return c * s1 + sd * (z - g) * (1.0 + e + e * e / 3.0)
 
 
 # ---------------------------------------------------------------------------

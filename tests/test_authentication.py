@@ -267,6 +267,43 @@ def test_simulation_argument_validation():
     assert u1.shape == (64,)
 
 
+def _empirical_rates(scenario, trials, master_seed):
+    return empirical_rates(scenario, DecisionConfig(1.0), trials, master_seed)
+
+
+@pytest.mark.parametrize("entry", [simulate_test_statistics, _empirical_rates],
+                         ids=["simulate", "empirical"])
+@pytest.mark.parametrize("trials, master_seed, name", [
+    (10.5, 1, "trials"),
+    (True, 1, "trials"),
+    (10, -1, "master_seed"),
+    (10, (1, -2), "master_seed"),
+    (10, 2.5, "master_seed"),
+    (10, (1, 2.5), "master_seed"),
+], ids=["trials-float", "trials-bool", "seed-negative", "seed-tuple-negative",
+        "seed-float", "seed-tuple-float"])
+def test_monte_carlo_entry_points_refuse_non_integer_counts_and_seeds(
+        entry, trials, master_seed, name):
+    # Before, these trials raised an untyped TypeError, the negative seeds
+    # numpy's ValueError, and seeds 2.5 and (1, 2.5) ran as 2 and (1, 2).
+    with pytest.raises(DomainError, match=name):
+        entry(make_scenario(), trials, master_seed)
+
+
+def test_integer_counts_and_seeds_of_every_accepted_type_agree():
+    scen = make_scenario()
+    ts0, ts1 = simulate_test_statistics(scen, 100, 7)
+    for trials, master_seed in ((np.int64(100), 7), (100, np.int64(7)),
+                                (100, np.uint8(7)), (100, [7]),
+                                (100, (np.int32(7),))):
+        a0, a1 = simulate_test_statistics(scen, trials, master_seed)
+        assert a0.tobytes() == ts0.tobytes() and a1.tobytes() == ts1.tobytes()
+    pair = simulate_test_statistics(scen, 100, (1, 2))
+    for master_seed in ([1, 2], (np.int64(1), np.uint16(2))):
+        again = simulate_test_statistics(scen, 100, master_seed)
+        assert [a.tobytes() for a in again] == [a.tobytes() for a in pair]
+
+
 def test_empirical_rates_against_analytic():
     scen = make_scenario(power_db=60.0, gain=1.0)
     cfg = calibrate_threshold(scen, 0.2)

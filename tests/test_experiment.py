@@ -136,29 +136,6 @@ def test_blocking_the_power_grid_cannot_change_a_number(monkeypatch):
     assert runs[0] == runs[1] == runs[2]
 
 
-def test_roc_quantile_search_takes_at_most_16_cdf_passes(monkeypatch):
-    # The ROC of the fixed-Eve config at 50 dB. Each pass is one
-    # _lower_prob call over all the levels still open; 40 halvings and a
-    # check pass took 41.
-    passes, per_quantile = [], []
-    lower_prob, quantile = quadform._lower_prob, QuadFormDist.quantile
-
-    def counting_lower_prob(*args):
-        passes.append(1)
-        return lower_prob(*args)
-
-    def counting_quantile(self, p):
-        before = len(passes)
-        q = quantile(self, p)
-        per_quantile.append(len(passes) - before)
-        return q
-
-    monkeypatch.setattr(quadform, "_lower_prob", counting_lower_prob)
-    monkeypatch.setattr(QuadFormDist, "quantile", counting_quantile)
-    roc_curve(baseline_scenario(), points=101)
-    assert len(per_quantile) == 1 and 4 <= per_quantile[0] <= 16
-
-
 @pytest.fixture
 def scalar_quadform_calls(monkeypatch):
     """Record every QuadFormDist.cdf/sf call and the number of levels of

@@ -17,7 +17,7 @@ from scipy.stats import chi2, ncx2, norm
 
 from uwauth import AccuracyError, DomainError, QuadFormDist, cli, quadform
 from uwauth.channel import distance_noise_variance
-from uwauth.experiment import default_thresholds, region_point_set
+from uwauth.experiment import default_thresholds, region_point_set, roc_curve
 from uwauth.quadform import cdf_grid
 
 
@@ -721,6 +721,69 @@ def test_deep_levels_are_located_relative_to_their_tail():
     dist = QuadFormDist([1.0, 1e-3, 1e-6], [0.0, 1e3, 1e3])
     q = dist.quantile(levels)
     assert max(abs(dist.cdf(x) - p) for x, p in zip(q, levels)) <= 1e-10
+
+
+def _count_quantile_passes(monkeypatch):
+    """The number of _lower_prob passes made by each quantile call, in
+    order."""
+    passes, per_call = [], []
+    lower_prob, quantile = quadform._lower_prob, QuadFormDist.quantile
+
+    def counting_lower_prob(*args):
+        passes.append(1)
+        return lower_prob(*args)
+
+    def counting_quantile(self, p):
+        before = len(passes)
+        q = quantile(self, p)
+        per_call.append(len(passes) - before)
+        return q
+
+    monkeypatch.setattr(quadform, "_lower_prob", counting_lower_prob)
+    monkeypatch.setattr(QuadFormDist, "quantile", counting_quantile)
+    return per_call
+
+
+def test_shipped_quantile_batches_take_few_cdf_passes(monkeypatch):
+    # The H0 form of configs/fixed-eve.json: the 101 levels of its ROC at
+    # 50 dB, and the 3 levels of its sweep thresholds calibrated at 0, 50
+    # and 100 dB. Three shared halvings and Newton steps on F - p took 14
+    # and 11 passes; 40 halvings and a check pass took 41.
+    config = cli._load_config(str(Path(__file__).resolve().parents[1]
+                                  / "configs" / "fixed-eve.json"))
+    per_call = _count_quantile_passes(monkeypatch)
+    roc_curve(cli._scenario_from(config, power_db=50.0), points=101)
+    assert len(per_call) == 1 and per_call[0] <= 6
+    per_call.clear()
+    for power in (0.0, 50.0, 100.0):
+        default_thresholds(cli._scenario_from(config, power_db=power),
+                           at_power_db=power)
+    assert len(per_call) == 3 and max(per_call) <= 5, per_call
+
+
+def test_quantiles_of_random_forms_meet_their_documented_bound(monkeypatch):
+    # Forms of 1 to 5 terms with scales over four decades, each offset 0 or
+    # up to 30 of its scale, at levels from 1e-10 to 1 - 1e-10: every level
+    # ends within the step cap and 1e-6 of its level, and the batch equals
+    # its levels solved one at a time.
+    rng = np.random.default_rng(18)
+    levels = np.array([1e-10, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6,
+                       1.0 - 1e-10])
+    per_call = _count_quantile_passes(monkeypatch)
+    for _ in range(200):
+        terms = rng.integers(1, 6)
+        scales = 10.0 ** rng.uniform(-4.0, 0.0, terms)
+        offsets = np.where(rng.random(terms) < 0.5, 0.0,
+                           scales * rng.uniform(-30.0, 30.0, terms))
+        dist = QuadFormDist(scales, offsets)
+        q = dist.quantile(levels)
+        assert [dist.quantile(p) for p in levels] == q.tolist()
+        assert np.max(np.abs(dist._cdf(q) - levels)) <= 1e-6, (scales,
+                                                                offsets)
+    batches = per_call[::len(levels) + 1]
+    assert max(per_call) <= quadform._QUANTILE_STEPS
+    print(f"CDF passes per batch of {len(levels)} levels: at most "
+          f"{max(batches)}, {np.mean(batches):.1f} on average")
 
 
 def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
