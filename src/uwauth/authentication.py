@@ -200,15 +200,15 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
     (master_seed, trials): trials are processed in fixed blocks whose
     generators derive from the seed and the block index, so worker count
     and scheduling cannot change them. At most one thread runs per core
-    the process may use, however many workers are asked for. trials is a
-    positive integer and master_seed a nonnegative integer or a tuple or
-    list of them, integers meaning ints or numpy integers but not bools;
-    other values raise DomainError.
+    the process may use, however many workers are asked for. trials and
+    workers are positive integers and master_seed a nonnegative integer or
+    a tuple or list of them, integers meaning ints or numpy integers but
+    not bools; other values raise DomainError.
     """
     if not _is_integer(trials) or trials <= 0:
         raise DomainError("trials must be a positive integer")
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
+    if not _is_integer(workers) or workers < 1:
+        raise DomainError("workers must be a positive integer")
     fixed = scenario.eve is not None
     mode = "fixed" if fixed else "uniform"
     if eve_mode not in (None, mode):

@@ -159,11 +159,14 @@ def _cmd_sweep(args) -> int:
         **{k: v for k, v in cfg["sweep"].items() if k == "analytic_eve_count"})
     rows = run_sweep(spec, workers=args.workers)
 
+    columns = [f.name for f in dataclasses.fields(SweepRow)]
     with open(args.out, "w", newline="\n") as fh:
-        fh.write(",".join(f.name for f in dataclasses.fields(SweepRow)) + "\n")
+        fh.write(",".join(columns) + "\n")
         for row in rows:
-            fh.write(",".join("" if v is None else repr(v)
-                              for v in dataclasses.astuple(row)) + "\n")
+            # getattr, not dataclasses.astuple, which deep-copies each row.
+            values = (getattr(row, name) for name in columns)
+            fh.write(",".join("" if v is None else repr(v) for v in values)
+                     + "\n")
     meta = {
         "seed": cfg["seed"],
         "trials_per_point": cfg["trials"],

@@ -29,7 +29,7 @@ from .authentication import (
 from .channel import ChannelParams, distance_noise_variance  # noqa: F401
 from .errors import DomainError
 from .localization import AnchorArray, Scenario
-from .quadform import cdf_grid
+from .quadform import cdf_grid, quantile_grid
 
 __all__ = [
     "SweepSpec",
@@ -124,10 +124,12 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
 
     Output is a pure function of the sweep settings: Monte Carlo trials
     at grid index i derive their generators from (master_seed, i), so
-    neither worker count nor scheduling affects the numbers.
+    neither worker count nor scheduling affects the numbers. workers is
+    an int or numpy integer, not a bool, of at least 1; other values raise
+    DomainError.
     """
-    if workers < 1:
-        raise DomainError("workers must be at least 1")
+    if not _is_integer(workers) or workers < 1:
+        raise DomainError("workers must be a positive integer")
     scen = spec.scenario
     if scen.eve is None:
         d_eve = scen.anchors.distances_to(
@@ -175,23 +177,30 @@ def roc_curve(scenario: Scenario, points: int = 101
               ) -> tuple[np.ndarray, np.ndarray]:
     """Analytic ROC for a fixed impersonator position.
 
-    Sweeps false-alarm targets over [1e-6, 1 - 1e-6], calibrates the
-    exact threshold for each, and returns (p_fa, p_d) arrays. p_fa is
-    the achieved rate at the calibrated threshold, which matches the
-    target up to quantile tolerance. points is an integer in
-    [2, MAX_ROC_POINTS].
+    Sweeps false-alarm targets over [1e-6, 1 - 1e-6] and returns (p_fa,
+    p_d) arrays at the calibrated threshold of each: the legitimate
+    statistic's (H0) quantile at 1 - target. p_fa is the achieved rate
+    there, which matches the target up to quantile tolerance, and p_d
+    the impersonator's (H1) detection rate. Both come from one
+    quantile_grid call over the H0 and H1 forms: one saddle-curve solve,
+    and p_fa is the H0 CDF the quantile search already evaluated at its
+    threshold. Bit for bit, the thresholds are calibrate_threshold's,
+    p_fa is h0_distribution's sf and p_d h1_distribution's sf there.
+    points is an integer in [2, MAX_ROC_POINTS].
     A scenario whose eve is None raises DomainError before any threshold
     is calibrated.
     """
     if not (_is_integer(points) and 2 <= points <= MAX_ROC_POINTS):
         raise DomainError(
             f"a ROC needs an integer number of points, 2 to {MAX_ROC_POINTS}")
-    d_eve = scenario.eve_distances()[None]
+    d_eve = scenario.eve_distances()
+    d_alice = scenario.alice_distances()
     targets = np.linspace(1e-6, 1.0 - 1e-6, points)
-    th = [cfg.threshold for cfg in calibrate_threshold(scenario, targets)]
-    p_fa, miss = _error_grid(scenario, [scenario.channel.transmit_power_db],
-                             d_eve, th)
-    return p_fa[0], 1.0 - miss[0, 0]
+    # Row 0 is the H0 form, as h0_distribution builds it; row 1 the H1.
+    forms = statistic_form(np.vstack([d_alice, d_eve]), d_alice,
+                           scenario.channel)
+    _, cdf = quantile_grid(*forms, 1.0 - targets)
+    return 1.0 - cdf[0], 1.0 - cdf[1]
 
 
 def baseline_scenario(*, transmit_power_db: float = 50.0,

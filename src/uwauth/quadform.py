@@ -63,9 +63,10 @@ amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0.
 
-Quantiles. QuadFormDist.quantile solves F(x) = p for each level in y =
-log(x / lo), x in the form's unit, over [0, log(hi / lo)], where the CDF
-is within 1e-14 of 0 at lo and of 1 at hi. Each level starts from Imhof's
+Quantiles. One search serves QuadFormDist.quantile and quantile_grid.
+It solves F(x) = p for each level in y = log(x / lo), x in the form's
+unit, over [0, log(hi / lo)], where the CDF is within 1e-14 of 0 at lo
+and of 1 at hi. Each level starts from Imhof's
 three-moment approximation (Biometrika 48:419, 1961, section 4, after
 Pearson 1959), Q ~ k1 + sqrt(k2 / 2 nu) (X - nu) with X chi-square(nu)
 and nu = 8 k2^3 / k3^2, matching the cumulants k_j = 2^(j-1) (j-1)!
@@ -92,7 +93,12 @@ a sweep's 3 levels); a level whose tolerance lies below the noise in F,
 such as 1e-10 on an inverted form, ends by halvings within ~50. As y
 starts from 0, a form concentrated far from zero keeps that resolution,
 and a one-term form with a folded shift resolves a low level at x -
-shift ~ 1e-12 under its singular density.
+shift ~ 1e-12 under its singular density. With each level's point the
+search returns the F it computed there, in the pass that set the point.
+quantile_grid searches the first of a batch of forms and evaluates the
+rest at the points found, in one pass, so the batch's saddle-curve
+points are solved once and no cell of the first form is inverted twice:
+a ROC's thresholds, false-alarm and detection rates come from one call.
 """
 
 from __future__ import annotations
@@ -111,7 +117,7 @@ np.empty(1 << 18)
 from ._fields import _equal_fields
 from .errors import AccuracyError, DomainError
 
-__all__ = ["QuadFormDist", "cdf_grid"]
+__all__ = ["QuadFormDist", "cdf_grid", "quantile_grid"]
 
 # Terms with a_i below this fraction of the largest scale behave as the
 # deterministic shift delta_i^2.
@@ -233,84 +239,8 @@ class QuadFormDist:
         end within _QUANTILE_STEPS passes.
         """
         levels = np.asarray(p, dtype=float)
-        p = levels.ravel()
-        if not np.all((0.0 < p) & (p < 1.0)):
-            raise DomainError("quantile probability must lie in (0, 1)")
-        w, lam, shift, a_max, points = self._form
-        lo, hi, _ = points[:, 0]
-        top = np.log(hi / lo)
-        resolution = top * 2.0 ** -_QUANTILE_RESOLUTION
-        # Each level's tail mass m = F, or 1 - F above the median, and the
-        # |F - p| that stops it: 1e-12, or a share of its tail mass where
-        # that is smaller, since a deep level needs more than 1e-12. The
-        # share is larger once Newton stalls on the noise in F.
-        upper = p > 0.5
-        tail = np.minimum(p, 1.0 - p)
-        log_tail = np.log(tail)
-        cdf_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_TAIL_RTOL * tail)
-        stall_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_STALL_RTOL * tail)
-        # Each level's best point so far and its |F - p|.
-        q = np.empty(p.size)
-        gap = np.full(p.size, np.inf)
-        # The levels still open, their brackets [y_lo, y_hi] in
-        # y = log(x / lo), x in the form's unit, their next points y and
-        # the length of their last step. The moment start is kept off the
-        # bracket's ends, where the mass is 0 or 1.
-        todo = np.arange(p.size)
-        y_lo = np.zeros(p.size)
-        y_hi = np.full(p.size, top)
-        y = np.clip(np.log(np.maximum(_moment_start(w[0], lam[0], p) / lo,
-                                      1.0)),
-                    _QUANTILE_START_LO * top, (1.0 - _QUANTILE_START_HI) * top)
-        moved = np.full(p.size, np.inf)
-        for _ in range(_QUANTILE_STEPS):
-            x = lo * np.exp(y)
-            point = shift + a_max * (a_max * x)
-            cdf, density = _lower_prob(*self._form, point[None])
-            miss = cdf[0] - p[todo]
-            below = miss < 0.0
-            y_lo = np.where(below, y, y_lo)
-            y_hi = np.where(below, y_hi, y)
-            closer = np.abs(miss) < gap[todo]
-            q[todo[closer]] = point[closer]
-            gap[todo[closer]] = np.abs(miss[closer])
-            # Newton on log m - log(tail), with d log m / dy = +-f(x) x / m.
-            # A step from a point of mass or density 0, out of the bracket,
-            # or longer than half the step before it (as where noise in F
-            # stalls it) halves the bracket instead.
-            up = upper[todo]
-            mass = np.where(up, 1.0 - cdf[0], cdf[0])
-            slope = density[0] * x
-            ok = (mass > 0.0) & (slope > 0.0)
-            mass = np.where(ok, mass, 1.0)
-            # A step that overflows is out of the bracket.
-            with np.errstate(over="ignore"):
-                step = ((np.log(mass) - log_tail[todo]) * mass
-                        / np.where(ok, slope, 1.0))
-            newton = np.where(ok, np.where(up, y + step, y - step), np.inf)
-            by_newton = ((newton > y_lo) & (newton < y_hi)
-                         & (np.abs(newton - y) <= 0.5 * moved))
-            nxt = np.where(by_newton, newton, 0.5 * (y_lo + y_hi))
-            moved = np.abs(nxt - y)
-            # A level stops once its best point is within its CDF
-            # tolerance, or within the looser one once Newton stalls, or
-            # once its next step is below the resolution.
-            done = ((gap[todo] <= cdf_tol[todo])
-                    | (~by_newton & (gap[todo] <= stall_tol[todo]))
-                    | (moved < resolution))
-            if done.all():
-                break
-            todo, y_lo, y_hi, y, moved = (
-                v[~done] for v in (todo, y_lo, y_hi, nxt, moved))
-        else:
-            raise AccuracyError(
-                f"quantile search did not converge in {_QUANTILE_STEPS} steps",
-                achieved=float(np.max(gap[todo[~done]])), target=1e-6)
-        if np.any(gap > 1e-6):
-            worst = float(np.max(gap))
-            raise AccuracyError(
-                f"quantile stalled with |cdf - p| = {worst:.2e}",
-                achieved=worst, target=1e-6)
+        p = _check_levels(levels.ravel())
+        q, _ = _quantile_search(self._form, p)
         return float(q[0]) if levels.ndim == 0 else q.reshape(levels.shape)
 
     def _cdf(self, x: np.ndarray) -> np.ndarray:
@@ -327,15 +257,142 @@ def cdf_grid(scales, offsets, x) -> np.ndarray:
     entry (n, k) equals QuadFormDist(scales[n], offsets[n]).cdf(x[k]) bit
     for bit: both take the same route.
     """
-    a = np.asarray(scales, dtype=float)
-    d = np.asarray(offsets, dtype=float)
+    a, d = _check_forms(scales, offsets)
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    if a.ndim != 2 or a.shape != d.shape:
-        raise DomainError("scales and offsets must be 2-d and equally shaped")
-    _check_terms(a, d)
     if x.ndim != 1 or not np.all(np.isfinite(x)):
         raise DomainError("evaluation points must be finite and 1-d")
     return _lower_prob(*_prepare(a, d), x[None])[0]
+
+
+def quantile_grid(scales, offsets, p) -> tuple[np.ndarray, np.ndarray]:
+    """Quantiles x (K,) of form 0 at the levels p, and F = P(Q_n <= x_k)
+    for all N forms, as an (N, K) array.
+
+    The forms are given as in cdf_grid and share one preparation. Bit for
+    bit, x equals QuadFormDist(scales[0], offsets[0]).quantile(p) and F
+    equals cdf_grid(scales, offsets, x): row 0 is the CDF the search
+    found at x, and rows 1 ... N - 1 are evaluated there in one pass.
+    """
+    a, d = _check_forms(scales, offsets)
+    p = _check_levels(np.atleast_1d(np.asarray(p, dtype=float)))
+    if p.ndim != 1:
+        raise DomainError("quantile levels must be 1-d")
+    form = _prepare(a, d)
+    x, f0 = _quantile_search(_rows(form, slice(0, 1)), p)
+    rest = _lower_prob(*_rows(form, slice(1, None)), x[None])[0]
+    return x, np.vstack([f0, rest])
+
+
+def _check_forms(scales, offsets) -> tuple[np.ndarray, np.ndarray]:
+    """The (N, L) float arrays of a batch of forms; DomainError unless
+    they are 2-d, equally shaped and valid forms."""
+    a = np.asarray(scales, dtype=float)
+    d = np.asarray(offsets, dtype=float)
+    if a.ndim != 2 or a.shape != d.shape:
+        raise DomainError("scales and offsets must be 2-d and equally shaped")
+    _check_terms(a, d)
+    return a, d
+
+
+def _check_levels(p: np.ndarray) -> np.ndarray:
+    """The quantile levels p; DomainError unless each lies in (0, 1)."""
+    if not np.all((0.0 < p) & (p < 1.0)):
+        raise DomainError("quantile probability must lie in (0, 1)")
+    return p
+
+
+def _rows(form, rows: slice) -> tuple[np.ndarray, ...]:
+    """The rows of a batch prepared by _prepare, as a prepared batch."""
+    w, lam, shift, a_max, points = form
+    return w[rows], lam[rows], shift[rows], a_max[rows], points[:, rows]
+
+
+def _quantile_search(form, p) -> tuple[np.ndarray, np.ndarray]:
+    """The quantiles at the levels p (K,) in (0, 1) of the one form
+    prepared by _prepare in form, and its CDF there: for each level, the
+    point of least |F - p| that the search evaluated and the F of the
+    pass that set it, which is the value _lower_prob gives there in any
+    batch. The search is the module docstring's; AccuracyError is raised
+    as QuadFormDist.quantile says.
+    """
+    w, lam, shift, a_max, points = form
+    lo, hi, _ = points[:, 0]
+    top = np.log(hi / lo)
+    resolution = top * 2.0 ** -_QUANTILE_RESOLUTION
+    # Each level's tail mass m = F, or 1 - F above the median, and the
+    # |F - p| that stops it: 1e-12, or a share of its tail mass where
+    # that is smaller, since a deep level needs more than 1e-12. The
+    # share is larger once Newton stalls on the noise in F.
+    upper = p > 0.5
+    tail = np.minimum(p, 1.0 - p)
+    log_tail = np.log(tail)
+    cdf_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_TAIL_RTOL * tail)
+    stall_tol = np.minimum(_QUANTILE_CDF_TOL, _QUANTILE_STALL_RTOL * tail)
+    # Each level's best point so far, its F and its |F - p|.
+    q = np.empty(p.size)
+    cdf_q = np.empty(p.size)
+    gap = np.full(p.size, np.inf)
+    # The levels still open, their brackets [y_lo, y_hi] in
+    # y = log(x / lo), x in the form's unit, their next points y and
+    # the length of their last step. The moment start is kept off the
+    # bracket's ends, where the mass is 0 or 1.
+    todo = np.arange(p.size)
+    y_lo = np.zeros(p.size)
+    y_hi = np.full(p.size, top)
+    y = np.clip(np.log(np.maximum(_moment_start(w[0], lam[0], p) / lo,
+                                  1.0)),
+                _QUANTILE_START_LO * top, (1.0 - _QUANTILE_START_HI) * top)
+    moved = np.full(p.size, np.inf)
+    for _ in range(_QUANTILE_STEPS):
+        x = lo * np.exp(y)
+        point = shift + a_max * (a_max * x)
+        cdf, density = _lower_prob(*form, point[None])
+        miss = cdf[0] - p[todo]
+        below = miss < 0.0
+        y_lo = np.where(below, y, y_lo)
+        y_hi = np.where(below, y_hi, y)
+        closer = np.abs(miss) < gap[todo]
+        q[todo[closer]] = point[closer]
+        cdf_q[todo[closer]] = cdf[0, closer]
+        gap[todo[closer]] = np.abs(miss[closer])
+        # Newton on log m - log(tail), with d log m / dy = +-f(x) x / m.
+        # A step from a point of mass or density 0, out of the bracket,
+        # or longer than half the step before it (as where noise in F
+        # stalls it) halves the bracket instead.
+        up = upper[todo]
+        mass = np.where(up, 1.0 - cdf[0], cdf[0])
+        slope = density[0] * x
+        ok = (mass > 0.0) & (slope > 0.0)
+        mass = np.where(ok, mass, 1.0)
+        # A step that overflows is out of the bracket.
+        with np.errstate(over="ignore"):
+            step = ((np.log(mass) - log_tail[todo]) * mass
+                    / np.where(ok, slope, 1.0))
+        newton = np.where(ok, np.where(up, y + step, y - step), np.inf)
+        by_newton = ((newton > y_lo) & (newton < y_hi)
+                     & (np.abs(newton - y) <= 0.5 * moved))
+        nxt = np.where(by_newton, newton, 0.5 * (y_lo + y_hi))
+        moved = np.abs(nxt - y)
+        # A level stops once its best point is within its CDF
+        # tolerance, or within the looser one once Newton stalls, or
+        # once its next step is below the resolution.
+        done = ((gap[todo] <= cdf_tol[todo])
+                | (~by_newton & (gap[todo] <= stall_tol[todo]))
+                | (moved < resolution))
+        if done.all():
+            break
+        todo, y_lo, y_hi, y, moved = (
+            v[~done] for v in (todo, y_lo, y_hi, nxt, moved))
+    else:
+        raise AccuracyError(
+            f"quantile search did not converge in {_QUANTILE_STEPS} steps",
+            achieved=float(np.max(gap[todo[~done]])), target=1e-6)
+    if np.any(gap > 1e-6):
+        worst = float(np.max(gap))
+        raise AccuracyError(
+            f"quantile stalled with |cdf - p| = {worst:.2e}",
+            achieved=worst, target=1e-6)
+    return q, cdf_q
 
 
 def _check_terms(a, d) -> None:
@@ -501,31 +558,30 @@ def _curve_points(w, lam) -> np.ndarray:
                      1.0 - 2.0 * target - log(2.0))
     y = np.where(upper, right, left)
     x = np.full(y.size, np.nan)
-    for _ in range(_SADDLE_MAX):
-        # alpha = 2 t is -2 e^u below the mean and 1 - e^-v above it.
-        e_y = np.exp(np.where(upper, -y, y))
-        alpha = np.where(upper, -np.expm1(-y), -2.0 * e_y)
-        a = w * alpha[:, None]
-        r = 1.0 - a
-        q = w / r
-        with np.errstate(divide="ignore", invalid="ignore"):
-            e = -0.5 * np.sum(np.log1p(-a) + a / r * (1.0 + lam * a / r),
-                              axis=1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(_SADDLE_MAX):
+            # alpha = 2 t is -2 e^u below the mean and 1 - e^-v above it.
+            e_y = np.exp(np.where(upper, -y, y))
+            alpha = np.where(upper, -np.expm1(-y), -2.0 * e_y)
+            a = w * alpha[:, None]
+            r = 1.0 - a
+            q = w / r
+            e = -0.5 * (np.log1p(-a) + a / r * (1.0 + lam * a / r)).sum(axis=1)
             g = np.log(-e) - log_target
-        # d(-E)/dy = t K''(t) dt/dy, with dalpha/dy = alpha or e^-v.
-        slope = 0.5 * alpha * np.where(upper, e_y, alpha) * np.sum(
-            q * q * (1.0 + 2.0 * lam / r), axis=1)
-        met = np.isnan(x) & (np.abs(e - target) <= 1e-9)
-        x[met] = np.sum(q[met] * (1.0 + lam[met] / r[met]), axis=1)
-        if not np.isnan(x).any():
-            return x.reshape(kinds, n)
-        below = ~(g >= 0.0)
-        left = np.where(below, y, left)
-        right = np.where(below, right, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
+            # d(-E)/dy = t K''(t) dt/dy, with dalpha/dy = alpha or e^-v.
+            slope = 0.5 * alpha * np.where(upper, e_y, alpha) * (
+                q * q * (1.0 + 2.0 * lam / r)).sum(axis=1)
+            met = np.isnan(x) & (np.abs(e - target) <= 1e-9)
+            if met.any():
+                x[met] = (q[met] * (1.0 + lam[met] / r[met])).sum(axis=1)
+                if not np.isnan(x).any():
+                    return x.reshape(kinds, n)
+            below = ~(g >= 0.0)
+            left = np.where(below, y, left)
+            right = np.where(below, right, y)
             step = y - g * -e / slope
-        y = np.where((step > left) & (step < right), step,
-                     0.5 * (left + right))
+            y = np.where((step > left) & (step < right), step,
+                         0.5 * (left + right))
     raise AccuracyError("saddle-point search did not converge")
 
 

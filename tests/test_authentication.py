@@ -177,6 +177,19 @@ def test_simulation_is_reproducible_and_worker_invariant():
     assert not np.array_equal(a0, d0)
 
 
+@pytest.mark.parametrize("workers", [1.5, True, "2", None])
+def test_simulation_refuses_a_worker_count_that_is_not_an_integer(workers):
+    with pytest.raises(DomainError, match="workers must be a positive"):
+        simulate_test_statistics(make_scenario(), 10, 1, workers=workers)
+
+
+def test_simulation_takes_a_numpy_integer_worker_count():
+    scen = make_scenario()
+    a0, a1 = simulate_test_statistics(scen, 9000, 4)
+    b0, b1 = simulate_test_statistics(scen, 9000, 4, workers=np.int64(2))
+    assert a0.tobytes() == b0.tobytes() and a1.tobytes() == b1.tobytes()
+
+
 def test_workers_never_exceed_the_usable_cores(monkeypatch):
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())

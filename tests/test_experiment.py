@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -22,7 +23,8 @@ from uwauth import (
     roc_curve,
     run_sweep,
 )
-from uwauth import experiment
+from uwauth import cli, experiment
+from uwauth.authentication import statistic_form
 from uwauth.experiment import MAX_ROC_POINTS
 
 
@@ -69,6 +71,17 @@ def test_sweep_is_deterministic_and_worker_invariant():
     assert r1 == r2 == r3
     r4 = run_sweep(small_spec(master_seed=10))
     assert [x.p_fa_emp for x in r4] != [x.p_fa_emp for x in r1]
+
+
+@pytest.mark.parametrize("workers", [1.5, True, "2", None])
+def test_sweep_refuses_a_worker_count_that_is_not_an_integer(workers):
+    with pytest.raises(DomainError, match="workers must be a positive"):
+        run_sweep(small_spec(), workers=workers)
+
+
+def test_sweep_takes_a_numpy_integer_worker_count():
+    assert run_sweep(small_spec(), workers=np.int64(2)) == run_sweep(
+        small_spec())
 
 
 def test_empirical_columns_track_analytic_ones():
@@ -139,9 +152,11 @@ def test_blocking_the_power_grid_cannot_change_a_number(monkeypatch):
 @pytest.fixture
 def scalar_quadform_calls(monkeypatch):
     """Record every QuadFormDist.cdf/sf call and the number of levels of
-    every quantile call."""
+    every quantile search, which QuadFormDist.quantile and quantile_grid
+    each make once."""
     calls = {"cdf": [], "sf": [], "quantile": []}
-    cdf, sf, quantile = QuadFormDist.cdf, QuadFormDist.sf, QuadFormDist.quantile
+    cdf, sf = QuadFormDist.cdf, QuadFormDist.sf
+    search = quadform._quantile_search
 
     def counting_cdf(self, x):
         calls["cdf"].append(x)
@@ -151,13 +166,13 @@ def scalar_quadform_calls(monkeypatch):
         calls["sf"].append(x)
         return sf(self, x)
 
-    def counting_quantile(self, p):
+    def counting_search(form, p):
         calls["quantile"].append(np.size(p))
-        return quantile(self, p)
+        return search(form, p)
 
     monkeypatch.setattr(QuadFormDist, "cdf", counting_cdf)
     monkeypatch.setattr(QuadFormDist, "sf", counting_sf)
-    monkeypatch.setattr(QuadFormDist, "quantile", counting_quantile)
+    monkeypatch.setattr(quadform, "_quantile_search", counting_search)
     return calls
 
 
@@ -217,12 +232,80 @@ def test_spec_validation():
 
 def test_roc_refuses_a_uniform_impersonator_before_any_quantile(
         monkeypatch):
-    def fail(self, p):
-        raise AssertionError("quantile solved")
+    def fail(a, d):
+        raise AssertionError("forms prepared")
 
-    monkeypatch.setattr(QuadFormDist, "quantile", fail)
+    monkeypatch.setattr(quadform, "_prepare", fail)
     with pytest.raises(DomainError, match="eve"):
         roc_curve(baseline_scenario(eve=None), points=11)
+
+
+def test_roc_equals_its_definition_bit_for_bit():
+    # p_fa is the H0 sf and p_d the H1 sf at each calibrated threshold; at
+    # gain 1.0, 0 and 50 dB, every p_d here is inverted, not saturated.
+    for power in (0.0, 50.0):
+        scen = baseline_scenario(signal_design_gain=1.0,
+                                 transmit_power_db=power)
+        targets = np.linspace(1e-6, 1.0 - 1e-6, 51)
+        ths = [c.threshold for c in calibrate_threshold(scen, targets)]
+        h0, h1 = h0_distribution(scen), h1_distribution(scen)
+        fa, pd = roc_curve(scen, points=51)
+        assert fa.tolist() == [h0.sf(t) for t in ths]
+        assert pd.tolist() == [1.0 - h1.cdf(t) for t in ths]
+        assert np.all((pd > 0.0) & (pd < 1.0))
+
+
+def test_roc_h0_row_is_the_h0_form_bit_for_bit():
+    # roc_curve builds the H0 and H1 forms in one statistic_form call.
+    for power in np.arange(-20.0, 120.5, 0.5):
+        scen = baseline_scenario(transmit_power_db=power)
+        d_alice = scen.alice_distances()
+        scales, offsets = statistic_form(
+            np.vstack([d_alice, scen.eve_distances()]), d_alice,
+            scen.channel)
+        h0 = h0_distribution(scen)
+        assert np.array_equal(scales[0], h0.scales)
+        assert np.array_equal(offsets[0], h0.offsets)
+
+
+def test_roc_solves_once_and_inverts_no_h0_cell_after_its_search(
+        monkeypatch):
+    # The shipped fixed-eve scenario at 50 dB: one saddle-curve solve for
+    # both forms, a search of at most 6 passes over the H0 form, and then
+    # one pass over the H1 form alone, since p_fa is the search's own CDF.
+    config = cli._load_config(str(Path(__file__).resolve().parents[1]
+                                  / "configs" / "fixed-eve.json"))
+    scen = cli._scenario_from(config, power_db=50.0)
+    h0_w = h0_distribution(scen)._form[0]
+    h1_w = h1_distribution(scen)._form[0]
+    curve_points, search = quadform._curve_points, quadform._quantile_search
+    lower_prob = quadform._lower_prob
+    events = []
+
+    def counting_curve_points(w, lam):
+        events.append(("curve", w.shape[0]))
+        return curve_points(w, lam)
+
+    def counting_search(form, p):
+        events.append(("search", None))
+        result = search(form, p)
+        events.append(("searched", None))
+        return result
+
+    def recording_lower_prob(*args):
+        events.append(("pass", args[0].copy()))
+        return lower_prob(*args)
+
+    monkeypatch.setattr(quadform, "_curve_points", counting_curve_points)
+    monkeypatch.setattr(quadform, "_quantile_search", counting_search)
+    monkeypatch.setattr(quadform, "_lower_prob", recording_lower_prob)
+    roc_curve(scen, points=101)
+    passes = len(events) - 4
+    assert [kind for kind, _ in events] == (
+        ["curve", "search"] + ["pass"] * passes + ["searched", "pass"])
+    assert events[0] == ("curve", 2) and passes <= 6
+    assert all(np.array_equal(w, h0_w) for _, w in events[2:-2])
+    assert np.array_equal(events[-1][1], h1_w)
 
 
 def test_roc_spans_both_corners_and_is_monotone():

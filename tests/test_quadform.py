@@ -18,7 +18,7 @@ from scipy.stats import chi2, ncx2, norm
 from uwauth import AccuracyError, DomainError, QuadFormDist, cli, quadform
 from uwauth.channel import distance_noise_variance
 from uwauth.experiment import default_thresholds, region_point_set, roc_curve
-from uwauth.quadform import cdf_grid
+from uwauth.quadform import cdf_grid, quantile_grid
 
 
 def test_single_standard_term_matches_erf():
@@ -724,23 +724,23 @@ def test_deep_levels_are_located_relative_to_their_tail():
 
 
 def _count_quantile_passes(monkeypatch):
-    """The number of _lower_prob passes made by each quantile call, in
-    order."""
+    """The number of _lower_prob passes made by each quantile search, in
+    order: QuadFormDist.quantile and quantile_grid both make one."""
     passes, per_call = [], []
-    lower_prob, quantile = quadform._lower_prob, QuadFormDist.quantile
+    lower_prob, search = quadform._lower_prob, quadform._quantile_search
 
     def counting_lower_prob(*args):
         passes.append(1)
         return lower_prob(*args)
 
-    def counting_quantile(self, p):
+    def counting_search(form, p):
         before = len(passes)
-        q = quantile(self, p)
+        result = search(form, p)
         per_call.append(len(passes) - before)
-        return q
+        return result
 
     monkeypatch.setattr(quadform, "_lower_prob", counting_lower_prob)
-    monkeypatch.setattr(QuadFormDist, "quantile", counting_quantile)
+    monkeypatch.setattr(quadform, "_quantile_search", counting_search)
     return per_call
 
 
@@ -784,6 +784,46 @@ def test_quantiles_of_random_forms_meet_their_documented_bound(monkeypatch):
     assert max(per_call) <= quadform._QUANTILE_STEPS
     print(f"CDF passes per batch of {len(levels)} levels: at most "
           f"{max(batches)}, {np.mean(batches):.1f} on average")
+
+
+def test_quantile_grid_matches_quantile_and_cdf_grid_bit_for_bit():
+    # Batches of 2 to 4 forms with equally many terms, drawn as in the
+    # random-form test; on every other batch rows 1... are row 0 with its
+    # scales and offsets perturbed by up to 20 %, so their CDF at row 0's
+    # quantiles is inverted rather than saturated.
+    rng = np.random.default_rng(19)
+    levels = np.array([1e-10, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6,
+                       1.0 - 1e-10])
+    inverted = 0
+    for batch in range(100):
+        forms, terms = rng.integers(2, 5), rng.integers(1, 6)
+        scales = 10.0 ** rng.uniform(-4.0, 0.0, (forms, terms))
+        offsets = np.where(rng.random((forms, terms)) < 0.5, 0.0,
+                           scales * rng.uniform(-30.0, 30.0,
+                                                (forms, terms)))
+        if batch % 2:
+            scales[1:] = scales[0] * rng.uniform(0.8, 1.2, (forms - 1, terms))
+            offsets[1:] = offsets[0] * rng.uniform(0.8, 1.2,
+                                                   (forms - 1, terms))
+        x, cdf = quantile_grid(scales, offsets, levels)
+        assert x.shape == levels.shape and cdf.shape == (forms, levels.size)
+        assert np.array_equal(
+            x, QuadFormDist(scales[0], offsets[0]).quantile(levels))
+        assert np.array_equal(cdf, cdf_grid(scales, offsets, x))
+        inverted += np.count_nonzero((cdf[1:] > 0.0) & (cdf[1:] < 1.0))
+    assert inverted >= 500
+
+
+def test_quantile_grid_validation():
+    with pytest.raises(DomainError, match="2-d"):
+        quantile_grid([1.0, 2.0], [0.0, 0.0], [0.5])
+    with pytest.raises(DomainError, match="positive"):
+        quantile_grid([[1.0, 0.0]], [[0.0, 0.0]], [0.5])
+    with pytest.raises(DomainError, match="1-d"):
+        quantile_grid([[1.0]], [[0.0]], [[0.5]])
+    for p in (0.0, 1.0, np.nan):
+        with pytest.raises(DomainError, match=r"\(0, 1\)"):
+            quantile_grid([[1.0]], [[0.0]], [0.5, p])
 
 
 def test_batched_quantile_raises_on_unresolved_inversion(monkeypatch):
