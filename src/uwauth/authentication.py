@@ -18,7 +18,6 @@ H0 throughout: the legitimate node transmitted. H1: an impersonator did.
 from __future__ import annotations
 
 import concurrent.futures
-import contextlib
 import math
 import os
 from dataclasses import dataclass
@@ -27,15 +26,15 @@ from enum import Enum
 import numpy as np
 
 from ._fields import _is_integer
-from .channel import distance_noise_variance
+from .channel import _noise_variance, distance_noise_variance
 from .errors import DomainError
 from .localization import (
     AnchorArray,
     NoisySquaredDistances,
     Scenario,
+    _observe,
     _pseudo_inverse,
     build_system,
-    draw_squared_distances,
 )
 from .quadform import QuadFormDist
 
@@ -60,6 +59,7 @@ __all__ = [
 
 # Trials are simulated in fixed-size blocks; block g draws its generator
 # from (master_seed, g), so results never depend on worker scheduling.
+# The sweep also bounds its batches of whole grid powers by it.
 _BLOCK = 4096
 
 
@@ -154,12 +154,22 @@ def h1_distribution(scenario: Scenario) -> QuadFormDist:
         scenario.eve_distances(), scenario.alice_distances(), scenario.channel))
 
 
-def statistic_form(d_tx, d_claim, channel) -> tuple[np.ndarray, np.ndarray]:
+def statistic_form(d_tx, d_claim, channel, *,
+                   powers_db=None) -> tuple[np.ndarray, np.ndarray]:
     """QuadFormDist scales 2 d_tx sigma and offsets d_tx^2 - d_claim^2 of TS
     for a transmitter at anchor distances d_tx claiming the position at
-    distances d_claim; inputs (L,) or (N, L), one form per row."""
-    sigma = np.sqrt(distance_noise_variance(d_tx, channel))
-    return 2.0 * d_tx * sigma, d_tx ** 2 - d_claim ** 2
+    distances d_claim; inputs (L,) or (N, L), one form per row.
+
+    With powers_db, shaped (P,), the scales are those at each of these
+    transmit powers in place of the channel's, shaped (P, L) or (P, N, L),
+    from one noise-model call; the offsets do not depend on power.
+    """
+    if powers_db is None:
+        var = distance_noise_variance(d_tx, channel)
+    else:
+        var = _noise_variance(d_tx, channel, np.reshape(
+            powers_db, (-1,) + (1,) * np.ndim(d_tx)))
+    return 2.0 * d_tx * np.sqrt(var), d_tx ** 2 - d_claim ** 2
 
 
 def p_fa_analytic(scenario: Scenario, config: DecisionConfig) -> float:
@@ -209,50 +219,89 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
         raise DomainError("trials must be a positive integer")
     if not _is_integer(workers) or workers < 1:
         raise DomainError("workers must be a positive integer")
-    fixed = scenario.eve is not None
-    mode = "fixed" if fixed else "uniform"
+    mode = "uniform" if scenario.eve is None else "fixed"
     if eve_mode not in (None, mode):
         raise DomainError(
             f"eve_mode must be {mode!r} for this scenario, not {eve_mode!r}")
 
-    seed = _seed_entropy(master_seed)
-    anchors = scenario.anchors
-    half_region = np.asarray(scenario.region) / 2
-    d_alice = scenario.alice_distances()
-    sig_alice = np.sqrt(distance_noise_variance(d_alice, scenario.channel))
-    if fixed:
-        d_eve = scenario.eve_distances()
-        sig_eve = np.sqrt(distance_noise_variance(d_eve, scenario.channel))
+    seeds = [_seed_entropy(master_seed)]
+    powers = [scenario.channel.transmit_power_db]
 
-    def run_block(g: int) -> tuple[int, np.ndarray, np.ndarray]:
-        start = g * _BLOCK
-        n = min(_BLOCK, trials - start)
-        rng = np.random.default_rng(seed + (g,))
-        obs0 = draw_squared_distances(d_alice, sig_alice, rng, n)
-        if fixed:
-            de, se = d_eve, sig_eve
-        else:
-            de = anchors.distances_to(
-                rng.uniform(-half_region, half_region, size=(n, 2)))
-            se = np.sqrt(distance_noise_variance(de, scenario.channel))
-        obs1 = draw_squared_distances(de, se, rng, n)
-        r0 = _residual(anchors, obs0, scenario.alice)
-        r1 = _residual(anchors, obs1, scenario.alice)
-        return start, (r0 ** 2).sum(axis=1), (r1 ** 2).sum(axis=1)
+    def run_block(g: int) -> tuple[np.ndarray, np.ndarray]:
+        return _simulate_block(scenario, powers, seeds, g,
+                               min(_BLOCK, trials - g * _BLOCK))
 
+    ts_h0 = np.empty(trials)
+    ts_h1 = np.empty(trials)
     blocks = range((trials + _BLOCK - 1) // _BLOCK)
+    for g, (t0, t1) in zip(blocks, _map(run_block, blocks, workers)):
+        ts_h0[g * _BLOCK:g * _BLOCK + t0.shape[1]] = t0[0]
+        ts_h1[g * _BLOCK:g * _BLOCK + t1.shape[1]] = t1[0]
+    return ts_h0, ts_h1
+
+
+def _simulate_block(scenario: Scenario, powers_db, seeds, g: int,
+                    n: int) -> tuple[np.ndarray, np.ndarray]:
+    """TS under H0 and H1, each (P, n): block g, of n trials, at each of
+    the P transmit powers powers_db in place of the scenario's.
+
+    The trials at powers_db[j] draw from default_rng(seeds[j] + (g,)) the
+    H0 normals, then, for a scenario without an eve, the impersonator
+    positions, then the H1 normals; everything after the draws is
+    computed for all P powers at once.
+    """
+    anchors = scenario.anchors
+    fixed = scenario.eve is not None
+    z0 = np.empty((len(seeds), n, len(anchors)))
+    z1 = np.empty_like(z0)
+    if not fixed:
+        half_region = np.asarray(scenario.region) / 2
+        eve = np.empty((len(seeds), n, 2))
+    for j, seed in enumerate(seeds):
+        rng = np.random.default_rng(seed + (g,))
+        rng.standard_normal(out=z0[j])
+        if not fixed:
+            eve[j] = rng.uniform(-half_region, half_region, size=(n, 2))
+        rng.standard_normal(out=z1[j])
+    # The same (P, n, L) arrays, stored anchor by anchor: elementwise loops
+    # along the n trials run many times faster than along the L anchors.
+    z0, z1 = (z.swapaxes(1, 2).copy().swapaxes(1, 2) for z in (z0, z1))
+    if fixed:
+        d1 = scenario.eve_distances()
+    else:
+        d1 = anchors.distances_to(eve).swapaxes(1, 2).copy().swapaxes(1, 2)
+    powers = np.reshape(powers_db, (-1, 1, 1))
+    ts = []
+    for d, z in ((scenario.alice_distances(), z0), (d1, z1)):
+        sigma = np.sqrt(_noise_variance(d, scenario.channel, powers))
+        r = _residual(anchors, _observe(d, sigma, z), scenario.alice)
+        ts.append(_squared_norms(r))
+    return ts[0], ts[1]
+
+
+def _squared_norms(r: np.ndarray) -> np.ndarray:
+    """(r ** 2).sum(axis=-1) of a C-ordered r, bit for bit, whatever r's
+    memory order. numpy adds fewer than 8 terms in order, and adding whole
+    columns in that order is many times faster than reducing rows that
+    short; from 8 terms on it sums pairwise, in an order that depends on
+    the memory layout."""
+    s = r * r
+    if s.shape[-1] >= 8:
+        return np.ascontiguousarray(s).sum(axis=-1)
+    return sum((s[..., j] for j in range(1, s.shape[-1])), s[..., 0])
+
+
+def _map(fn, items, workers: int):
+    """fn over items, results in order, on at most workers threads and at
+    most one per core the process may use."""
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count() or 1)
     workers = min(workers, cores)
-    ts_h0 = np.empty(trials)
-    ts_h1 = np.empty(trials)
-    with (concurrent.futures.ThreadPoolExecutor(max_workers=workers)
-          if workers > 1 else contextlib.nullcontext()) as pool:
-        results = pool.map(run_block, blocks) if pool else map(run_block, blocks)
-        for start, t0, t1 in results:
-            ts_h0[start:start + t0.size] = t0
-            ts_h1[start:start + t1.size] = t1
-    return ts_h0, ts_h1
+    if workers == 1:
+        yield from map(fn, items)
+        return
+    with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(fn, items)
 
 
 def empirical_rates(scenario: Scenario, config: DecisionConfig, trials: int,
@@ -271,16 +320,32 @@ def empirical_rates(scenario: Scenario, config: DecisionConfig, trials: int,
 def count_error_rates(ts_h0: np.ndarray, ts_h1: np.ndarray,
                       threshold: float) -> ErrorRates:
     """Shares of H0 statistics above and H1 statistics at or below the
-    threshold, with their binomial standard errors sqrt(p (1 - p) / n)."""
-    n = ts_h0.size
-    p_fa = float(np.count_nonzero(ts_h0 > threshold)) / n
-    p_md = float(np.count_nonzero(ts_h1 <= threshold)) / n
+    threshold, with their binomial standard errors sqrt(p (1 - p) / n).
+
+    Both samples must hold the same number n > 0 of statistics and the
+    threshold must not be NaN; otherwise DomainError.
+    """
+    n = np.size(ts_h0)
+    if n == 0 or np.size(ts_h1) != n:
+        raise DomainError("error rates need equally many H0 and H1 "
+                          "statistics, at least one of each")
+    if np.isnan(threshold):
+        raise DomainError("threshold must not be NaN")
+    return _error_rates(np.count_nonzero(ts_h0 > threshold),
+                        np.count_nonzero(ts_h1 <= threshold), n)
+
+
+def _error_rates(false_alarms, misses, trials: int) -> ErrorRates:
+    """ErrorRates from counts of false alarms and misses among trials
+    statistics under each hypothesis."""
+    p_fa = float(false_alarms) / trials
+    p_md = float(misses) / trials
     return ErrorRates(
         p_fa=p_fa,
         p_md=p_md,
-        stderr_fa=float(np.sqrt(p_fa * (1.0 - p_fa) / n)),
-        stderr_md=float(np.sqrt(p_md * (1.0 - p_md) / n)),
-        trials=n,
+        stderr_fa=float(np.sqrt(p_fa * (1.0 - p_fa) / trials)),
+        stderr_md=float(np.sqrt(p_md * (1.0 - p_md) / trials)),
+        trials=trials,
     )
 
 

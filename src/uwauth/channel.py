@@ -91,13 +91,24 @@ def distance_noise_variance(distance_m, params: ChannelParams):
     and the ranging waveform's design gain. Raises DomainError where the
     variance is not finite and positive, as at transmit powers of +-4000 dB.
     """
+    var = _noise_variance(distance_m, params, params.transmit_power_db)
+    return float(var) if np.isscalar(distance_m) else var
+
+
+def _noise_variance(distance_m, params: ChannelParams, powers_db):
+    """distance_noise_variance with the transmit powers powers_db, which
+    broadcast against distance_m, in place of params.transmit_power_db."""
     pl_db = pathloss_db(distance_m, params)
+    powers = np.asarray(powers_db, dtype=float)
     # numpy scalars, unlike Python floats, overflow and divide by 0 to inf.
     with np.errstate(all="ignore"):
         pl_lin = np.float64(10.0) ** (pl_db / 10.0)
-        p_lin = np.float64(10.0) ** (params.transmit_power_db / 10.0)
+        # Power by power: array ** rounds differently from scalar **.
+        p_lin = np.array([np.float64(10.0) ** (p / 10.0)
+                          for p in powers.ravel().tolist()]
+                         ).reshape(powers.shape)
         c = params.sound_speed_mps
         var = c * c * pl_lin / (4.0 * p_lin * params.signal_design_gain)
     if not np.all((var > 0.0) & (var < np.inf)):
         raise DomainError("range variance is not finite and positive")
-    return float(var) if np.isscalar(distance_m) else var
+    return var

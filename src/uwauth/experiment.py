@@ -20,12 +20,16 @@ import numpy as np
 
 from ._fields import _equal_fields, _is_integer
 from .authentication import (
+    _BLOCK,
+    _error_rates,
+    _map,
+    _simulate_block,
     calibrate_threshold,
-    count_error_rates,
-    simulate_test_statistics,
     statistic_form,
 )
-# perfbench/spans.py traces distance_noise_variance at this (unused) name.
+# perfbench/spans.py traces simulate_test_statistics and
+# distance_noise_variance at these (unused) names.
+from .authentication import simulate_test_statistics  # noqa: F401
 from .channel import ChannelParams, distance_noise_variance  # noqa: F401
 from .errors import DomainError
 from .localization import AnchorArray, Scenario
@@ -120,13 +124,15 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     transmitter) pair: the legitimate node and each impersonator position.
     A block holds as many powers as fit in _BLOCK_FORMS forms, at least
     one; a cell's value does not depend on the block it is evaluated in.
-    The Monte Carlo columns are then simulated power by power.
+    The Monte Carlo columns are then simulated in batches of whole grid
+    powers, as many as fit in one block of trials and at least one, each
+    counted against every threshold; workers run batches side by side.
 
     Output is a pure function of the sweep settings: Monte Carlo trials
-    at grid index i derive their generators from (master_seed, i), so
-    neither worker count nor scheduling affects the numbers. workers is
-    an int or numpy integer, not a bool, of at least 1; other values raise
-    DomainError.
+    at grid index i draw exactly the stream simulate_test_statistics draws
+    for master_seed (master_seed, i), so neither batching, worker count
+    nor scheduling affects the numbers. workers is an int or numpy
+    integer, not a bool, of at least 1; other values raise DomainError.
     """
     if not _is_integer(workers) or workers < 1:
         raise DomainError("workers must be a positive integer")
@@ -138,33 +144,58 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
         d_eve = scen.eve_distances()[None]
     block = max(1, _BLOCK_FORMS // (1 + len(d_eve)))
 
-    rows: list[SweepRow] = []
     grid = spec.power_grid_db
+    p_fa, p_md = [], []
     for start in range(0, grid.size, block):
-        p_fa, miss = _error_grid(scen, grid[start:start + block], d_eve,
-                                 spec.thresholds)
-        for i, (fa_i, miss_i) in enumerate(zip(p_fa, miss), start):
-            power = float(grid[i])
-            # Each threshold's miss column is averaged as a contiguous copy,
-            # so it sums in the order of a 1-d list.
-            p_md = [float(np.mean(col.copy())) for col in miss_i.T]
+        fa, miss = _error_grid(scen, grid[start:start + block], d_eve,
+                               spec.thresholds)
+        p_fa.extend(fa.tolist())
+        # Each threshold's miss column is averaged as a contiguous copy,
+        # so it sums in the order of a 1-d list.
+        p_md.extend([float(np.mean(col.copy())) for col in miss_i.T]
+                    for miss_i in miss)
 
-            if spec.trials_per_point > 0:
-                ts0, ts1 = simulate_test_statistics(
-                    _with_power(scen, power), spec.trials_per_point,
-                    (spec.master_seed, i), workers=workers)
-
-            for th, fa_analytic, md_analytic in zip(spec.thresholds, fa_i,
-                                                    p_md):
-                th = float(th)
-                emp = ()
-                if spec.trials_per_point > 0:
-                    rates = count_error_rates(ts0, ts1, th)
-                    emp = (rates.p_fa, rates.p_md,
-                           rates.stderr_fa, rates.stderr_md)
-                rows.append(SweepRow(power, th, float(fa_analytic),
-                                     md_analytic, *emp))
+    trials = int(spec.trials_per_point)
+    if trials > 0:
+        false_alarms, misses = _monte_carlo_counts(spec, workers)
+    rows: list[SweepRow] = []
+    for i, power in enumerate(grid.tolist()):
+        for j, th in enumerate(spec.thresholds.tolist()):
+            emp = ()
+            if trials > 0:
+                rates = _error_rates(false_alarms[i, j], misses[i, j], trials)
+                emp = (rates.p_fa, rates.p_md,
+                       rates.stderr_fa, rates.stderr_md)
+            rows.append(SweepRow(power, th, p_fa[i][j], p_md[i][j], *emp))
     return rows
+
+
+def _monte_carlo_counts(spec: SweepSpec,
+                        workers: int) -> tuple[np.ndarray, np.ndarray]:
+    """False alarms and misses among the spec's trials at each grid power
+    (P,) and threshold (K,), each (P, K), from batches of consecutive grid
+    powers that each fill at most one block of trials, or hold one power."""
+    trials = int(spec.trials_per_point)
+    grid = spec.power_grid_db
+    thresholds = spec.thresholds[:, None]
+    per_batch = max(1, _BLOCK // trials)
+
+    def run_batch(start: int) -> tuple[np.ndarray, np.ndarray]:
+        powers = grid[start:start + per_batch]
+        seeds = [(int(spec.master_seed), i)
+                 for i in range(start, start + powers.size)]
+        false_alarms = misses = 0
+        for g in range((trials + _BLOCK - 1) // _BLOCK):
+            ts0, ts1 = _simulate_block(spec.scenario, powers, seeds, g,
+                                       min(_BLOCK, trials - g * _BLOCK))
+            false_alarms = false_alarms + np.count_nonzero(
+                ts0[:, None] > thresholds, axis=-1)
+            misses = misses + np.count_nonzero(
+                ts1[:, None] <= thresholds, axis=-1)
+        return false_alarms, misses
+
+    counts = list(_map(run_batch, range(0, grid.size, per_batch), workers))
+    return tuple(np.concatenate(c) for c in zip(*counts))
 
 
 # Upper limit on roc_curve's points: every level is solved at once, each
@@ -274,11 +305,12 @@ def _error_grid(scenario: Scenario, powers_db, d_eve: np.ndarray,
     # row 0 is the legitimate node (H0), the rest one impersonator
     # position each (H1).
     d_tx = np.vstack([d_alice, d_eve])
-    forms = [statistic_form(d_tx, d_alice,
-                            _with_power(scenario, float(p)).channel)
-             for p in powers_db]
-    grid = cdf_grid(*map(np.concatenate, zip(*forms)), thresholds)
-    grid = grid.reshape(len(forms), len(d_tx), -1)
+    scales, offsets = statistic_form(d_tx, d_alice, scenario.channel,
+                                     powers_db=powers_db)
+    offsets = np.broadcast_to(offsets, scales.shape)
+    grid = cdf_grid(scales.reshape(-1, d_tx.shape[1]),
+                    offsets.reshape(-1, d_tx.shape[1]), thresholds)
+    grid = grid.reshape(scales.shape[0], len(d_tx), -1)
     return 1.0 - grid[:, 0], grid[:, 1:]
 
 

@@ -166,7 +166,12 @@ def draw_squared_distances(d, sigma, rng: np.random.Generator,
                            n: int) -> np.ndarray:
     """n rows of d^2 + 2*e*d with range noise e = z * sigma drawn as
     z = rng.standard_normal((n, L)); d and sigma are (L,) or (n, L)."""
-    z = rng.standard_normal((n, d.shape[-1]))
+    return _observe(d, sigma, rng.standard_normal((n, d.shape[-1])))
+
+
+def _observe(d, sigma, z) -> np.ndarray:
+    """Squared-distance observations d^2 + 2 (z sigma) d for standard
+    normals z; the arrays broadcast."""
     return d * d + 2.0 * (z * sigma) * d
 
 

@@ -30,6 +30,7 @@ from uwauth import (
     residual_vector,
     simulate_test_statistics,
 )
+from uwauth.authentication import count_error_rates, statistic_form
 
 TRIANGLE = AnchorArray(np.array([[0.0, 500.0], [-500.0, -500.0], [-500.0, 500.0]]))
 
@@ -194,13 +195,13 @@ def test_workers_never_exceed_the_usable_cores(monkeypatch):
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     threads = set()
-    draw = authentication.draw_squared_distances
+    simulate_block = authentication._simulate_block
 
     def spy(*args):
         threads.add(threading.get_ident())
-        return draw(*args)
+        return simulate_block(*args)
 
-    monkeypatch.setattr(authentication, "draw_squared_distances", spy)
+    monkeypatch.setattr(authentication, "_simulate_block", spy)
     # Eight blocks, so a pool sized by the request would start 8 threads.
     scen = make_scenario()
     a0, a1 = simulate_test_statistics(scen, 8 * 4096, 7, workers=64)
@@ -210,18 +211,33 @@ def test_workers_never_exceed_the_usable_cores(monkeypatch):
     np.testing.assert_array_equal(a1, b1)
 
 
+# Nine anchors on a circle: from 8 terms on numpy sums a row pairwise.
+NONAGON = AnchorArray(450.0 * np.column_stack(
+    [np.cos(np.arange(9) * 0.7 + 0.3), np.sin(np.arange(9) * 0.7 + 0.3)]))
+
+
 def test_simulated_stream_follows_the_documented_contract():
+    _check_the_documented_stream(TRIANGLE)
+
+
+def test_simulated_stream_sums_rows_of_eight_or_more_terms_as_numpy_does():
+    _check_the_documented_stream(NONAGON)
+
+
+def _check_the_documented_stream(anchors):
     # Recomputes the stream from its contract with plain numpy: block g
     # of 4096 trials draws from default_rng(seed + (g,)) the H0 normals,
     # then (uniform mode) the impersonator positions, then the H1
     # normals; observations are d^2 + 2 (z sigma) d and TS is the squared
     # residual of the lifted system at the claim.
     trials = 2 * 4096 + 37
-    xy = TRIANGLE.xy
-    A = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1], np.ones(3)])
+    xy = anchors.xy
+    L = len(xy)
+    A = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1], np.ones(L)])
     anchor_sq = (xy ** 2).sum(axis=1)
     for eve_mode, eve in (("fixed", (100.0, 100.0)), ("uniform", None)):
-        scen = make_scenario(power_db=40.0, gain=1.0, eve=eve)
+        scen = Scenario(anchors, alice=(0.0, 0.0), eve=eve,
+                        channel=ChannelParams(transmit_power_db=40.0))
         chi = np.array([scen.alice[0], scen.alice[1], scen.alice @ scen.alice])
         w, h = scen.region
 
@@ -240,13 +256,13 @@ def test_simulated_stream_follows_the_documented_contract():
         for g in range(3):
             n = min(4096, trials - g * 4096)
             rng = np.random.default_rng((11, g))
-            z0 = rng.standard_normal((n, 3))
+            z0 = rng.standard_normal((n, L))
             if eve_mode == "fixed":
                 d_e = distances(np.asarray(eve))
             else:
                 d_e = distances(rng.uniform([-w / 2, -h / 2], [w / 2, h / 2],
                                             size=(n, 2)))
-            z1 = rng.standard_normal((n, 3))
+            z1 = rng.standard_normal((n, L))
             expected0.append(stat(z0, d_a, noise_std(d_a)))
             expected1.append(stat(z1, d_e, noise_std(d_e)))
         # The scenario's eve alone decides the placement; naming the
@@ -327,6 +343,43 @@ def test_empirical_rates_against_analytic():
     assert abs(rates.p_md - md) <= 3.0 * rates.stderr_md + 1e-3
     assert rates.stderr_fa == pytest.approx(
         math.sqrt(rates.p_fa * (1 - rates.p_fa) / rates.trials), rel=1e-9)
+
+
+def test_error_rates_count_each_hypothesis_over_its_own_statistics():
+    rates = count_error_rates(np.array([1.0, 3.0, 5.0, 7.0]),
+                              np.array([0.5, 2.0, 6.0, 8.0]), 4.0)
+    assert rates == authentication.ErrorRates(
+        p_fa=0.5, p_md=0.5, stderr_fa=0.25, stderr_md=0.25, trials=4)
+
+
+@pytest.mark.parametrize("ts_h0, ts_h1, threshold, message", [
+    # 10 H0 and 5 H1 statistics, all misses, once read as p_md = 0.5.
+    (np.zeros(10), np.zeros(5), 1.0, "equally many"),
+    (np.zeros(5), np.zeros(10), 1.0, "equally many"),
+    # Empty samples once raised an untyped ZeroDivisionError.
+    (np.zeros(0), np.zeros(0), 1.0, "at least one"),
+    # A NaN threshold once counted nothing and reported 0 +- 0.
+    (np.zeros(3), np.zeros(3), float("nan"), "NaN"),
+], ids=["short-h1", "short-h0", "empty", "nan-threshold"])
+def test_error_rates_refuse_mismatched_empty_or_nan_inputs(
+        ts_h0, ts_h1, threshold, message):
+    with pytest.raises(DomainError, match=message):
+        count_error_rates(ts_h0, ts_h1, threshold)
+
+
+def test_power_axis_forms_are_the_per_power_forms_bit_for_bit():
+    scen = make_scenario(gain=2.5)
+    d_tx = np.vstack([scen.alice_distances(), scen.eve_distances()])
+    powers = np.linspace(-37.3, 141.1, 23)
+    scales, offsets = statistic_form(d_tx, d_tx[0], scen.channel,
+                                     powers_db=powers)
+    assert scales.shape == (23, 2, 3)
+    for p, got in zip(powers, scales):
+        channel = ChannelParams(transmit_power_db=float(p),
+                                signal_design_gain=2.5)
+        want, want_offsets = statistic_form(d_tx, d_tx[0], channel)
+        assert got.tobytes() == want.tobytes()
+        assert offsets.tobytes() == want_offsets.tobytes()
 
 
 def test_position_space_statistic_never_exceeds_residual_norm():

@@ -1,7 +1,9 @@
 """Absorption, pathloss, and range-noise variance against hand-derived values."""
 
+import dataclasses
 from fractions import Fraction
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from uwauth import (
     distance_noise_variance,
     pathloss_db,
 )
+from uwauth.channel import _noise_variance
 
 # Absorption at 10 kHz, summed term by term in exact rational arithmetic:
 # 0.11*f^2/(1+f^2) + 44*f^2/(4100+f^2) + 2.75e-4*f^2 + 0.003 with f^2 = 100.
@@ -120,6 +123,35 @@ def test_variance_out_of_float_range_raises(power_db, distance):
     params = ChannelParams(transmit_power_db=power_db)
     with pytest.raises(DomainError, match="not finite and positive"):
         distance_noise_variance(distance, params)
+
+
+def test_power_axis_variance_is_the_per_power_variance_bit_for_bit():
+    # Non-integer powers over a range where numpy's array ** and scalar **
+    # round 10^(p/10) differently for some of them; the power axis must
+    # give each power's scalar result.
+    powers = np.linspace(-2500.0, 2500.0, 2001) + 0.37
+    p_lin = np.float64(10.0) ** (powers / 10.0)
+    assert any(p_lin[k] != np.float64(10.0) ** (float(p) / 10.0)
+               for k, p in enumerate(powers))
+    params = ChannelParams(signal_design_gain=3.7)
+    d = np.array([[120.5, 733.3, 1410.0], [5.2, 88.8, 2999.9]])
+    var = _noise_variance(d, params, powers[:, None, None])
+    at_500 = _noise_variance(500.0, params, powers)
+    assert var.shape == (2001, 2, 3) and at_500.shape == (2001,)
+    for p, v, v500 in zip(powers, var, at_500):
+        at_p = dataclasses.replace(params, transmit_power_db=float(p))
+        assert v.tobytes() == distance_noise_variance(d, at_p).tobytes()
+        assert v500 == distance_noise_variance(500.0, at_p)
+
+
+@pytest.mark.parametrize("power_db", [4000.0, -4000.0])
+def test_power_axis_variance_out_of_float_range_raises_without_warning(
+        power_db):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="not finite and positive"):
+            _noise_variance(np.array([300.0, 500.0]), ChannelParams(),
+                            np.array([[50.0], [power_db]]))
 
 
 def test_variance_inverse_in_design_gain():

@@ -644,6 +644,14 @@ def test_shipped_outputs_match_recorded_files(tmp_path, capsys):
     rc, stdout, _ = run(["roc", FIXED_EVE, "--points", "101"], capsys)
     assert rc == 0
     _assert_matches_recorded(stdout, "fixed-eve-roc-101.csv", (0, 1))
+    # The uniform-Eve sweep of the baseline config, Monte Carlo columns
+    # exact: batching the simulation over grid powers draws the same
+    # stream at every power.
+    out = tmp_path / "baseline.csv"
+    rc, _, _ = run(["sweep", str(ROOT / "configs" / "baseline.json"),
+                    "--out", str(out)], capsys)
+    assert rc == 0
+    _assert_matches_recorded(out.read_text(), "baseline-sweep.csv", (2, 3))
 
 
 def test_module_entry_point_runs():

@@ -2,12 +2,14 @@
 
 import dataclasses
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uwauth import (
+    DecisionConfig,
     DomainError,
     QuadFormDist,
     SweepSpec,
@@ -15,6 +17,7 @@ from uwauth import (
     calibrate_threshold,
     default_power_grid,
     default_thresholds,
+    empirical_rates,
     h0_distribution,
     h1_distribution,
     p_fa_analytic,
@@ -24,7 +27,7 @@ from uwauth import (
     run_sweep,
 )
 from uwauth import cli, experiment
-from uwauth.authentication import statistic_form
+from uwauth.authentication import simulate_test_statistics, statistic_form
 from uwauth.experiment import MAX_ROC_POINTS
 
 
@@ -71,6 +74,50 @@ def test_sweep_is_deterministic_and_worker_invariant():
     assert r1 == r2 == r3
     r4 = run_sweep(small_spec(master_seed=10))
     assert [x.p_fa_emp for x in r4] != [x.p_fa_emp for x in r1]
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("eve", [(150.0, -80.0), None],
+                         ids=["fixed", "uniform"])
+@pytest.mark.parametrize("trials", [1, 2000, 2049, 4096, 4097, 9000])
+def test_monte_carlo_columns_are_per_power_empirical_rates_bit_for_bit(
+        trials, eve, workers):
+    # Batches hold whole powers, as many as fit in 4096 trials: all five
+    # powers at 1 trial, two, two and one at 2000, one from 2049 on; 4097
+    # and 9000 trials take more than one block per power.
+    scen = baseline_scenario(signal_design_gain=1.0, eve=eve)
+    grid = [35.0, 42.5, 50.0, 57.5, 65.0]
+    ths = default_thresholds(scen, h0_quantiles=(0.5, 0.9))
+    spec = SweepSpec(scenario=scen, power_grid_db=grid, thresholds=ths,
+                     trials_per_point=trials, master_seed=5,
+                     analytic_eve_count=3)
+    rows = iter(run_sweep(spec, workers=workers))
+    for i, power in enumerate(grid):
+        at_power = dataclasses.replace(scen, channel=dataclasses.replace(
+            scen.channel, transmit_power_db=power))
+        for th in ths:
+            row = next(rows)
+            rates = empirical_rates(at_power, DecisionConfig(float(th)),
+                                    trials, (5, i))
+            got = (row.p_fa_emp, row.p_md_emp, row.stderr_fa, row.stderr_md)
+            want = (rates.p_fa, rates.p_md, rates.stderr_fa, rates.stderr_md)
+            assert [repr(v) for v in got] == [repr(v) for v in want]
+
+
+@pytest.mark.parametrize("power_db", [4000.0, -4000.0])
+def test_sweep_and_simulation_refuse_powers_without_a_finite_variance(
+        power_db):
+    scen = baseline_scenario(signal_design_gain=1.0, eve=None)
+    spec = SweepSpec(scenario=scen, power_grid_db=[50.0, power_db],
+                     thresholds=[1e5], trials_per_point=10)
+    at_power = baseline_scenario(transmit_power_db=power_db)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (lambda: run_sweep(spec),
+                     lambda: experiment._monte_carlo_counts(spec, 1),
+                     lambda: simulate_test_statistics(at_power, 10, 1)):
+            with pytest.raises(DomainError, match="variance"):
+                call()
 
 
 @pytest.mark.parametrize("workers", [1.5, True, "2", None])
