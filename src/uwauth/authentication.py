@@ -100,7 +100,7 @@ def residual_vector(observed: NoisySquaredDistances, anchors: AnchorArray,
 def test_statistic(residual) -> float:
     """Squared Euclidean norm of a residual vector."""
     r = np.asarray(residual, dtype=float)
-    return float(r @ r)
+    return float(r.dot(r))
 
 
 def test_statistic_pinv(observed: NoisySquaredDistances, anchors: AnchorArray,
@@ -350,14 +350,18 @@ def _error_rates(false_alarms, misses, trials: int) -> ErrorRates:
 
 
 def _lift(point) -> np.ndarray:
-    p = np.asarray(point, dtype=float)
-    return np.array([p[0], p[1], p[0] ** 2 + p[1] ** 2])
+    # Python floats: x ** 2 calls the same libm pow as a float64 scalar
+    # does, without numpy's per-scalar overhead.
+    x, y = np.asarray(point, dtype=float).tolist()
+    return np.array([x, y, x ** 2 + y ** 2])
 
 
 def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
     """b - A chi(claim) for observations shaped (L,) or (n, L)."""
     A, b = build_system(anchors, observed_sq)
-    return b - A @ _lift(claimed)
+    # ndarray.dot makes the BLAS call that A @ chi makes, with less
+    # dispatch per packet; so do test_statistic and solve_position.
+    return b - A.dot(_lift(claimed))
 
 
 def _seed_entropy(master_seed) -> tuple:

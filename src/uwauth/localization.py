@@ -181,9 +181,10 @@ def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndar
     Row i reads -2*x_i*x - 2*y_i*y + (x^2 + y^2) = d_hat_i^2 - x_i^2 - y_i^2.
     """
     obs = np.asarray(observed_sq, dtype=float)
-    if obs.shape[-1] != len(anchors):
+    sq_norms = anchors._sq_norms
+    if obs.shape[-1] != sq_norms.shape[0]:
         raise DomainError("one squared observation per anchor is required")
-    return anchors.design_matrix(), obs - anchors._sq_norms
+    return anchors._design, obs - sq_norms
 
 
 def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -196,7 +197,7 @@ def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     factorized once. Raises GeometryError when A is not finite, is
     numerically rank deficient, or has fewer rows than columns.
     """
-    return np.asarray(b, dtype=float) @ _pseudo_inverse(A).T
+    return np.asarray(b, dtype=float).dot(_pseudo_inverse(A).T)
 
 
 def _pseudo_inverse(A) -> np.ndarray:

@@ -1,9 +1,11 @@
 """Residual test statistic and its distributions under both hypotheses."""
 
 import itertools
+import json
 import math
 import os
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -438,3 +440,72 @@ def test_position_space_statistic_equality_in_row_space():
         ts = statistic(residual_vector(obs, TRIANGLE, claim))
         ts_p = statistic_pinv(obs, TRIANGLE, claim)
         assert ts_p == pytest.approx(ts, rel=1e-8, abs=1e-8)
+
+
+PACKETS = Path(__file__).resolve().parent / "data" / "baseline-packets.json"
+
+
+def test_packet_stream_reproduces_the_recorded_outputs_bit_for_bit():
+    # Written by tools/packet_reference.py: 200 seeded packets on the
+    # baseline geometry at 50 dB, half from the claim and half from
+    # uniformly placed impersonators, with the statistic, verdict and
+    # position the program gave each.
+    recorded = json.loads(PACKETS.read_text())
+    anchors = AnchorArray(np.array(recorded["anchors"]))
+    claim = np.array(recorded["claim"])
+    config = DecisionConfig(recorded["threshold"])
+    packets = recorded["packets"]
+    assert {(p["from_eve"], p["verdict"]) for p in packets} >= {
+        (False, "H0_NO_IMPERSONATION"), (True, "H1_IMPERSONATION")}
+    for pkt in packets:
+        obs = obs_from_squared(pkt["observed_sq_m2"])
+        ts = statistic(residual_vector(obs, anchors, claim))
+        X = localization.solve_position(
+            *localization.build_system(anchors, obs.observed_sq_m2))
+        assert (ts, decide(ts, config).name, X.tolist()) == (
+            pkt["ts"], pkt["verdict"], pkt["position"])
+
+
+def test_stacked_residuals_are_the_per_packet_residuals_bit_for_bit():
+    recorded = json.loads(PACKETS.read_text())
+    anchors = AnchorArray(np.array(recorded["anchors"]))
+    # Off the origin, so that the claim's model is not zero.
+    claim = np.array([120.37, -33.91])
+    observed = np.array([p["observed_sq_m2"] for p in recorded["packets"]])
+    rows = [residual_vector(obs_from_squared(o), anchors, claim)
+            for o in observed]
+    stacked = authentication._residual(anchors, observed, claim)
+    assert stacked.tobytes() == np.array(rows).tobytes()
+
+
+def test_residual_follows_a_claim_mutated_in_place_or_given_as_a_sequence():
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    A, b = localization.build_system(TRIANGLE, obs.observed_sq_m2)
+
+    def expected(x, y):
+        return b - A @ np.array([x, y, x ** 2 + y ** 2])
+
+    claim = np.array([10.3, -20.7])
+    first = residual_vector(obs, TRIANGLE, claim)
+    np.testing.assert_array_equal(first, expected(10.3, -20.7))
+    claim[0] = 300.9
+    moved = residual_vector(obs, TRIANGLE, claim)
+    np.testing.assert_array_equal(moved, expected(300.9, -20.7))
+    assert not np.array_equal(first, moved)
+    np.testing.assert_array_equal(
+        residual_vector(obs, TRIANGLE, [300.9, -20.7]), moved)
+    np.testing.assert_array_equal(
+        residual_vector(obs, TRIANGLE, (10.3, -20.7)), first)
+    np.testing.assert_array_equal(
+        residual_vector(obs, TRIANGLE, (10, -20)), expected(10.0, -20.0))
+    # The lift in Python floats rounds as float64 scalars do.
+    rng = np.random.default_rng(21)
+    for _ in range(50):
+        anchors = AnchorArray(rng.uniform(-500.0, 500.0, (5, 2)))
+        x, y = rng.uniform(-450.0, 450.0, 2)
+        obs = obs_from_squared(rng.uniform(1e4, 1e6, 5))
+        A, b = localization.build_system(anchors, obs.observed_sq_m2)
+        np.testing.assert_array_equal(
+            residual_vector(obs, anchors, (x, y)),
+            b - A @ np.array([x, y, x ** 2 + y ** 2]))
+

@@ -108,6 +108,16 @@ def test_localize_is_seed_deterministic(tmp_path, capsys):
     assert abs(moved["x_m"]) > 1e-9 or abs(moved["y_m"]) > 1e-9
 
 
+def test_localize_matches_the_recorded_output(capsys):
+    # tests/data/fixed-eve-localize.json is `uwauth localize
+    # configs/fixed-eve.json` as printed; it pins the seeded noise model
+    # and the least-squares solve bit for bit.
+    rc, out, _ = run(["localize", FIXED_EVE], capsys)
+    assert rc == 0
+    assert out == (ROOT / "tests" / "data" / "fixed-eve-localize.json"
+                   ).read_text()
+
+
 def test_localize_rejects_malformed_json(tmp_path, capsys):
     bad = tmp_path / "broken.json"
     bad.write_text('{"region": {,}')

@@ -15,7 +15,11 @@ from uwauth import (
     sample_noisy_squared_distances,
     solve_position,
 )
-from uwauth.localization import draw_squared_distances
+from uwauth.localization import (
+    _PINV_CACHE_SIZE,
+    _factorize,
+    draw_squared_distances,
+)
 
 TRIANGLE = AnchorArray(np.array([[0.0, 500.0], [-500.0, -500.0], [-500.0, 500.0]]))
 
@@ -167,15 +171,28 @@ def test_anchor_array_factorizes_its_design_matrix_once(monkeypatch):
 
 
 def test_solver_follows_a_design_matrix_mutated_in_place():
-    # The cache is keyed on the matrix content, not on the array object.
-    A = TRIANGLE.design_matrix().copy()
-    X0 = np.array([30.0, -40.0, 2500.0])
-    b = A @ X0
-    np.testing.assert_allclose(solve_position(A, b), X0, rtol=1e-12)
-    A[0] = [700.0, -300.0, 1.0]
-    expected = np.linalg.lstsq(A, b, rcond=None)[0]
-    np.testing.assert_allclose(solve_position(A, b), expected, rtol=1e-12)
-    assert np.abs(expected - X0).max() > 1.0
+    # The cache is keyed on the matrix content, not on the array object,
+    # in either memory order.
+    for order in "CF":
+        A = np.array(TRIANGLE.design_matrix(), order=order)
+        X0 = np.array([30.0, -40.0, 2500.0])
+        b = A @ X0
+        np.testing.assert_allclose(solve_position(A, b), X0, rtol=1e-12)
+        A[0] = [700.0, -300.0, 1.0]
+        expected = np.linalg.lstsq(A, b, rcond=None)[0]
+        np.testing.assert_allclose(solve_position(A, b), expected, rtol=1e-12)
+        assert np.abs(expected - X0).max() > 1.0
+
+
+def test_pseudo_inverse_cache_stays_bounded():
+    # One geometry more than the cache holds must evict, not grow it.
+    rng = np.random.default_rng(1002)
+    for _ in range(_PINV_CACHE_SIZE + 1):
+        anchors = AnchorArray(rng.uniform(-500.0, 500.0,
+                                          (int(rng.integers(3, 8)), 2)))
+        d = anchors.distances_to(rng.uniform(-450.0, 450.0, 2))
+        solve_position(*build_system(anchors, d * d))
+    assert _factorize.cache_info().currsize == _PINV_CACHE_SIZE
 
 
 @pytest.mark.parametrize("xy", [
