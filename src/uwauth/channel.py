@@ -57,15 +57,20 @@ def absorption_db_per_km(frequency_khz):
     """Thorp absorption coefficient in dB/km for a frequency in kHz.
 
     Accepts a scalar or an ndarray; the result has the input's shape.
+    Raises DomainError where the coefficient overflows, as for finite
+    frequencies above ~2e153 kHz.
     """
     f = np.asarray(frequency_khz, dtype=float)
     if np.any(f <= 0) or not np.all(np.isfinite(f)):
         raise DomainError("frequency must be positive")
-    f2 = f * f
-    alpha = (0.11 * f2 / (1.0 + f2)
-             + 44.0 * f2 / (4100.0 + f2)
-             + 2.75e-4 * f2
-             + 0.003)
+    with np.errstate(all="ignore"):
+        f2 = f * f
+        alpha = (0.11 * f2 / (1.0 + f2)
+                 + 44.0 * f2 / (4100.0 + f2)
+                 + 2.75e-4 * f2
+                 + 0.003)
+    if not np.all(np.isfinite(alpha)):
+        raise DomainError("frequency is too large: absorption overflows")
     return float(alpha) if np.isscalar(frequency_khz) else alpha
 
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -49,8 +50,7 @@ class ConfigError(ValueError):
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.handler(args)
     except ConfigError as exc:
@@ -66,6 +66,10 @@ def main(argv=None) -> int:
         return 3
 
 
+# Built on the first main call, not at import, and kept: it holds only
+# constants, parse_args returns a fresh Namespace each call, and the
+# handlers look their helpers up as module globals when they run.
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="uwauth",

@@ -151,9 +151,9 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
                                spec.thresholds)
         p_fa.extend(fa.tolist())
         # Each threshold's miss column is averaged as a contiguous copy,
-        # so it sums in the order of a 1-d list.
-        p_md.extend([float(np.mean(col.copy())) for col in miss_i.T]
-                    for miss_i in miss)
+        # (P, K, E) with E innermost, so it sums in the order of a 1-d list.
+        by_threshold = np.ascontiguousarray(miss.transpose(0, 2, 1))
+        p_md.extend((by_threshold.sum(axis=-1) / miss.shape[1]).tolist())
 
     trials = int(spec.trials_per_point)
     if trials > 0:

@@ -53,6 +53,20 @@ def test_absorption_rejects_nonpositive_frequency(bad):
         absorption_db_per_km(bad)
 
 
+@pytest.mark.parametrize("call", [
+    lambda: absorption_db_per_km(1e200),
+    lambda: absorption_db_per_km(np.array([10.0, 1e200])),
+    lambda: pathloss_db(1000.0, ChannelParams(frequency_khz=1e200)),
+], ids=["scalar", "array", "pathloss"])
+def test_overflowing_frequency_raises_without_warning(call):
+    # 1e200 kHz is finite, so ChannelParams accepts it, but its square
+    # overflows to inf.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="absorption overflows"):
+            call()
+
+
 def test_pathloss_at_500m():
     # 1.5 spreading decades plus half a kilometer of absorption.
     expected = 15.0 * math.log10(500.0) + 0.5 * ALPHA_10

@@ -84,6 +84,14 @@ def test_pathloss_rejects_zero_frequency(capsys):
     assert "frequency must be positive" in err
 
 
+def test_pathloss_rejects_an_overflowing_frequency(capsys):
+    rc, out, err = run(["pathloss", "--frequency-khz", "1e200",
+                        "--distance-m", "1000"], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err == "error: frequency is too large: absorption overflows\n"
+
+
 def test_localize_noiseless_recovers_the_claimed_position(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     rc, out, _ = run(["localize", str(cfg), "--noise", "off"], capsys)
@@ -662,6 +670,44 @@ def test_shipped_outputs_match_recorded_files(tmp_path, capsys):
                     "--out", str(out)], capsys)
     assert rc == 0
     _assert_matches_recorded(out.read_text(), "baseline-sweep.csv", (2, 3))
+
+
+def test_main_calls_in_one_process_carry_no_state(tmp_path, capsys,
+                                                  monkeypatch):
+    # main keeps its parser between calls; usage errors, --help and other
+    # commands in between must not change what a later call prints.
+    data = ROOT / "tests" / "data"
+    roc = ["roc", FIXED_EVE, "--points", "101"]
+    expected_roc = (data / "fixed-eve-roc-101.csv").read_bytes()
+    rc, first, _ = run(roc, capsys)
+    assert rc == 0 and first.encode() == expected_roc
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", FIXED_EVE])
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["roc", "--help"])
+    assert exc.value.code == 0
+    capsys.readouterr()
+    out = tmp_path / "fixed.csv"
+    rc, _, _ = run(["sweep", FIXED_EVE, "--out", str(out)], capsys)
+    assert rc == 0
+    assert out.read_bytes() == (data / "fixed-eve-sweep.csv").read_bytes()
+    rc, second, _ = run(roc, capsys)
+    assert rc == 0 and second.encode() == expected_roc
+
+    # The sweep handler finds run_sweep when it runs, so a stand-in set
+    # after the parser was built is the one called.
+    calls = []
+
+    def stand_in(spec, *, workers):
+        calls.append(workers)
+        return []
+
+    monkeypatch.setattr(cli, "run_sweep", stand_in)
+    rc, _, _ = run(["sweep", FIXED_EVE, "--out", str(out), "--workers", "2"],
+                   capsys)
+    assert rc == 0 and calls == [2]
+    assert out.read_text().count("\n") == 1
 
 
 def test_module_entry_point_runs():
