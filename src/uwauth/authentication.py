@@ -59,7 +59,7 @@ __all__ = [
 
 # Trials are simulated in fixed-size blocks; block g draws its generator
 # from (master_seed, g), so results never depend on worker scheduling.
-# The sweep also bounds its batches of whole grid powers by it.
+# _simulate also bounds its batches of whole powers by it.
 _BLOCK = 4096
 
 
@@ -224,59 +224,74 @@ def simulate_test_statistics(scenario: Scenario, trials: int, master_seed,
         raise DomainError(
             f"eve_mode must be {mode!r} for this scenario, not {eve_mode!r}")
 
-    seeds = [_seed_entropy(master_seed)]
-    powers = [scenario.channel.transmit_power_db]
-
-    def run_block(g: int) -> tuple[np.ndarray, np.ndarray]:
-        return _simulate_block(scenario, powers, seeds, g,
-                               min(_BLOCK, trials - g * _BLOCK))
-
-    ts_h0 = np.empty(trials)
-    ts_h1 = np.empty(trials)
-    blocks = range((trials + _BLOCK - 1) // _BLOCK)
-    for g, (t0, t1) in zip(blocks, _map(run_block, blocks, workers)):
-        ts_h0[g * _BLOCK:g * _BLOCK + t0.shape[1]] = t0[0]
-        ts_h1[g * _BLOCK:g * _BLOCK + t1.shape[1]] = t1[0]
+    ts_h0, ts_h1 = np.empty((2, trials))
+    for _, cols, t0, t1 in _simulate(
+            scenario, [scenario.channel.transmit_power_db],
+            [_seed_entropy(master_seed)], trials, workers):
+        ts_h0[cols], ts_h1[cols] = t0[0], t1[0]
     return ts_h0, ts_h1
 
 
-def _simulate_block(scenario: Scenario, powers_db, seeds, g: int,
-                    n: int) -> tuple[np.ndarray, np.ndarray]:
-    """TS under H0 and H1, each (P, n): block g, of n trials, at each of
-    the P transmit powers powers_db in place of the scenario's.
+def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
+              workers: int):
+    """TS under H0 and H1 of trials trials at each transmit power
+    powers_db[j], in place of the scenario's, seeded by seeds[j].
 
-    The trials at powers_db[j] draw from default_rng(seeds[j] + (g,)) the
-    H0 normals, then, for a scenario without an eve, the impersonator
-    positions, then the H1 normals; everything after the draws is
-    computed for all P powers at once.
+    Yields (rows, cols, ts_h0, ts_h1), ts_* shaped (powers, trials), for
+    each batch of whole powers, slice rows of powers_db, as many as fit in
+    one block of _BLOCK trials and at least one, and within it for each
+    block g of trials, slice cols. Block g at powers_db[j] draws from
+    default_rng(seeds[j] + (g,)) the H0 normals, then, for a scenario
+    without an eve, the impersonator positions, then the H1 normals; the
+    rest is computed for the whole batch at once. Workers run the (batch,
+    block) pairs side by side; the pairs are yielded in order.
     """
     anchors = scenario.anchors
+    powers = np.reshape(powers_db, (-1, 1, 1))
+    # Scales that do not depend on the draws, (P, 1, L), from one noise
+    # model call each: it is elementwise in the powers.
+    d0 = scenario.alice_distances()
+    s0 = np.sqrt(_noise_variance(d0, scenario.channel, powers))
     fixed = scenario.eve is not None
-    z0 = np.empty((len(seeds), n, len(anchors)))
-    z1 = np.empty_like(z0)
-    if not fixed:
-        half_region = np.asarray(scenario.region) / 2
-        eve = np.empty((len(seeds), n, 2))
-    for j, seed in enumerate(seeds):
-        rng = np.random.default_rng(seed + (g,))
-        rng.standard_normal(out=z0[j])
-        if not fixed:
-            eve[j] = rng.uniform(-half_region, half_region, size=(n, 2))
-        rng.standard_normal(out=z1[j])
-    # The same (P, n, L) arrays, stored anchor by anchor: elementwise loops
-    # along the n trials run many times faster than along the L anchors.
-    z0, z1 = (z.swapaxes(1, 2).copy().swapaxes(1, 2) for z in (z0, z1))
     if fixed:
         d1 = scenario.eve_distances()
+        s1 = np.sqrt(_noise_variance(d1, scenario.channel, powers))
     else:
-        d1 = anchors.distances_to(eve).swapaxes(1, 2).copy().swapaxes(1, 2)
-    powers = np.reshape(powers_db, (-1, 1, 1))
-    ts = []
-    for d, z in ((scenario.alice_distances(), z0), (d1, z1)):
-        sigma = np.sqrt(_noise_variance(d, scenario.channel, powers))
-        r = _residual(anchors, _observe(d, sigma, z), scenario.alice)
-        ts.append(_squared_norms(r))
-    return ts[0], ts[1]
+        half_region = np.asarray(scenario.region) / 2
+    per_batch = max(1, _BLOCK // trials)
+
+    def run(pair):
+        rows, g = pair
+        batch = seeds[rows]
+        cols = slice(g * _BLOCK, min(trials, (g + 1) * _BLOCK))
+        n = cols.stop - cols.start
+        z0 = np.empty((len(batch), n, len(anchors)))
+        z1 = np.empty_like(z0)
+        if not fixed:
+            eve = np.empty((len(batch), n, 2))
+        for j, seed in enumerate(batch):
+            rng = np.random.default_rng(seed + (g,))
+            rng.standard_normal(out=z0[j])
+            if not fixed:
+                eve[j] = rng.uniform(-half_region, half_region, size=(n, 2))
+            rng.standard_normal(out=z1[j])
+        # The same arrays, stored anchor by anchor: elementwise loops along
+        # the n trials run many times faster than along the L anchors.
+        z0, z1 = (z.swapaxes(1, 2).copy().swapaxes(1, 2) for z in (z0, z1))
+        if fixed:
+            d, s = d1, s1[rows]
+        else:
+            d = anchors.distances_to(eve).swapaxes(1, 2).copy().swapaxes(1, 2)
+            s = np.sqrt(_noise_variance(d, scenario.channel, powers[rows]))
+        ts0, ts1 = (_squared_norms(_residual(anchors, _observe(*obs),
+                                             scenario.alice))
+                    for obs in ((d0, s0[rows], z0), (d, s, z1)))
+        return rows, cols, ts0, ts1
+
+    pairs = [(slice(i, i + per_batch), g)
+             for i in range(0, len(seeds), per_batch)
+             for g in range((trials + _BLOCK - 1) // _BLOCK)]
+    yield from _map(run, pairs, workers)
 
 
 def _squared_norms(r: np.ndarray) -> np.ndarray:
@@ -331,8 +346,14 @@ def count_error_rates(ts_h0: np.ndarray, ts_h1: np.ndarray,
                           "statistics, at least one of each")
     if np.isnan(threshold):
         raise DomainError("threshold must not be NaN")
-    return _error_rates(np.count_nonzero(ts_h0 > threshold),
-                        np.count_nonzero(ts_h1 <= threshold), n)
+    return _error_rates(*_count_errors(np.ravel(ts_h0), np.ravel(ts_h1),
+                                       threshold), n)
+
+
+def _count_errors(ts_h0, ts_h1, thresholds):
+    """False alarms (ts_h0 > thresholds) and misses (ts_h1 <= thresholds)."""
+    return (np.count_nonzero(ts_h0 > thresholds, axis=-1),
+            np.count_nonzero(ts_h1 <= thresholds, axis=-1))
 
 
 def _error_rates(false_alarms, misses, trials: int) -> ErrorRates:

@@ -79,13 +79,19 @@ def pathloss_db(distance_m, params: ChannelParams):
 
     Combines geometric spreading against a 1 m reference with Thorp
     absorption accumulated over the path; the absorption term converts
-    the distance to km to match the dB/km coefficient.
+    the distance to km to match the dB/km coefficient. Raises DomainError
+    where the pathloss is not finite, as over 1e300 m at 1e10 kHz.
     """
     d = np.asarray(distance_m, dtype=float)
     if np.any(d <= 0) or not np.all(np.isfinite(d)):
         raise DomainError("distance must be positive")
     alpha = absorption_db_per_km(params.frequency_khz)
-    pl = params.spreading_factor * 10.0 * np.log10(d) + (d / 1000.0) * alpha
+    with np.errstate(all="ignore"):
+        pl = (params.spreading_factor * 10.0 * np.log10(d)
+              + (d / 1000.0) * alpha)
+    if not np.all(np.isfinite(pl)):
+        raise DomainError("pathloss is not finite: the distance or the "
+                          "spreading factor is too large")
     return float(pl) if np.isscalar(distance_m) else pl
 
 

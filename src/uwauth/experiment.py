@@ -8,7 +8,7 @@ so reruns are reproducible, but it is not free of sampling error: the
 miss mass sits in a small region around the claimed position that the
 default 1000 points miss, so on configs/baseline.json p_md_analytic
 prints 0.0 from 40 dB on (2.4e-17 at 40 dB, threshold 3), where the true
-average is ~1e-7 to 3e-6 (item 1 of ROADMAP.md).
+average is ~1e-7 to 3e-6 (item 3 of ROADMAP.md).
 """
 
 from __future__ import annotations
@@ -20,10 +20,9 @@ import numpy as np
 
 from ._fields import _equal_fields, _is_integer
 from .authentication import (
-    _BLOCK,
+    _count_errors,
     _error_rates,
-    _map,
-    _simulate_block,
+    _simulate,
     calibrate_threshold,
     statistic_form,
 )
@@ -126,7 +125,8 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
     one; a cell's value does not depend on the block it is evaluated in.
     The Monte Carlo columns are then simulated in batches of whole grid
     powers, as many as fit in one block of trials and at least one, each
-    counted against every threshold; workers run batches side by side.
+    block counted against every threshold; workers run (batch, block)
+    pairs side by side.
 
     Output is a pure function of the sweep settings: Monte Carlo trials
     at grid index i draw exactly the stream simulate_test_statistics draws
@@ -157,7 +157,13 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
 
     trials = int(spec.trials_per_point)
     if trials > 0:
-        false_alarms, misses = _monte_carlo_counts(spec, workers)
+        counts = np.zeros((2, grid.size, spec.thresholds.size), dtype=int)
+        seeds = [(int(spec.master_seed), i) for i in range(grid.size)]
+        for batch, _, ts0, ts1 in _simulate(scen, grid, seeds, trials,
+                                            workers):
+            counts[:, batch] += _count_errors(ts0[:, None], ts1[:, None],
+                                              spec.thresholds[:, None])
+        false_alarms, misses = counts
     rows: list[SweepRow] = []
     for i, power in enumerate(grid.tolist()):
         for j, th in enumerate(spec.thresholds.tolist()):
@@ -168,34 +174,6 @@ def run_sweep(spec: SweepSpec, *, workers: int = 1) -> list[SweepRow]:
                        rates.stderr_fa, rates.stderr_md)
             rows.append(SweepRow(power, th, p_fa[i][j], p_md[i][j], *emp))
     return rows
-
-
-def _monte_carlo_counts(spec: SweepSpec,
-                        workers: int) -> tuple[np.ndarray, np.ndarray]:
-    """False alarms and misses among the spec's trials at each grid power
-    (P,) and threshold (K,), each (P, K), from batches of consecutive grid
-    powers that each fill at most one block of trials, or hold one power."""
-    trials = int(spec.trials_per_point)
-    grid = spec.power_grid_db
-    thresholds = spec.thresholds[:, None]
-    per_batch = max(1, _BLOCK // trials)
-
-    def run_batch(start: int) -> tuple[np.ndarray, np.ndarray]:
-        powers = grid[start:start + per_batch]
-        seeds = [(int(spec.master_seed), i)
-                 for i in range(start, start + powers.size)]
-        false_alarms = misses = 0
-        for g in range((trials + _BLOCK - 1) // _BLOCK):
-            ts0, ts1 = _simulate_block(spec.scenario, powers, seeds, g,
-                                       min(_BLOCK, trials - g * _BLOCK))
-            false_alarms = false_alarms + np.count_nonzero(
-                ts0[:, None] > thresholds, axis=-1)
-            misses = misses + np.count_nonzero(
-                ts1[:, None] <= thresholds, axis=-1)
-        return false_alarms, misses
-
-    counts = list(_map(run_batch, range(0, grid.size, per_batch), workers))
-    return tuple(np.concatenate(c) for c in zip(*counts))
 
 
 # Upper limit on roc_curve's points: every level is solved at once, each

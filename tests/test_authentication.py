@@ -197,13 +197,15 @@ def test_workers_never_exceed_the_usable_cores(monkeypatch):
     cores = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
              else os.cpu_count())
     threads = set()
-    simulate_block = authentication._simulate_block
+    squared_norms = authentication._squared_norms
 
+    # Every (batch, block) pair that _simulate hands to its workers ends
+    # in this call.
     def spy(*args):
         threads.add(threading.get_ident())
-        return simulate_block(*args)
+        return squared_norms(*args)
 
-    monkeypatch.setattr(authentication, "_simulate_block", spy)
+    monkeypatch.setattr(authentication, "_squared_norms", spy)
     # Eight blocks, so a pool sized by the request would start 8 threads.
     scen = make_scenario()
     a0, a1 = simulate_test_statistics(scen, 8 * 4096, 7, workers=64)

@@ -67,6 +67,24 @@ def test_overflowing_frequency_raises_without_warning(call):
             call()
 
 
+@pytest.mark.parametrize("distance, params", [
+    (1e300, ChannelParams(frequency_khz=1e10)),
+    (np.array([500.0, 1e300]), ChannelParams(frequency_khz=1e10)),
+    (1e300, ChannelParams(spreading_factor=1e308)),
+    (1.0, ChannelParams(spreading_factor=1e308)),
+    (1e-300, ChannelParams(spreading_factor=1e307)),
+], ids=["absorption", "absorption-array", "spreading", "spreading-at-1m",
+        "spreading-near-0m"])
+def test_pathloss_that_is_not_finite_raises_without_warning(distance, params):
+    # Each factor is finite: 1e297 km times 2.75e16 dB/km overflows the
+    # absorption term, and 1e308 * 10 the spreading term, which at 1 m
+    # gives inf * 0 = nan.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match="pathloss is not finite"):
+            pathloss_db(distance, params)
+
+
 def test_pathloss_at_500m():
     # 1.5 spreading decades plus half a kilometer of absorption.
     expected = 15.0 * math.log10(500.0) + 0.5 * ALPHA_10

@@ -92,6 +92,17 @@ def test_pathloss_rejects_an_overflowing_frequency(capsys):
     assert err == "error: frequency is too large: absorption overflows\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["-f", "1e10", "-d", "1e300"],
+    ["-v", "1e308", "-d", "1e300"],
+], ids=["absorption", "spreading"])
+def test_pathloss_rejects_a_pathloss_that_is_not_finite(argv, capsys):
+    rc, out, err = run(["pathloss", *argv], capsys)
+    assert rc == 2
+    assert out == ""
+    assert err.startswith("error: pathloss is not finite")
+
+
 def test_localize_noiseless_recovers_the_claimed_position(tmp_path, capsys):
     cfg = write_config(tmp_path / "c.json")
     rc, out, _ = run(["localize", str(cfg), "--noise", "off"], capsys)

@@ -26,8 +26,12 @@ from uwauth import (
     roc_curve,
     run_sweep,
 )
-from uwauth import cli, experiment
-from uwauth.authentication import simulate_test_statistics, statistic_form
+from uwauth import authentication, cli, experiment
+from uwauth.authentication import (
+    count_error_rates,
+    simulate_test_statistics,
+    statistic_form,
+)
 from uwauth.experiment import MAX_ROC_POINTS
 
 
@@ -114,10 +118,65 @@ def test_sweep_and_simulation_refuse_powers_without_a_finite_variance(
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for call in (lambda: run_sweep(spec),
-                     lambda: experiment._monte_carlo_counts(spec, 1),
+                     lambda: list(authentication._simulate(
+                         scen, spec.power_grid_db, [(0, 0), (0, 1)], 10, 1)),
                      lambda: simulate_test_statistics(at_power, 10, 1)):
             with pytest.raises(DomainError, match="variance"):
                 call()
+
+
+@pytest.mark.parametrize("eve", [None, (150.0, -80.0)],
+                         ids=["uniform", "fixed"])
+def test_sweep_monte_carlo_takes_the_fixed_noise_scales_once(eve,
+                                                             monkeypatch):
+    # 21 powers of 2000 trials run as 11 batches of at most two powers;
+    # the legitimate node's scales, and a fixed eve's, still come from one
+    # noise-model call for the whole grid.
+    scen = baseline_scenario(eve=eve)
+    spec = SweepSpec(scenario=scen, power_grid_db=default_power_grid(),
+                     thresholds=[1.0, 100.0], trials_per_point=2000,
+                     analytic_eve_count=5)
+    calls = []
+    noise_variance = authentication._noise_variance
+
+    def spy(d, *args):
+        calls.append(np.array(d, copy=True))
+        return noise_variance(d, *args)
+
+    monkeypatch.setattr(authentication, "_noise_variance", spy)
+    run_sweep(spec)
+
+    def count(d):
+        return sum(c.shape == d.shape and np.array_equal(c, d) for c in calls)
+
+    assert count(scen.alice_distances()) == 1
+    if eve is None:
+        assert sum(c.ndim == 3 for c in calls) == 11
+    else:
+        assert count(scen.eve_distances()) == 1
+
+
+def test_sweep_counts_ties_as_count_error_rates_does():
+    # Thresholds exactly on a drawn H0 and a drawn H1 statistic: the tie
+    # is no false alarm but is a miss, in both counts. 5000 trials span
+    # two blocks.
+    trials, seed = 5000, 11
+    scen = baseline_scenario(signal_design_gain=1.0, eve=None)
+    at_power = baseline_scenario(transmit_power_db=50.0,
+                                 signal_design_gain=1.0, eve=None)
+    ts0, ts1 = simulate_test_statistics(at_power, trials, (seed, 0))
+    ths = [np.sort(ts0)[trials // 3], np.sort(ts1)[trials // 3]]
+    spec = SweepSpec(scenario=scen, power_grid_db=[50.0], thresholds=ths,
+                     trials_per_point=trials, master_seed=seed,
+                     analytic_eve_count=5)
+    rows = run_sweep(spec)
+    for row, th in zip(rows, ths):
+        rates = count_error_rates(ts0, ts1, th)
+        assert (row.p_fa_emp, row.p_md_emp) == (rates.p_fa, rates.p_md)
+    assert np.count_nonzero(ts0 == ths[0]) == 1
+    assert rows[0].p_fa_emp == np.count_nonzero(ts0 > ths[0]) / trials
+    assert np.count_nonzero(ts1 == ths[1]) == 1
+    assert rows[1].p_md_emp == (np.count_nonzero(ts1 < ths[1]) + 1) / trials
 
 
 @pytest.mark.parametrize("workers", [1.5, True, "2", None])
