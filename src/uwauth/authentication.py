@@ -370,19 +370,34 @@ def _error_rates(false_alarms, misses, trials: int) -> ErrorRates:
     )
 
 
-def _lift(point) -> np.ndarray:
+def _lift(claim: np.ndarray) -> np.ndarray:
+    """chi(claim) of a float64 claim of shape (2,); other shapes raise."""
     # Python floats: x ** 2 calls the same libm pow as a float64 scalar
     # does, without numpy's per-scalar overhead.
-    x, y = np.asarray(point, dtype=float).tolist()
+    x, y = claim.tolist()
     return np.array([x, y, x ** 2 + y ** 2])
 
 
 def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
-    """b - A chi(claim) for observations shaped (L,) or (n, L)."""
+    """b - A chi(claim) for observations shaped (L,) or (n, L).
+
+    The anchors keep the model A chi(claim) of the last claim seen, keyed
+    by the claim's shape and bytes as a float64 array, so 0.0 and -0.0
+    differ and a claim mutated in place is lifted again. Another claim
+    replaces that one slot whole, with one store, so threads sharing the
+    anchors always read a matching pair.
+    """
     A, b = build_system(anchors, observed_sq)
-    # ndarray.dot makes the BLAS call that A @ chi makes, with less
-    # dispatch per packet; so do test_statistic and solve_position.
-    return b - A.dot(_lift(claimed))
+    claim = np.asarray(claimed, dtype=float)
+    key = (claim.shape, claim.tobytes())
+    slot = anchors._claim_model
+    model_key, model = slot[0]
+    if model_key != key:
+        # ndarray.dot makes the BLAS call that A @ chi makes, with less
+        # dispatch; so do test_statistic and solve_position.
+        model = A.dot(_lift(claim))
+        slot[0] = key, model
+    return b - model
 
 
 def _seed_entropy(master_seed) -> tuple:

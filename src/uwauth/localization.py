@@ -12,6 +12,7 @@ All coordinates and distances are in meters.
 from __future__ import annotations
 
 import functools
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,6 +36,10 @@ __all__ = [
 _RANK_RTOL = 1e-9
 # Distinct design matrices whose pseudo-inverse is kept.
 _PINV_CACHE_SIZE = 8
+# Each live AnchorArray design matrix's pseudo-inverse, transposed, keyed
+# by the matrix's id next to a weak reference to it; an entry goes when
+# its matrix does.
+_DESIGN_PINV_T: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,10 +47,13 @@ class AnchorArray:
     """Fixed anchor positions, shape (L, 2) with L >= 3.
 
     Construction factorizes the design matrix once, into a cache keyed
-    by the matrix's content. It raises GeometryError when the coordinates
-    are not finite or that matrix is numerically rank deficient.
-    solve_position then reuses the factorization for every packet, one
-    at a time or in a batch.
+    by the matrix's content, and keeps the pseudo-inverse with the
+    matrix. It raises GeometryError when the coordinates are not finite
+    or that matrix is numerically rank deficient. solve_position then
+    reuses the factorization for every packet, one at a time or in a
+    batch. The array also keeps the model A chi(claim) of the last claim
+    that residual_vector saw, so a stream of packets against one claim
+    lifts it once.
     """
 
     xy: np.ndarray
@@ -63,14 +71,21 @@ class AnchorArray:
             raise GeometryError("anchor coordinates must be finite")
         design = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1],
                                   np.ones(len(xy))])
-        _pseudo_inverse(design)  # the rank check; solve_position reuses it
-        # Read-only, so the cached design matrix and norms stay in step with xy.
+        # A view of immutable bytes, which numpy refuses to make writeable
+        # again, so its pseudo-inverse can be found by identity.
+        design = np.frombuffer(design.tobytes()).reshape(design.shape)
+        pinv = _pseudo_inverse(design)  # also the rank check
+        _DESIGN_PINV_T[id(design)] = weakref.ref(design), pinv.T
+        weakref.finalize(design, _DESIGN_PINV_T.pop, id(design), None)
+        # Read-only, so the cached norms stay in step with xy.
         sq_norms = (xy ** 2).sum(axis=1)
-        for a in (xy, design, sq_norms):
+        for a in (xy, sq_norms):
             a.flags.writeable = False
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "_design", design)
         object.__setattr__(self, "_sq_norms", sq_norms)
+        # One (claim key, A chi(claim)) pair: see authentication._residual.
+        object.__setattr__(self, "_claim_model", [(None, None)])
 
     def __len__(self) -> int:
         return self.xy.shape[0]
@@ -193,11 +208,18 @@ def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     b is one right-hand side, shape (L,), giving X of shape (3,), or a
     batch of n transmissions, shape (n, L), solved row by row into
     (n, 3). X = b @ pinv(A).T, with the pseudo-inverse taken from an SVD
-    of A that is cached by A's content, so a fixed anchor geometry is
-    factorized once. Raises GeometryError when A is not finite, is
-    numerically rank deficient, or has fewer rows than columns.
+    of A, so a fixed anchor geometry is factorized once: an AnchorArray's
+    own design matrix brings its pseudo-inverse, and any other A is
+    looked up in a cache keyed by its content. Raises GeometryError when
+    A is not finite, is numerically rank deficient, or has fewer rows
+    than columns.
     """
-    return np.asarray(b, dtype=float).dot(_pseudo_inverse(A).T)
+    own = _DESIGN_PINV_T.get(id(A))
+    if own is not None and own[0]() is A:
+        pinv_t = own[1]
+    else:
+        pinv_t = _pseudo_inverse(A).T
+    return np.asarray(b, dtype=float).dot(pinv_t)
 
 
 def _pseudo_inverse(A) -> np.ndarray:

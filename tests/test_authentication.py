@@ -4,6 +4,7 @@ import itertools
 import json
 import math
 import os
+import sys
 import threading
 from pathlib import Path
 
@@ -511,3 +512,106 @@ def test_residual_follows_a_claim_mutated_in_place_or_given_as_a_sequence():
             residual_vector(obs, anchors, (x, y)),
             b - A @ np.array([x, y, x ** 2 + y ** 2]))
 
+
+def fresh_residual(anchors, observed_sq, claim):
+    # The residual formed from scratch, with no model kept between packets.
+    A, b = localization.build_system(anchors, observed_sq)
+    return b - A.dot(authentication._lift(np.asarray(claim, dtype=float)))
+
+
+def test_residuals_alternating_claims_and_geometries_are_fresh_bit_for_bit():
+    # Every packet changes the claim, the anchors or both, so each one
+    # replaces the model the anchors keep, or meets another anchors' slot.
+    rng = np.random.default_rng(31)
+    geometries = [TRIANGLE, AnchorArray(rng.uniform(-500.0, 500.0, (5, 2)))]
+    claims = [np.array([120.37, -33.91]), (-250.5, 310.25)]
+    for k in range(40):
+        anchors = geometries[k % 2]
+        claim = claims[(k // 2) % 2]
+        obs = obs_from_squared(rng.uniform(1e4, 1e6, len(anchors)))
+        r = residual_vector(obs, anchors, claim)
+        assert r.tobytes() == fresh_residual(
+            anchors, obs.observed_sq_m2, claim).tobytes()
+
+
+def test_a_negative_zero_claim_after_a_zero_claim_is_lifted_again():
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    for claim in ([0.0, 0.0], [-0.0, 0.0], [0.0, -0.0], [-0.0, -0.0],
+                  [0.0, 0.0]):
+        r = residual_vector(obs, TRIANGLE, np.array(claim))
+        assert r.tobytes() == fresh_residual(
+            TRIANGLE, obs.observed_sq_m2, claim).tobytes()
+        assert TRIANGLE._claim_model[0][0] == ((2,), np.array(claim).tobytes())
+
+
+@pytest.mark.parametrize("shape, error", [
+    ((1, 2), ValueError), ((2, 1), TypeError), ((3,), ValueError)])
+def test_a_refused_claim_is_refused_after_a_hit_on_its_values(shape, error):
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    values = np.array([10.3, -20.7, 0.0])
+    claim = values[:2]
+    for _ in range(2):
+        residual_vector(obs, TRIANGLE, claim)
+    with pytest.raises(error):
+        residual_vector(obs, TRIANGLE, values[:np.prod(shape)].reshape(shape))
+    assert residual_vector(obs, TRIANGLE, claim).tobytes() == fresh_residual(
+        TRIANGLE, obs.observed_sq_m2, claim).tobytes()
+
+
+def test_threads_sharing_the_anchors_read_a_matching_claim_model():
+    # Every call alternates between two claims, so each one replaces the
+    # slot; a model read next to the other claim's key would show as a
+    # wrong residual.
+    rng = np.random.default_rng(32)
+    anchors = AnchorArray(rng.uniform(-500.0, 500.0, (4, 2)))
+    obs = obs_from_squared(rng.uniform(1e4, 1e6, 4))
+    claims = [rng.uniform(-400.0, 400.0, 2) for _ in range(2)]
+    expected = [fresh_residual(anchors, obs.observed_sq_m2, c).tobytes()
+                for c in claims]
+    wrong = []
+
+    def run(k):
+        for i in range(2000):
+            j = (i + k) % 2
+            if residual_vector(obs, anchors, claims[j]).tobytes() != expected[j]:
+                wrong.append(k)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(k,)) for k in range(4)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert wrong == []
+
+
+def test_packet_stream_off_the_origin_lifts_the_claim_once(monkeypatch):
+    # The recorded stream claims the origin, where the model A chi(claim)
+    # is exactly zero; off it, every packet after the first reuses the
+    # model, which must round as the packet's own formula does. At this
+    # claim, adding the model's three terms in any other order changes
+    # the statistic of some of the 200 packets.
+    recorded = json.loads(PACKETS.read_text())
+    anchors = AnchorArray(np.array(recorded["anchors"]))
+    claim = np.array([87.65, 43.21])
+    lift = authentication._lift
+    lifts = []
+
+    def counted_lift(point):
+        lifts.append(point)
+        return lift(point)
+
+    monkeypatch.setattr(authentication, "_lift", counted_lift)
+    for pkt in recorded["packets"]:
+        obs = obs_from_squared(pkt["observed_sq_m2"])
+        A, b = localization.build_system(anchors, obs.observed_sq_m2)
+        r = b - A.dot(np.array([claim[0], claim[1],
+                                claim[0] ** 2 + claim[1] ** 2]))
+        assert statistic(residual_vector(obs, anchors, claim)) == float(
+            r.dot(r))
+    assert len(lifts) == 1

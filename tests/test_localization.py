@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from uwauth import localization
 from uwauth import (
     AnchorArray,
     ChannelParams,
@@ -316,3 +317,36 @@ def test_array_dataclasses_compare_by_value():
     assert (obs == again) is True
     assert (obs == sample_noisy_squared_distances(
         (0.0, 0.0), TRIANGLE, channel, np.random.default_rng(2))) is False
+
+
+def test_design_matrix_cannot_be_made_writeable_again():
+    A = TRIANGLE.design_matrix()
+    with pytest.raises(ValueError):
+        A.flags.writeable = True
+    assert not A.flags.writeable
+
+
+def test_solver_alternating_designs_uses_each_ones_pseudo_inverse():
+    # Two geometries' own design matrices and a writeable copy of one of
+    # them, changed in place before each of its packets, take turns.
+    rng = np.random.default_rng(44)
+    square = AnchorArray(np.array([[-400.0, -400.0], [400.0, -400.0],
+                                   [400.0, 400.0], [-400.0, 400.0]]))
+    copy = np.array(TRIANGLE.design_matrix())
+    for k in range(15):
+        A = (TRIANGLE.design_matrix(), square.design_matrix(), copy)[k % 3]
+        if A is copy:
+            copy[0] = [700.0 + k, -300.0, 1.0]
+        b = A @ np.array([30.0, -40.0, 2500.0]) + rng.normal(0.0, 50.0, len(A))
+        expected = np.linalg.lstsq(A, b, rcond=None)[0]
+        np.testing.assert_allclose(solve_position(A, b), expected, rtol=1e-12)
+
+
+def test_design_pseudo_inverses_go_with_their_anchor_arrays():
+    kept = len(localization._DESIGN_PINV_T)
+    rng = np.random.default_rng(45)
+    for _ in range(20):
+        anchors = AnchorArray(rng.uniform(-500.0, 500.0, (4, 2)))
+        solve_position(*build_system(anchors, np.ones(4)))
+    del anchors
+    assert len(localization._DESIGN_PINV_T) == kept
