@@ -34,6 +34,7 @@ from .localization import (
     Scenario,
     _observe,
     _pseudo_inverse,
+    _right_hand_side,
     build_system,
 )
 from .quadform import QuadFormDist
@@ -242,22 +243,30 @@ def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
     one block of _BLOCK trials and at least one, and within it for each
     block g of trials, slice cols. Block g at powers_db[j] draws from
     default_rng(seeds[j] + (g,)) the H0 normals, then, for a scenario
-    without an eve, the impersonator positions, then the H1 normals; the
-    rest is computed for the whole batch at once. Workers run the (batch,
-    block) pairs side by side; the pairs are yielded in order.
+    without an eve, the impersonator positions, then the H1 normals. Each
+    position is low + (high - low) u per coordinate, with low and high the
+    region's edges and u from Generator.random: the bits of
+    Generator.uniform(low, high). The rest is computed for the whole batch
+    at once, each hypothesis's statistic formed in one buffer stored
+    anchor by anchor. Workers run the (batch, block) pairs side by side;
+    the pairs are yielded in order.
     """
     anchors = scenario.anchors
     powers = np.reshape(powers_db, (-1, 1, 1))
     # Scales that do not depend on the draws, (P, 1, L), from one noise
-    # model call each: it is elementwise in the powers.
+    # model call each: it is elementwise in the powers. Stored anchor by
+    # anchor, as the statistics are, so that numpy loops along the trials.
     d0 = scenario.alice_distances()
-    s0 = np.sqrt(_noise_variance(d0, scenario.channel, powers))
+    s0 = np.asfortranarray(np.sqrt(_noise_variance(d0, scenario.channel,
+                                                   powers)))
     fixed = scenario.eve is not None
     if fixed:
         d1 = scenario.eve_distances()
-        s1 = np.sqrt(_noise_variance(d1, scenario.channel, powers))
+        s1 = np.asfortranarray(np.sqrt(_noise_variance(d1, scenario.channel,
+                                                       powers)))
     else:
-        half_region = np.asarray(scenario.region) / 2
+        low = [-w / 2 for w in scenario.region]
+        span = [w / 2 - lo for w, lo in zip(scenario.region, low)]
     per_batch = max(1, _BLOCK // trials)
 
     def run(pair):
@@ -273,20 +282,24 @@ def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
             rng = np.random.default_rng(seed + (g,))
             rng.standard_normal(out=z0[j])
             if not fixed:
-                eve[j] = rng.uniform(-half_region, half_region, size=(n, 2))
+                rng.random(out=eve[j])
             rng.standard_normal(out=z1[j])
-        # The same arrays, stored anchor by anchor: elementwise loops along
-        # the n trials run many times faster than along the L anchors.
-        z0, z1 = (z.swapaxes(1, 2).copy().swapaxes(1, 2) for z in (z0, z1))
         if fixed:
             d, s = d1, s1[rows]
         else:
-            d = anchors.distances_to(eve).swapaxes(1, 2).copy().swapaxes(1, 2)
-            s = np.sqrt(_noise_variance(d, scenario.channel, powers[rows]))
-        ts0, ts1 = (_squared_norms(_residual(anchors, _observe(*obs),
-                                             scenario.alice))
-                    for obs in ((d0, s0[rows], z0), (d, s, z1)))
-        return rows, cols, ts0, ts1
+            for k in range(2):
+                coord = eve[..., k]
+                coord *= span[k]
+                coord += low[k]
+            d = anchors.distances_to(eve)
+            # The noise model runs on the distances' contiguous
+            # anchor-major array, (L, powers, n).
+            s = _noise_variance(d.transpose(2, 0, 1), scenario.channel,
+                                powers[rows].reshape(1, -1, 1))
+            s = np.sqrt(s, out=s).transpose(1, 2, 0)
+        return (rows, cols,
+                _statistic(anchors, scenario.alice, d0, s0[rows], z0),
+                _statistic(anchors, scenario.alice, d, s, z1))
 
     pairs = [(slice(i, i + per_batch), g)
              for i in range(0, len(seeds), per_batch)
@@ -294,16 +307,34 @@ def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
     yield from _map(run, pairs, workers)
 
 
-def _squared_norms(r: np.ndarray) -> np.ndarray:
+def _statistic(anchors: AnchorArray, claimed, d, sigma, z) -> np.ndarray:
+    """TS at the claim of the observations _observe(d, sigma, z), z shaped
+    (powers, n, L): formed in place in one buffer stored anchor by anchor,
+    since elementwise loops along the n trials run many times faster than
+    along the L anchors."""
+    batch, n, L = z.shape
+    buf = np.empty((L, batch, n)).transpose(1, 2, 0)
+    np.copyto(buf, z)
+    _observe(d, sigma, buf, out=buf)
+    _residual(anchors, buf, claimed, out=buf)
+    return _squared_norms(buf, buf)
+
+
+def _squared_norms(r: np.ndarray, out=None) -> np.ndarray:
     """(r ** 2).sum(axis=-1) of a C-ordered r, bit for bit, whatever r's
-    memory order. numpy adds fewer than 8 terms in order, and adding whole
+    memory order; the squares go to out when given, which may be r
+    itself, and fewer than 8 of them are summed in place in their first
+    column. numpy adds fewer than 8 terms in order, and adding whole
     columns in that order is many times faster than reducing rows that
     short; from 8 terms on it sums pairwise, in an order that depends on
     the memory layout."""
-    s = r * r
+    s = np.multiply(r, r, out=out)
     if s.shape[-1] >= 8:
         return np.ascontiguousarray(s).sum(axis=-1)
-    return sum((s[..., j] for j in range(1, s.shape[-1])), s[..., 0])
+    total = s[..., 0]
+    for j in range(1, s.shape[-1]):
+        total += s[..., j]
+    return total
 
 
 def _map(fn, items, workers: int):
@@ -378,8 +409,10 @@ def _lift(claim: np.ndarray) -> np.ndarray:
     return np.array([x, y, x ** 2 + y ** 2])
 
 
-def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
-    """b - A chi(claim) for observations shaped (L,) or (n, L).
+def _residual(anchors: AnchorArray, observed_sq, claimed,
+              out=None) -> np.ndarray:
+    """b - A chi(claim) for observations shaped (L,) or (n, L), formed in
+    out when given, which may be observed_sq itself.
 
     The anchors keep the model A chi(claim) of the last claim seen, keyed
     by the claim's shape and bytes as a float64 array, so 0.0 and -0.0
@@ -387,7 +420,7 @@ def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
     replaces that one slot whole, with one store, so threads sharing the
     anchors always read a matching pair.
     """
-    A, b = build_system(anchors, observed_sq)
+    b = _right_hand_side(anchors, observed_sq, out)
     claim = np.asarray(claimed, dtype=float)
     key = (claim.shape, claim.tobytes())
     slot = anchors._claim_model
@@ -395,9 +428,10 @@ def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
     if model_key != key:
         # ndarray.dot makes the BLAS call that A @ chi makes, with less
         # dispatch; so do test_statistic and solve_position.
-        model = A.dot(_lift(claim))
+        model = anchors._design.dot(_lift(claim))
         slot[0] = key, model
-    return b - model
+    b -= model
+    return b
 
 
 def _seed_entropy(master_seed) -> tuple:

@@ -11,6 +11,7 @@ variance in m^2.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,18 +61,33 @@ def absorption_db_per_km(frequency_khz):
     Raises DomainError where the coefficient overflows, as for finite
     frequencies above ~2e153 kHz.
     """
-    f = np.asarray(frequency_khz, dtype=float)
-    if np.any(f <= 0) or not np.all(np.isfinite(f)):
-        raise DomainError("frequency must be positive")
-    with np.errstate(all="ignore"):
-        f2 = f * f
-        alpha = (0.11 * f2 / (1.0 + f2)
-                 + 44.0 * f2 / (4100.0 + f2)
-                 + 2.75e-4 * f2
-                 + 0.003)
-    if not np.all(np.isfinite(alpha)):
+    if np.isscalar(frequency_khz):
+        # Python floats: the same IEEE double operations as numpy's, without
+        # its per-call overhead on 0-d values, and overflow to inf silently.
+        f = float(frequency_khz)
+        if not 0.0 < f < math.inf:
+            raise DomainError("frequency must be positive")
+        alpha = _thorp(f)
+        finite = math.isfinite(alpha)
+    else:
+        f = np.asarray(frequency_khz, dtype=float)
+        if np.any(f <= 0) or not np.all(np.isfinite(f)):
+            raise DomainError("frequency must be positive")
+        with np.errstate(all="ignore"):
+            alpha = _thorp(f)
+        finite = np.all(np.isfinite(alpha))
+    if not finite:
         raise DomainError("frequency is too large: absorption overflows")
-    return float(alpha) if np.isscalar(frequency_khz) else alpha
+    return alpha
+
+
+def _thorp(f):
+    """Thorp's coefficient in dB/km at f kHz, a float or an array."""
+    f2 = f * f
+    return (0.11 * f2 / (1.0 + f2)
+            + 44.0 * f2 / (4100.0 + f2)
+            + 2.75e-4 * f2
+            + 0.003)
 
 
 def pathloss_db(distance_m, params: ChannelParams):
@@ -83,13 +99,19 @@ def pathloss_db(distance_m, params: ChannelParams):
     where the pathloss is not finite, as over 1e300 m at 1e10 kHz.
     """
     d = np.asarray(distance_m, dtype=float)
-    if np.any(d <= 0) or not np.all(np.isfinite(d)):
+    # min and max propagate NaN, so each comparison with them is False.
+    if d.size and not (d.min() > 0 and d.max() < np.inf):
         raise DomainError("distance must be positive")
     alpha = absorption_db_per_km(params.frequency_khz)
+    # In place where pl is an array; the operations and their order are
+    # those of spreading * 10 * log10(d) + (d / 1000) * alpha.
     with np.errstate(all="ignore"):
-        pl = (params.spreading_factor * 10.0 * np.log10(d)
-              + (d / 1000.0) * alpha)
-    if not np.all(np.isfinite(pl)):
+        pl = np.log10(d)
+        pl *= params.spreading_factor * 10.0
+        km = d / 1000.0
+        km *= alpha
+        pl += km
+    if pl.size and not (pl.min() > -np.inf and pl.max() < np.inf):
         raise DomainError("pathloss is not finite: the distance or the "
                           "spreading factor is too large")
     return float(pl) if np.isscalar(distance_m) else pl
@@ -109,17 +131,21 @@ def distance_noise_variance(distance_m, params: ChannelParams):
 def _noise_variance(distance_m, params: ChannelParams, powers_db):
     """distance_noise_variance with the transmit powers powers_db, which
     broadcast against distance_m, in place of params.transmit_power_db."""
-    pl_db = pathloss_db(distance_m, params)
+    var = pathloss_db(distance_m, params)
     powers = np.asarray(powers_db, dtype=float)
     # numpy scalars, unlike Python floats, overflow and divide by 0 to inf.
     with np.errstate(all="ignore"):
-        pl_lin = np.float64(10.0) ** (pl_db / 10.0)
+        # In place where var is an array, in the order of
+        # c * c * 10^(pl / 10) / (4 * 10^(p / 10) * gain).
+        var /= 10.0
+        var = np.float64(10.0) ** var
+        c = params.sound_speed_mps
+        var *= c * c
         # Power by power: array ** rounds differently from scalar **.
         p_lin = np.array([np.float64(10.0) ** (p / 10.0)
                           for p in powers.ravel().tolist()]
                          ).reshape(powers.shape)
-        c = params.sound_speed_mps
-        var = c * c * pl_lin / (4.0 * p_lin * params.signal_design_gain)
-    if not np.all((var > 0.0) & (var < np.inf)):
+        var = var / (4.0 * p_lin * params.signal_design_gain)
+    if var.size and not (var.min() > 0.0 and var.max() < np.inf):
         raise DomainError("range variance is not finite and positive")
     return var

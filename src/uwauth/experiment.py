@@ -8,7 +8,7 @@ so reruns are reproducible, but it is not free of sampling error: the
 miss mass sits in a small region around the claimed position that the
 default 1000 points miss, so on configs/baseline.json p_md_analytic
 prints 0.0 from 40 dB on (2.4e-17 at 40 dB, threshold 3), where the true
-average is ~1e-7 to 3e-6 (item 3 of ROADMAP.md).
+average is ~1e-7 to 3e-6 (item 4 of ROADMAP.md).
 """
 
 from __future__ import annotations

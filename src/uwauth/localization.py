@@ -53,7 +53,7 @@ class AnchorArray:
     reuses the factorization for every packet, one at a time or in a
     batch. The array also keeps the model A chi(claim) of the last claim
     that residual_vector saw, so a stream of packets against one claim
-    lifts it once.
+    lifts it once. xy is read-only and cannot be made writeable again.
     """
 
     xy: np.ndarray
@@ -71,16 +71,15 @@ class AnchorArray:
             raise GeometryError("anchor coordinates must be finite")
         design = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1],
                                   np.ones(len(xy))])
-        # A view of immutable bytes, which numpy refuses to make writeable
-        # again, so its pseudo-inverse can be found by identity.
-        design = np.frombuffer(design.tobytes()).reshape(design.shape)
+        # Views of immutable bytes, which numpy refuses to make writeable
+        # again: the coordinates, their cached norms and the design matrix
+        # stay in step, and the design's pseudo-inverse can be found by
+        # identity.
+        xy, sq_norms, design = (np.frombuffer(a.tobytes()).reshape(a.shape)
+                                for a in (xy, (xy ** 2).sum(axis=1), design))
         pinv = _pseudo_inverse(design)  # also the rank check
         _DESIGN_PINV_T[id(design)] = weakref.ref(design), pinv.T
         weakref.finalize(design, _DESIGN_PINV_T.pop, id(design), None)
-        # Read-only, so the cached norms stay in step with xy.
-        sq_norms = (xy ** 2).sum(axis=1)
-        for a in (xy, sq_norms):
-            a.flags.writeable = False
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "_design", design)
         object.__setattr__(self, "_sq_norms", sq_norms)
@@ -97,13 +96,16 @@ class AnchorArray:
 
     def distances_to(self, points) -> np.ndarray:
         """Euclidean distances from every anchor to one point, shape (2,),
-        or to each of N points, shape (N, 2); returns (L,) or (N, L)."""
+        or to each point of a batch, shape (..., 2); returns (L,) or
+        (..., L), for a batch a view of an array stored anchor by anchor."""
         p = np.asarray(points, dtype=float)
-        d = np.hypot(p[..., 0, None] - self.xy[:, 0],
-                     p[..., 1, None] - self.xy[:, 1])
-        if np.any(d == 0.0):
+        # Anchor-major, (L, ...), so the elementwise loops run along the
+        # points, many times faster than along the L anchors.
+        a = self.xy.T.reshape((2, -1) + (1,) * (p.ndim - 1))
+        d = np.hypot(p[..., 0] - a[0], p[..., 1] - a[1])
+        if not d.all():  # a zero distance; NaN is not zero
             raise GeometryError("point coincides with an anchor")
-        return d
+        return d.transpose(*range(1, d.ndim), 0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -132,8 +134,9 @@ class Scenario:
         if self.eve is not None:
             object.__setattr__(self, "eve", np.asarray(self.eve, dtype=float))
         w, h = self.region
-        if not (w > 0 and h > 0):
-            raise DomainError("region dimensions must be positive")
+        # Infinite ones would place a uniform impersonator at NaN.
+        if not (0 < w < np.inf and 0 < h < np.inf):
+            raise DomainError("region dimensions must be positive and finite")
         for name, pt in (("alice", self.alice), ("eve", self.eve)):
             if pt is None:
                 continue
@@ -184,10 +187,15 @@ def draw_squared_distances(d, sigma, rng: np.random.Generator,
     return _observe(d, sigma, rng.standard_normal((n, d.shape[-1])))
 
 
-def _observe(d, sigma, z) -> np.ndarray:
+def _observe(d, sigma, z, out=None) -> np.ndarray:
     """Squared-distance observations d^2 + 2 (z sigma) d for standard
-    normals z; the arrays broadcast."""
-    return d * d + 2.0 * (z * sigma) * d
+    normals z, formed in out when given, which may be z itself; d and
+    sigma broadcast against z."""
+    obs = np.multiply(z, sigma, out=out)
+    obs *= 2.0
+    obs *= d
+    obs += d * d
+    return obs
 
 
 def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndarray]:
@@ -195,11 +203,19 @@ def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndar
 
     Row i reads -2*x_i*x - 2*y_i*y + (x^2 + y^2) = d_hat_i^2 - x_i^2 - y_i^2.
     """
+    return anchors._design, _right_hand_side(anchors, observed_sq)
+
+
+def _right_hand_side(anchors: AnchorArray, observed_sq, out=None):
+    """b of the lifted system, d_hat_i^2 - x_i^2 - y_i^2, formed in out
+    when given, which may be observed_sq itself."""
     obs = np.asarray(observed_sq, dtype=float)
     sq_norms = anchors._sq_norms
     if obs.shape[-1] != sq_norms.shape[0]:
         raise DomainError("one squared observation per anchor is required")
-    return anchors._design, obs - sq_norms
+    if out is None:
+        return obs - sq_norms  # the operator parses no keywords per packet
+    return np.subtract(obs, sq_norms, out=out)
 
 
 def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:

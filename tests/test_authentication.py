@@ -230,55 +230,98 @@ def test_simulated_stream_sums_rows_of_eight_or_more_terms_as_numpy_does():
 
 
 def _check_the_documented_stream(anchors):
-    # Recomputes the stream from its contract with plain numpy: block g
-    # of 4096 trials draws from default_rng(seed + (g,)) the H0 normals,
-    # then (uniform mode) the impersonator positions, then the H1
-    # normals; observations are d^2 + 2 (z sigma) d and TS is the squared
-    # residual of the lifted system at the claim.
+    # The scenario's eve alone decides the placement; naming the matching
+    # eve_mode changes nothing.
     trials = 2 * 4096 + 37
-    xy = anchors.xy
-    L = len(xy)
-    A = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1], np.ones(L)])
-    anchor_sq = (xy ** 2).sum(axis=1)
     for eve_mode, eve in (("fixed", (100.0, 100.0)), ("uniform", None)):
         scen = Scenario(anchors, alice=(0.0, 0.0), eve=eve,
                         channel=ChannelParams(transmit_power_db=40.0))
-        chi = np.array([scen.alice[0], scen.alice[1], scen.alice @ scen.alice])
-        w, h = scen.region
-
-        def distances(p):
-            return np.hypot(p[..., 0, None] - xy[:, 0], p[..., 1, None] - xy[:, 1])
-
-        def noise_std(d):
-            return np.sqrt(distance_noise_variance(d, scen.channel))
-
-        def stat(z, d, s):
-            obs = d ** 2 + 2.0 * (z * s) * d
-            return (((obs - anchor_sq) - A @ chi) ** 2).sum(axis=1)
-
-        d_a = distances(scen.alice)
-        expected0, expected1 = [], []
-        for g in range(3):
-            n = min(4096, trials - g * 4096)
-            rng = np.random.default_rng((11, g))
-            z0 = rng.standard_normal((n, L))
-            if eve_mode == "fixed":
-                d_e = distances(np.asarray(eve))
-            else:
-                d_e = distances(rng.uniform([-w / 2, -h / 2], [w / 2, h / 2],
-                                            size=(n, 2)))
-            z1 = rng.standard_normal((n, L))
-            expected0.append(stat(z0, d_a, noise_std(d_a)))
-            expected1.append(stat(z1, d_e, noise_std(d_e)))
-        # The scenario's eve alone decides the placement; naming the
-        # matching eve_mode changes nothing.
+        expected0, expected1 = _plain_stream(scen, 40.0, (11,), trials)
         ts0, ts1 = simulate_test_statistics(scen, trials, 11)
-        np.testing.assert_array_equal(ts0, np.concatenate(expected0))
-        np.testing.assert_array_equal(ts1, np.concatenate(expected1))
+        np.testing.assert_array_equal(ts0, expected0)
+        np.testing.assert_array_equal(ts1, expected1)
         named0, named1 = simulate_test_statistics(scen, trials, 11,
                                                   eve_mode=eve_mode)
         np.testing.assert_array_equal(named0, ts0)
         np.testing.assert_array_equal(named1, ts1)
+
+
+def _plain_stream(scen, power_db, seed, trials):
+    # Recomputes the stream from its contract with plain numpy: block g
+    # of 4096 trials draws from default_rng(seed + (g,)) the H0 normals,
+    # then (uniform mode) the impersonator positions, then the H1
+    # normals; observations are d^2 + 2 (z sigma) d, with sigma from the
+    # Thorp and log-distance noise model, and TS is the squared residual
+    # of the lifted system at the claim.
+    xy = scen.anchors.xy
+    L = len(xy)
+    A = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1], np.ones(L)])
+    anchor_sq = (xy ** 2).sum(axis=1)
+    chi = np.array([scen.alice[0], scen.alice[1], scen.alice @ scen.alice])
+    ch = scen.channel
+    w, h = scen.region
+
+    def distances(p):
+        return np.hypot(p[..., 0, None] - xy[:, 0], p[..., 1, None] - xy[:, 1])
+
+    def noise_std(d):
+        f2 = ch.frequency_khz ** 2
+        alpha = (0.11 * f2 / (1.0 + f2) + 44.0 * f2 / (4100.0 + f2)
+                 + 2.75e-4 * f2 + 0.003)
+        pl = ch.spreading_factor * 10.0 * np.log10(d) + (d / 1000.0) * alpha
+        c = ch.sound_speed_mps
+        var = c * c * np.float64(10.0) ** (pl / 10.0) / (
+            4.0 * 10.0 ** (power_db / 10.0) * ch.signal_design_gain)
+        return np.sqrt(var)
+
+    def stat(z, d, s):
+        obs = d ** 2 + 2.0 * (z * s) * d
+        return (((obs - anchor_sq) - A @ chi) ** 2).sum(axis=1)
+
+    d_a = distances(scen.alice)
+    expected0, expected1 = [], []
+    for g in range((trials + 4095) // 4096):
+        n = min(4096, trials - g * 4096)
+        rng = np.random.default_rng(seed + (g,))
+        z0 = rng.standard_normal((n, L))
+        if scen.eve is not None:
+            d_e = distances(scen.eve)
+        else:
+            d_e = distances(rng.uniform([-w / 2, -h / 2], [w / 2, h / 2],
+                                        size=(n, 2)))
+        z1 = rng.standard_normal((n, L))
+        expected0.append(stat(z0, d_a, noise_std(d_a)))
+        expected1.append(stat(z1, d_e, noise_std(d_e)))
+    return np.concatenate(expected0), np.concatenate(expected1)
+
+
+@pytest.mark.parametrize("trials", [1, 2000, 4097])
+@pytest.mark.parametrize("eve", [(100.0, 100.0), None],
+                         ids=["fixed", "uniform"])
+@pytest.mark.parametrize("anchors", [TRIANGLE, NONAGON],
+                         ids=["triangle", "nonagon"])
+def test_simulated_power_batches_follow_the_documented_stream(anchors, eve,
+                                                              trials):
+    # Five powers: 1 trial batches all of them, 2000 trials batches them
+    # two by two and 4097 one by one, in two blocks. Each power's
+    # statistics equal its own plain-numpy stream, whatever its batch, at
+    # one worker and at two.
+    powers = [10.0, 37.5, 50.0, 72.25, 100.0]
+    seeds = [(11, 3 * j + 1) for j in range(len(powers))]
+    scen = Scenario(anchors, alice=(30.0, -20.0), eve=eve,
+                    channel=ChannelParams(signal_design_gain=1e6))
+    for workers in (1, 2):
+        ts = np.full((2, len(powers), trials), np.nan)
+        batches = set()
+        for rows, cols, ts0, ts1 in authentication._simulate(
+                scen, powers, seeds, trials, workers):
+            batches.add((rows.start, min(rows.stop, len(powers))))
+            ts[0, rows, cols], ts[1, rows, cols] = ts0, ts1
+        assert len(batches) == {1: 1, 2000: 3, 4097: 5}[trials]
+        for j, (power, seed) in enumerate(zip(powers, seeds)):
+            expected0, expected1 = _plain_stream(scen, power, seed, trials)
+            assert ts[0, j].tobytes() == expected0.tobytes()
+            assert ts[1, j].tobytes() == expected1.tobytes()
 
 
 def test_simulation_argument_validation():

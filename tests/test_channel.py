@@ -219,3 +219,79 @@ def test_params_validation_messages():
 def test_params_reject_non_finite_fields(field):
     with pytest.raises(DomainError, match="must be finite"):
         ChannelParams(**{field: math.inf})
+
+
+def test_scalar_absorption_equals_the_array_path_bit_for_bit():
+    # Scalars are worked in Python floats and arrays in numpy; both take
+    # the same IEEE operations in the same order.
+    grid = np.geomspace(1e-3, 1e150, 4001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        vec = absorption_db_per_km(grid)
+        scalars = [absorption_db_per_km(f) for f in grid.tolist()]
+        numpy_scalars = [absorption_db_per_km(f) for f in grid]
+    assert all(type(a) is float for a in scalars)
+    assert np.array(scalars).tobytes() == vec.tobytes()
+    assert np.array(numpy_scalars).tobytes() == vec.tobytes()
+    for f, kind in ((10, int), (np.float32(10.0), float), (np.int64(10), int)):
+        assert absorption_db_per_km(f) == absorption_db_per_km(kind(f))
+
+
+@pytest.mark.parametrize("bad, message", [
+    (0, "frequency must be positive"),
+    (-1e-300, "frequency must be positive"),
+    (np.float64("nan"), "frequency must be positive"),
+    (-math.inf, "frequency must be positive"),
+    (2e154, "absorption overflows"),
+    (np.float64(1e300), "absorption overflows"),
+])
+def test_scalar_absorption_refusals_are_typed_and_silent(bad, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=message):
+            absorption_db_per_km(bad)
+        with pytest.raises(DomainError, match=message):
+            absorption_db_per_km(np.array([10.0, bad]))
+
+
+@pytest.mark.parametrize("shape", [(0,), (0, 3), (2, 0)])
+def test_noise_model_passes_empty_distance_arrays_through(shape):
+    # The checks are reductions, which empty arrays skip: the results are
+    # empty float arrays of the broadcast shape, as before.
+    d = np.empty(shape)
+    params = ChannelParams()
+    powers = np.array([40.0, 50.0]).reshape(2, 1, 1)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for result, expected_shape in (
+                (pathloss_db(d, params), shape),
+                (distance_noise_variance(d, params), shape),
+                (_noise_variance(d, params, powers),
+                 np.broadcast_shapes(shape, powers.shape))):
+            assert type(result) is np.ndarray and result.dtype == float
+            assert result.shape == expected_shape
+
+
+@pytest.mark.parametrize("bad", [0.0, -0.0, math.nan, -math.inf, math.inf,
+                                 [500.0, math.nan], [[500.0, 0.0]],
+                                 [math.nan, 0.0], [[300.0], [-1.0]]])
+def test_noise_model_refuses_zero_nan_and_infinite_distances(bad):
+    # min and max propagate NaN, so a NaN anywhere is refused as the
+    # elementwise checks refused it.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for call in (pathloss_db, distance_noise_variance):
+            with pytest.raises(DomainError, match="distance must be positive"):
+                call(bad, ChannelParams())
+        with pytest.raises(DomainError, match="distance must be positive"):
+            _noise_variance(np.asarray(bad, dtype=float), ChannelParams(),
+                            np.array([40.0, 50.0]).reshape(2, 1, 1))
+
+
+def test_noise_model_keeps_its_result_types():
+    params = ChannelParams()
+    assert type(pathloss_db(500, params)) is float
+    assert type(distance_noise_variance(500, params)) is float
+    assert type(pathloss_db(np.asarray(500.0), params)) is np.float64
+    assert type(distance_noise_variance(np.asarray(500.0), params)
+                ) is np.float64

@@ -326,6 +326,50 @@ def test_design_matrix_cannot_be_made_writeable_again():
     assert not A.flags.writeable
 
 
+def test_anchor_coordinates_and_norms_cannot_be_made_writeable_again():
+    # Writes re-enabled on xy would move the anchors distances_to uses
+    # while the design matrix and the cached norms kept the old ones.
+    anchors = AnchorArray(TRIANGLE.xy)
+    for a in (anchors.xy, anchors._sq_norms):
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+        with pytest.raises(ValueError):
+            a[0] = 300.0
+        assert not a.flags.writeable
+    np.testing.assert_array_equal(anchors.distances_to((0.0, 0.0)),
+                                  np.hypot(*TRIANGLE.xy.T))
+
+
+@pytest.mark.parametrize("region", [(0.0, 1000.0), (1000.0, -1.0),
+                                    (np.inf, 1000.0), (1000.0, np.nan)])
+def test_scenario_refuses_regions_that_are_not_positive_and_finite(region):
+    with pytest.raises(DomainError, match="region dimensions"):
+        Scenario(TRIANGLE, alice=(0.0, 0.0), eve=None,
+                 channel=ChannelParams(), region=region)
+
+
+def test_batched_distances_equal_point_major_hypot_bit_for_bit():
+    # distances_to computes batches anchor by anchor and returns a view
+    # shaped point by anchor; the values are those of the point-major
+    # formula, whatever the batch shape.
+    rng = np.random.default_rng(46)
+    nonagon = AnchorArray(450.0 * np.column_stack(
+        [np.cos(np.arange(9) * 0.7 + 0.3), np.sin(np.arange(9) * 0.7 + 0.3)]))
+    for anchors in (TRIANGLE, nonagon):
+        xy = anchors.xy
+        for shape in ((2,), (1, 2), (37, 2), (3, 4097, 2), (2, 0, 2)):
+            p = rng.uniform(-500.0, 500.0, shape) * 10.0 ** rng.uniform(-3, 3)
+            d = anchors.distances_to(p)
+            expected = np.hypot(p[..., 0, None] - xy[:, 0],
+                                p[..., 1, None] - xy[:, 1])
+            assert d.shape == expected.shape
+            assert d.tobytes() == expected.tobytes()
+            if p[..., 0].size > 1:
+                assert not d.flags.c_contiguous  # the anchor-major view
+    with pytest.raises(GeometryError, match="coincides"):
+        TRIANGLE.distances_to(np.array([[[1.0, 2.0], [0.0, 500.0]]]))
+
+
 def test_solver_alternating_designs_uses_each_ones_pseudo_inverse():
     # Two geometries' own design matrices and a writeable copy of one of
     # them, changed in place before each of its packets, take turns.
