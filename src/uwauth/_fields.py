@@ -1,6 +1,6 @@
-"""Field checks shared by the modules: value equality for the frozen
-dataclasses that hold numpy arrays, and the integer test for counts and
-seeds."""
+"""Field checks shared by the modules: value equality and copying for the
+frozen dataclasses that hold numpy arrays, and the integer test for counts
+and seeds."""
 
 from __future__ import annotations
 
@@ -24,6 +24,13 @@ def _equal_fields(self, other):
         elif a != b:
             return False
     return True
+
+
+def _reduce_through_init(self):
+    """__reduce__ for dataclasses whose __post_init__ freezes or derives
+    state: pickle and copy rebuild the instance from its fields through
+    the constructor, which a field-by-field copy would bypass."""
+    return type(self), tuple(getattr(self, f.name) for f in fields(self))
 
 
 def _is_integer(value) -> bool:

@@ -32,6 +32,8 @@ from .localization import (
     AnchorArray,
     NoisySquaredDistances,
     Scenario,
+    _NO_OWNER,
+    _is_frozen,
     _observe,
     _pseudo_inverse,
     _right_hand_side,
@@ -67,6 +69,10 @@ _BLOCK = 4096
 class Hypothesis(Enum):
     H0_NO_IMPERSONATION = 0
     H1_IMPERSONATION = 1
+
+
+# decide's verdicts, without an enum member lookup per packet.
+_H0, _H1 = Hypothesis.H0_NO_IMPERSONATION, Hypothesis.H1_IMPERSONATION
 
 
 @dataclass(frozen=True)
@@ -130,10 +136,15 @@ def test_statistic_pinv(observed: NoisySquaredDistances, anchors: AnchorArray,
 
 
 def decide(ts: float, config: DecisionConfig) -> Hypothesis:
-    """Threshold test; ties go to the legitimate hypothesis."""
-    if ts > config.threshold:
-        return Hypothesis.H1_IMPERSONATION
-    return Hypothesis.H0_NO_IMPERSONATION
+    """Threshold test; ties go to the legitimate hypothesis and an infinite
+    statistic to the impersonator. A NaN statistic raises DomainError
+    rather than pass the packet as legitimate."""
+    threshold = config.threshold
+    if ts > threshold:
+        return _H1
+    if ts <= threshold:
+        return _H0
+    raise DomainError("test statistic must not be NaN")
 
 
 def h0_distribution(scenario: Scenario) -> QuadFormDist:
@@ -402,11 +413,20 @@ def _error_rates(false_alarms, misses, trials: int) -> ErrorRates:
 
 
 def _lift(claim: np.ndarray) -> np.ndarray:
-    """chi(claim) of a float64 claim of shape (2,); other shapes raise."""
+    """chi(claim) of a float64 claim of shape (2,); other shapes raise, and
+    a claim that is not finite, or whose x^2 + y^2 overflows, raises
+    DomainError."""
     # Python floats: x ** 2 calls the same libm pow as a float64 scalar
     # does, without numpy's per-scalar overhead.
     x, y = claim.tolist()
-    return np.array([x, y, x ** 2 + y ** 2])
+    try:
+        norm_sq = x ** 2 + y ** 2
+    except OverflowError:
+        norm_sq = math.inf
+    if not math.isfinite(norm_sq):  # NaN or inf in x or y, or overflow
+        raise DomainError(
+            "claimed position and its squared norm must be finite")
+    return np.array([x, y, norm_sq])
 
 
 def _residual(anchors: AnchorArray, observed_sq, claimed,
@@ -414,22 +434,30 @@ def _residual(anchors: AnchorArray, observed_sq, claimed,
     """b - A chi(claim) for observations shaped (L,) or (n, L), formed in
     out when given, which may be observed_sq itself.
 
-    The anchors keep the model A chi(claim) of the last claim seen, keyed
-    by the claim's shape and bytes as a float64 array, so 0.0 and -0.0
-    differ and a claim mutated in place is lifted again. Another claim
-    replaces that one slot whole, with one store, so threads sharing the
-    anchors always read a matching pair.
+    The anchors keep the model A chi(claim) of the last claim seen in one
+    slot, (key, model, owner). The owner is the claim object itself when
+    it is frozen, a view of immutable bytes such as Scenario.alice, whose
+    values can never change; a claim that is its owner is a hit with no
+    further work. Any other claim is keyed by its shape and bytes as a
+    float64 array, so 0.0 and -0.0 differ and a claim mutated in place is
+    lifted again; a frozen claim that hits by key takes the slot over.
+    Only a claim that misses is checked: one that is not finite raises
+    DomainError. A new slot replaces the old one whole, with one store, so
+    threads sharing the anchors always read a matching triple.
     """
     b = _right_hand_side(anchors, observed_sq, out)
-    claim = np.asarray(claimed, dtype=float)
-    key = (claim.shape, claim.tobytes())
-    slot = anchors._claim_model
-    model_key, model = slot[0]
-    if model_key != key:
-        # ndarray.dot makes the BLAS call that A @ chi makes, with less
-        # dispatch; so do test_statistic and solve_position.
-        model = anchors._design.dot(_lift(claim))
-        slot[0] = key, model
+    key, model, owner = anchors._claim_model[0]
+    if claimed is not owner:
+        claim = np.asarray(claimed, dtype=float)
+        claim_key = (claim.shape, claim.tobytes())
+        owner = claimed if _is_frozen(claimed) else _NO_OWNER
+        if claim_key != key:
+            # ndarray.dot makes the BLAS call that A @ chi makes, with less
+            # dispatch; so do test_statistic and solve_position.
+            model = anchors._design.dot(_lift(claim))
+            anchors._claim_model[0] = claim_key, model, owner
+        elif owner is not _NO_OWNER:
+            anchors._claim_model[0] = key, model, owner
     b -= model
     return b
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._fields import _equal_fields
+from ._fields import _equal_fields, _reduce_through_init
 from .channel import ChannelParams, distance_noise_variance
 from .errors import DomainError, GeometryError
 
@@ -40,6 +40,25 @@ _PINV_CACHE_SIZE = 8
 # by the matrix's id next to a weak reference to it; an entry goes when
 # its matrix does.
 _DESIGN_PINV_T: dict[int, tuple[weakref.ref, np.ndarray]] = {}
+# The owner of an AnchorArray's claim slot when its claim is not frozen:
+# an object no caller holds, where None would be matched by a None claim.
+_NO_OWNER = object()
+
+
+def _is_frozen(a) -> bool:
+    """Whether a is an array over immutable bytes, whose values can never
+    change: numpy will not make it, or any view of it, writeable."""
+    while isinstance(a, np.ndarray):
+        a = a.base
+    return type(a) is bytes
+
+
+def _freeze(a: np.ndarray) -> np.ndarray:
+    """a itself when it is frozen, else a read-only view of a copy of its
+    values in immutable bytes, with a's shape and dtype."""
+    if _is_frozen(a):
+        return a
+    return np.frombuffer(a.tobytes(), dtype=a.dtype).reshape(a.shape)
 
 
 @dataclass(frozen=True, eq=False)
@@ -60,6 +79,8 @@ class AnchorArray:
 
     __eq__ = _equal_fields
     __hash__ = None
+    # A copy is built afresh, with its own frozen arrays and empty slot.
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         xy = np.atleast_2d(np.array(self.xy, dtype=float))
@@ -75,16 +96,17 @@ class AnchorArray:
         # again: the coordinates, their cached norms and the design matrix
         # stay in step, and the design's pseudo-inverse can be found by
         # identity.
-        xy, sq_norms, design = (np.frombuffer(a.tobytes()).reshape(a.shape)
-                                for a in (xy, (xy ** 2).sum(axis=1), design))
+        xy, sq_norms, design = map(_freeze, (xy, (xy ** 2).sum(axis=1),
+                                            design))
         pinv = _pseudo_inverse(design)  # also the rank check
         _DESIGN_PINV_T[id(design)] = weakref.ref(design), pinv.T
         weakref.finalize(design, _DESIGN_PINV_T.pop, id(design), None)
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "_design", design)
         object.__setattr__(self, "_sq_norms", sq_norms)
-        # One (claim key, A chi(claim)) pair: see authentication._residual.
-        object.__setattr__(self, "_claim_model", [(None, None)])
+        # One (claim key, A chi(claim), owner) triple: see
+        # authentication._residual.
+        object.__setattr__(self, "_claim_model", [(None, None, _NO_OWNER)])
 
     def __len__(self) -> int:
         return self.xy.shape[0]
@@ -118,6 +140,12 @@ class Scenario:
     (eve_distances, h1_distribution, roc_curve) raise DomainError. The
     deployment region is a width_m x height_m rectangle centered on the
     origin.
+
+    alice and eve are read-only views of immutable bytes, as an
+    AnchorArray's xy is, so numpy will not make them writeable again and
+    the claim's model that the anchors keep can be found by identity; a
+    point that is already such a view is kept as it is, so
+    dataclasses.replace keeps the points themselves.
     """
 
     anchors: AnchorArray
@@ -128,6 +156,9 @@ class Scenario:
 
     __eq__ = _equal_fields
     __hash__ = None
+    # A copy's points are frozen again: a writeable one could be found by
+    # identity in the anchors' slot after being written.
+    __reduce__ = _reduce_through_init
 
     def __post_init__(self):
         object.__setattr__(self, "alice", np.asarray(self.alice, dtype=float))
@@ -145,6 +176,7 @@ class Scenario:
             if abs(pt[0]) > w / 2 or abs(pt[1]) > h / 2:
                 raise DomainError(f"{name} lies outside the deployment region")
             self.anchors.distances_to(pt)  # rejects coincidence with an anchor
+            object.__setattr__(self, name, _freeze(pt))
 
     def alice_distances(self) -> np.ndarray:
         return self.anchors.distances_to(self.alice)

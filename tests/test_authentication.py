@@ -658,3 +658,105 @@ def test_packet_stream_off_the_origin_lifts_the_claim_once(monkeypatch):
         assert statistic(residual_vector(obs, anchors, claim)) == float(
             r.dot(r))
     assert len(lifts) == 1
+
+
+def count_lifts(monkeypatch):
+    lift = authentication._lift
+    lifts = []
+
+    def counted_lift(point):
+        lifts.append(point)
+        return lift(point)
+
+    monkeypatch.setattr(authentication, "_lift", counted_lift)
+    return lifts
+
+
+def test_packet_stream_through_a_scenario_claim_matches_its_writeable_copy(
+        monkeypatch):
+    # The scenario's frozen claim is found by identity, a writeable copy of
+    # it by its bytes; both give the recorded outputs bit for bit.
+    recorded = json.loads(PACKETS.read_text())
+    anchors = AnchorArray(np.array(recorded["anchors"]))
+    scen = Scenario(anchors, alice=recorded["claim"], eve=None,
+                    channel=ChannelParams())
+    config = DecisionConfig(recorded["threshold"])
+    writeable = np.array(scen.alice)
+    assert writeable.flags.writeable
+    lifts = count_lifts(monkeypatch)
+    for claim in (scen.alice, writeable):
+        for pkt in recorded["packets"]:
+            obs = obs_from_squared(pkt["observed_sq_m2"])
+            ts = statistic(residual_vector(obs, anchors, claim))
+            X = localization.solve_position(
+                *localization.build_system(anchors, obs.observed_sq_m2))
+            assert (ts, decide(ts, config).name, X.tolist()) == (
+                pkt["ts"], pkt["verdict"], pkt["position"])
+        # The copy hits by key and leaves the frozen owner in place.
+        assert len(lifts) == 1
+        assert anchors._claim_model[0][2] is scen.alice
+
+
+def test_a_frozen_claim_with_equal_bytes_takes_the_slot_over(monkeypatch):
+    anchors = AnchorArray(TRIANGLE.xy)
+    claim = (120.37, -33.91)
+    first = Scenario(anchors, alice=claim, eve=None, channel=ChannelParams())
+    second = Scenario(anchors, alice=claim, eve=None,
+                      channel=ChannelParams(transmit_power_db=60.0))
+    assert second.alice is not first.alice
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    expected = fresh_residual(anchors, obs.observed_sq_m2, claim).tobytes()
+    lifts = count_lifts(monkeypatch)
+    assert residual_vector(obs, anchors, first.alice).tobytes() == expected
+    assert anchors._claim_model[0][2] is first.alice
+    model = anchors._claim_model[0][1]
+    for _ in range(2):
+        assert residual_vector(obs, anchors, second.alice).tobytes() == (
+            expected)
+        assert anchors._claim_model[0][1] is model
+        assert anchors._claim_model[0][2] is second.alice
+    # A writeable claim with the same bytes hits by key and leaves the
+    # frozen owner in place.
+    assert residual_vector(obs, anchors, list(claim)).tobytes() == expected
+    assert anchors._claim_model[0][2] is second.alice
+    assert len(lifts) == 1
+
+
+def test_a_none_claim_is_not_taken_for_an_owner():
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    residual_vector(obs, TRIANGLE, [10.3, -20.7])
+    with pytest.raises(TypeError):
+        residual_vector(obs, TRIANGLE, None)
+
+
+@pytest.mark.parametrize("claim", [
+    [np.nan, 0.0], [0.0, np.nan], [np.inf, 0.0], [0.0, -np.inf],
+    [1e200, 0.0], [1.5e154, 1.5e154]])
+def test_a_claim_that_is_not_finite_is_refused(claim):
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    refusal = "claimed position and its squared norm must be finite"
+    with pytest.raises(DomainError, match=refusal):
+        residual_vector(obs, TRIANGLE, claim)
+    with pytest.raises(DomainError, match=refusal):
+        authentication._residual(
+            TRIANGLE, np.tile(obs.observed_sq_m2, (4, 1)), claim)
+
+
+@pytest.mark.parametrize("observed", [
+    [np.nan, 1.0, 2.0], [260000.0, np.nan, 490000.0]])
+def test_a_packet_with_a_nan_observation_is_not_passed_as_legitimate(
+        observed):
+    ts = statistic(residual_vector(obs_from_squared(observed), TRIANGLE,
+                                   (0.0, 0.0)))
+    assert math.isnan(ts)
+    for threshold in (0.0, 10.0, 1e300):
+        with pytest.raises(DomainError, match="must not be NaN"):
+            decide(ts, DecisionConfig(threshold))
+
+
+def test_decide_sends_an_infinite_statistic_to_the_impersonator():
+    for threshold in (0.0, 10.0, 1e300):
+        assert decide(math.inf, DecisionConfig(threshold)) is (
+            Hypothesis.H1_IMPERSONATION)
+        assert decide(threshold, DecisionConfig(threshold)) is (
+            Hypothesis.H0_NO_IMPERSONATION)

@@ -1,9 +1,12 @@
 """Lifted least-squares localization: system assembly, recovery, noise model."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 
-from uwauth import localization
+from uwauth import authentication, localization
 from uwauth import (
     AnchorArray,
     ChannelParams,
@@ -338,6 +341,72 @@ def test_anchor_coordinates_and_norms_cannot_be_made_writeable_again():
         assert not a.flags.writeable
     np.testing.assert_array_equal(anchors.distances_to((0.0, 0.0)),
                                   np.hypot(*TRIANGLE.xy.T))
+
+
+def test_scenario_points_cannot_be_made_writeable_again():
+    # The anchors find the claim's model by the claim's identity, so a
+    # point written in place would keep the model of its old values.
+    s = Scenario(TRIANGLE, alice=np.array([10.0, -20.0]), eve=[100.0, 100.0],
+                 channel=ChannelParams())
+    for a in (s.alice, s.eve):
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+        with pytest.raises(ValueError):
+            a[0] = 300.0
+        assert not a.flags.writeable
+        assert localization._is_frozen(a)
+    assert s.alice.tolist() == [10.0, -20.0]
+    assert s.eve.tolist() == [100.0, 100.0]
+
+
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3,)])
+@pytest.mark.parametrize("name", ["alice", "eve"])
+def test_scenario_refuses_points_that_are_not_pairs_before_freezing(shape,
+                                                                    name):
+    points = {"alice": (0.0, 0.0), "eve": (100.0, 100.0)}
+    points[name] = np.arange(1.0, 1.0 + np.prod(shape)).reshape(shape)
+    with pytest.raises(DomainError, match=f"{name} must be a finite"):
+        Scenario(TRIANGLE, channel=ChannelParams(), **points)
+
+
+def test_replacing_a_scenario_field_keeps_its_frozen_points():
+    import dataclasses
+
+    s = Scenario(TRIANGLE, alice=(10.0, -20.0), eve=None,
+                 channel=ChannelParams())
+    assert s.eve is None
+    louder = dataclasses.replace(
+        s, channel=ChannelParams(transmit_power_db=60.0))
+    assert louder.alice is s.alice
+    assert louder.alice.tolist() == [10.0, -20.0]
+    assert louder.eve is None
+    moved = dataclasses.replace(s, eve=(100.0, 100.0))
+    assert moved.alice is s.alice
+    assert localization._is_frozen(moved.eve)
+
+
+@pytest.mark.parametrize("clone", [
+    lambda s: pickle.loads(pickle.dumps(s)), copy.deepcopy])
+def test_copied_scenarios_keep_their_points_and_anchors_frozen(clone):
+    # A field-by-field copy would give writeable arrays, and a writeable
+    # copy of the claim would sit in the copied anchors' slot as its owner.
+    anchors = AnchorArray(TRIANGLE.xy)
+    s = Scenario(anchors, alice=(10.0, -20.0), eve=(100.0, 100.0),
+                 channel=ChannelParams())
+    b = np.array([260000.0, 510000.0, 490000.0])
+    authentication._residual(anchors, b, s.alice)
+    assert anchors._claim_model[0][2] is s.alice
+    c = clone(s)
+    assert c == s
+    for a in (c.alice, c.eve, c.anchors.xy, c.anchors._sq_norms,
+              c.anchors.design_matrix()):
+        assert localization._is_frozen(a)
+        with pytest.raises(ValueError):
+            a.flags.writeable = True
+    assert c.anchors._claim_model[0][2] is localization._NO_OWNER
+    assert solve_position(*build_system(c.anchors, b)).tobytes() == (
+        solve_position(*build_system(anchors, b)).tobytes())
+    assert copy.copy(s).alice is s.alice
 
 
 @pytest.mark.parametrize("region", [(0.0, 1000.0), (1000.0, -1.0),
