@@ -32,10 +32,9 @@ from .localization import (
     AnchorArray,
     NoisySquaredDistances,
     Scenario,
-    _NO_OWNER,
     _is_frozen,
     _observe,
-    _pseudo_inverse,
+    _pinv_t,
     _right_hand_side,
     build_system,
 )
@@ -121,7 +120,7 @@ def test_statistic_pinv(observed: NoisySquaredDistances, anchors: AnchorArray,
     that matrix and never exceeds it otherwise.
     """
     A, b = build_system(anchors, observed.observed_sq_m2)
-    estimator_rows = _pseudo_inverse(A)[:2]
+    estimator_rows = _pinv_t(A).T[:2]
     gap = estimator_rows @ b - np.asarray(claimed, dtype=float)
     e1, e2 = estimator_rows
     # For E^T = QR, |pinv(E) gap|^2 = |R^-T gap|^2. Two Gram-Schmidt steps
@@ -412,10 +411,13 @@ def _error_rates(false_alarms, misses, trials: int) -> ErrorRates:
     )
 
 
-def _lift(claim: np.ndarray) -> np.ndarray:
-    """chi(claim) of a float64 claim of shape (2,); other shapes raise, and
-    a claim that is not finite, or whose x^2 + y^2 overflows, raises
+def _lift(claimed) -> np.ndarray:
+    """chi(claim) of the claim as a float64 array; a claim that is not of
+    shape (2,), is not finite, or whose x^2 + y^2 overflows raises
     DomainError."""
+    claim = np.asarray(claimed, dtype=float)
+    if claim.shape != (2,):
+        raise DomainError("claimed position must be a finite (x, y) pair")
     # Python floats: x ** 2 calls the same libm pow as a float64 scalar
     # does, without numpy's per-scalar overhead.
     x, y = claim.tolist()
@@ -434,30 +436,22 @@ def _residual(anchors: AnchorArray, observed_sq, claimed,
     """b - A chi(claim) for observations shaped (L,) or (n, L), formed in
     out when given, which may be observed_sq itself.
 
-    The anchors keep the model A chi(claim) of the last claim seen in one
-    slot, (key, model, owner). The owner is the claim object itself when
-    it is frozen, a view of immutable bytes such as Scenario.alice, whose
-    values can never change; a claim that is its owner is a hit with no
-    further work. Any other claim is keyed by its shape and bytes as a
-    float64 array, so 0.0 and -0.0 differ and a claim mutated in place is
-    lifted again; a frozen claim that hits by key takes the slot over.
-    Only a claim that misses is checked: one that is not finite raises
-    DomainError. A new slot replaces the old one whole, with one store, so
-    threads sharing the anchors always read a matching triple.
+    The anchors keep one slot, (owner, model): a frozen claim, a view of
+    immutable bytes such as Scenario.alice whose values can never change,
+    and its model A chi(claim). A claim that is the owner is a hit with no
+    further work. Any other claim is checked and lifted afresh, so one of
+    the wrong shape or not finite raises DomainError; it takes the slot
+    only when it is frozen. A new slot replaces the old one whole, with
+    one store, so threads sharing the anchors always read a matching pair.
     """
     b = _right_hand_side(anchors, observed_sq, out)
-    key, model, owner = anchors._claim_model[0]
+    owner, model = anchors._claim_model[0]
     if claimed is not owner:
-        claim = np.asarray(claimed, dtype=float)
-        claim_key = (claim.shape, claim.tobytes())
-        owner = claimed if _is_frozen(claimed) else _NO_OWNER
-        if claim_key != key:
-            # ndarray.dot makes the BLAS call that A @ chi makes, with less
-            # dispatch; so do test_statistic and solve_position.
-            model = anchors._design.dot(_lift(claim))
-            anchors._claim_model[0] = claim_key, model, owner
-        elif owner is not _NO_OWNER:
-            anchors._claim_model[0] = key, model, owner
+        # ndarray.dot makes the BLAS call that A @ chi makes, with less
+        # dispatch; so do test_statistic and solve_position.
+        model = anchors._design.dot(_lift(claimed))
+        if _is_frozen(claimed):
+            anchors._claim_model[0] = claimed, model
     b -= model
     return b
 

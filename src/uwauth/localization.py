@@ -11,7 +11,6 @@ All coordinates and distances are in meters.
 
 from __future__ import annotations
 
-import functools
 import weakref
 from dataclasses import dataclass
 
@@ -34,15 +33,10 @@ __all__ = [
 
 # Smallest acceptable ratio of the design matrix's extreme singular values.
 _RANK_RTOL = 1e-9
-# Distinct design matrices whose pseudo-inverse is kept.
-_PINV_CACHE_SIZE = 8
 # Each live AnchorArray design matrix's pseudo-inverse, transposed, keyed
 # by the matrix's id next to a weak reference to it; an entry goes when
 # its matrix does.
 _DESIGN_PINV_T: dict[int, tuple[weakref.ref, np.ndarray]] = {}
-# The owner of an AnchorArray's claim slot when its claim is not frozen:
-# an object no caller holds, where None would be matched by a None claim.
-_NO_OWNER = object()
 
 
 def _is_frozen(a) -> bool:
@@ -65,14 +59,14 @@ def _freeze(a: np.ndarray) -> np.ndarray:
 class AnchorArray:
     """Fixed anchor positions, shape (L, 2) with L >= 3.
 
-    Construction factorizes the design matrix once, into a cache keyed
-    by the matrix's content, and keeps the pseudo-inverse with the
-    matrix. It raises GeometryError when the coordinates are not finite
-    or that matrix is numerically rank deficient. solve_position then
-    reuses the factorization for every packet, one at a time or in a
-    batch. The array also keeps the model A chi(claim) of the last claim
-    that residual_vector saw, so a stream of packets against one claim
-    lifts it once. xy is read-only and cannot be made writeable again.
+    Construction factorizes the design matrix once and raises
+    GeometryError when the coordinates are not finite or that matrix is
+    numerically rank deficient. The design matrix is frozen, so
+    solve_position finds its pseudo-inverse by identity for every packet,
+    one at a time or in a batch. The array also keeps the model
+    A chi(claim) of the last frozen claim that residual_vector saw, such
+    as Scenario.alice, so a stream of packets against it lifts it once.
+    xy is read-only and cannot be made writeable again.
     """
 
     xy: np.ndarray
@@ -104,9 +98,10 @@ class AnchorArray:
         object.__setattr__(self, "xy", xy)
         object.__setattr__(self, "_design", design)
         object.__setattr__(self, "_sq_norms", sq_norms)
-        # One (claim key, A chi(claim), owner) triple: see
-        # authentication._residual.
-        object.__setattr__(self, "_claim_model", [(None, None, _NO_OWNER)])
+        # One (frozen claim, A chi(claim)) pair: see
+        # authentication._residual. Empty, its owner is an object no
+        # caller holds, where None would be matched by a None claim.
+        object.__setattr__(self, "_claim_model", [(object(), None)])
 
     def __len__(self) -> int:
         return self.xy.shape[0]
@@ -256,30 +251,28 @@ def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:
     b is one right-hand side, shape (L,), giving X of shape (3,), or a
     batch of n transmissions, shape (n, L), solved row by row into
     (n, 3). X = b @ pinv(A).T, with the pseudo-inverse taken from an SVD
-    of A, so a fixed anchor geometry is factorized once: an AnchorArray's
-    own design matrix brings its pseudo-inverse, and any other A is
-    looked up in a cache keyed by its content. Raises GeometryError when
-    A is not finite, is numerically rank deficient, or has fewer rows
-    than columns.
+    of A: an AnchorArray's own design matrix is found by identity and
+    brings the pseudo-inverse factorized when the array was built, and
+    any other A is factorized afresh on every call. Raises GeometryError
+    when A is not finite, is numerically rank deficient, or has fewer
+    rows than columns.
     """
+    return np.asarray(b, dtype=float).dot(_pinv_t(A))
+
+
+def _pinv_t(A) -> np.ndarray:
+    """pinv(A).T, read-only: that of an AnchorArray's own design matrix,
+    found by identity, and for any other A computed afresh and not kept."""
     own = _DESIGN_PINV_T.get(id(A))
     if own is not None and own[0]() is A:
-        pinv_t = own[1]
-    else:
-        pinv_t = _pseudo_inverse(A).T
-    return np.asarray(b, dtype=float).dot(pinv_t)
+        return own[1]
+    return _pseudo_inverse(A).T
 
 
 def _pseudo_inverse(A) -> np.ndarray:
     """Read-only Moore-Penrose pseudo-inverse of a full-rank A, shape
-    (3, L), cached by A's shape and bytes."""
+    (3, L), from an SVD of A on every call."""
     A = np.asarray(A, dtype=float)
-    return _factorize(A.shape, A.tobytes())
-
-
-@functools.lru_cache(maxsize=_PINV_CACHE_SIZE)
-def _factorize(shape: tuple, data: bytes) -> np.ndarray:
-    A = np.frombuffer(data, dtype=float).reshape(shape)
     # Fewer rows than unknowns would pass the singular-value test below
     # and return the minimum-norm solution of an underdetermined system.
     if A.ndim != 2 or A.shape[0] < A.shape[1]:

@@ -488,6 +488,23 @@ def test_position_space_statistic_equality_in_row_space():
         assert ts_p == pytest.approx(ts, rel=1e-8, abs=1e-8)
 
 
+def test_pinv_statistic_uses_the_anchors_own_pseudo_inverse(monkeypatch):
+    # The statistic, recorded bit for bit, comes from the pseudo-inverse
+    # factorized when the anchors were built, found by identity.
+    rng = np.random.default_rng(47)
+    anchors = AnchorArray(rng.uniform(-500.0, 500.0, (5, 2)))
+    obs = obs_from_squared(rng.uniform(1e4, 1e6, 5))
+
+    def no_lapack(*args, **kwargs):
+        raise AssertionError("design matrix factorized again")
+
+    monkeypatch.setattr(np.linalg, "svd", no_lapack)
+    assert statistic_pinv(obs, anchors, (87.65, 43.21)) == float.fromhex(
+        "0x1.247c5fae976ccp+34")
+    assert statistic_pinv(obs, anchors, (-250.5, 310.25)) == float.fromhex(
+        "0x1.fb30ec96064bcp+38")
+
+
 PACKETS = Path(__file__).resolve().parent / "data" / "baseline-packets.json"
 
 
@@ -584,31 +601,32 @@ def test_a_negative_zero_claim_after_a_zero_claim_is_lifted_again():
         r = residual_vector(obs, TRIANGLE, np.array(claim))
         assert r.tobytes() == fresh_residual(
             TRIANGLE, obs.observed_sq_m2, claim).tobytes()
-        assert TRIANGLE._claim_model[0][0] == ((2,), np.array(claim).tobytes())
 
 
-@pytest.mark.parametrize("shape, error", [
-    ((1, 2), ValueError), ((2, 1), TypeError), ((3,), ValueError)])
-def test_a_refused_claim_is_refused_after_a_hit_on_its_values(shape, error):
+@pytest.mark.parametrize("shape", [(1, 2), (2, 1), (3,), ()])
+def test_a_refused_claim_is_refused_after_a_hit_on_its_values(shape):
     obs = obs_from_squared([260000.0, 510000.0, 490000.0])
     values = np.array([10.3, -20.7, 0.0])
     claim = values[:2]
     for _ in range(2):
         residual_vector(obs, TRIANGLE, claim)
-    with pytest.raises(error):
-        residual_vector(obs, TRIANGLE, values[:np.prod(shape)].reshape(shape))
+    with pytest.raises(DomainError, match="must be a finite"):
+        residual_vector(obs, TRIANGLE, values[:math.prod(shape)].reshape(shape))
     assert residual_vector(obs, TRIANGLE, claim).tobytes() == fresh_residual(
         TRIANGLE, obs.observed_sq_m2, claim).tobytes()
 
 
 def test_threads_sharing_the_anchors_read_a_matching_claim_model():
-    # Every call alternates between two claims, so each one replaces the
-    # slot; a model read next to the other claim's key would show as a
-    # wrong residual.
+    # Every call alternates between two frozen claims, so each one
+    # replaces the slot; a model read next to the other claim would show
+    # as a wrong residual.
     rng = np.random.default_rng(32)
     anchors = AnchorArray(rng.uniform(-500.0, 500.0, (4, 2)))
     obs = obs_from_squared(rng.uniform(1e4, 1e6, 4))
-    claims = [rng.uniform(-400.0, 400.0, 2) for _ in range(2)]
+    claims = [Scenario(anchors, alice=rng.uniform(-400.0, 400.0, 2),
+                       eve=None, channel=ChannelParams()).alice
+              for _ in range(2)]
+    assert all(localization._is_frozen(c) for c in claims)
     expected = [fresh_residual(anchors, obs.observed_sq_m2, c).tobytes()
                 for c in claims]
     wrong = []
@@ -633,33 +651,6 @@ def test_threads_sharing_the_anchors_read_a_matching_claim_model():
     assert wrong == []
 
 
-def test_packet_stream_off_the_origin_lifts_the_claim_once(monkeypatch):
-    # The recorded stream claims the origin, where the model A chi(claim)
-    # is exactly zero; off it, every packet after the first reuses the
-    # model, which must round as the packet's own formula does. At this
-    # claim, adding the model's three terms in any other order changes
-    # the statistic of some of the 200 packets.
-    recorded = json.loads(PACKETS.read_text())
-    anchors = AnchorArray(np.array(recorded["anchors"]))
-    claim = np.array([87.65, 43.21])
-    lift = authentication._lift
-    lifts = []
-
-    def counted_lift(point):
-        lifts.append(point)
-        return lift(point)
-
-    monkeypatch.setattr(authentication, "_lift", counted_lift)
-    for pkt in recorded["packets"]:
-        obs = obs_from_squared(pkt["observed_sq_m2"])
-        A, b = localization.build_system(anchors, obs.observed_sq_m2)
-        r = b - A.dot(np.array([claim[0], claim[1],
-                                claim[0] ** 2 + claim[1] ** 2]))
-        assert statistic(residual_vector(obs, anchors, claim)) == float(
-            r.dot(r))
-    assert len(lifts) == 1
-
-
 def count_lifts(monkeypatch):
     lift = authentication._lift
     lifts = []
@@ -672,10 +663,32 @@ def count_lifts(monkeypatch):
     return lifts
 
 
+def test_packet_stream_off_the_origin_lifts_the_claim_once(monkeypatch):
+    # The recorded stream claims the origin, where the model A chi(claim)
+    # is exactly zero; off it, every packet after the first reuses the
+    # model, which must round as the packet's own formula does. At this
+    # claim, adding the model's three terms in any other order changes
+    # the statistic of some of the 200 packets.
+    recorded = json.loads(PACKETS.read_text())
+    anchors = AnchorArray(np.array(recorded["anchors"]))
+    claim = Scenario(anchors, alice=(87.65, 43.21), eve=None,
+                     channel=ChannelParams()).alice
+    lifts = count_lifts(monkeypatch)
+    for pkt in recorded["packets"]:
+        obs = obs_from_squared(pkt["observed_sq_m2"])
+        A, b = localization.build_system(anchors, obs.observed_sq_m2)
+        r = b - A.dot(np.array([claim[0], claim[1],
+                                claim[0] ** 2 + claim[1] ** 2]))
+        assert statistic(residual_vector(obs, anchors, claim)) == float(
+            r.dot(r))
+    assert len(lifts) == 1
+
+
 def test_packet_stream_through_a_scenario_claim_matches_its_writeable_copy(
         monkeypatch):
-    # The scenario's frozen claim is found by identity, a writeable copy of
-    # it by its bytes; both give the recorded outputs bit for bit.
+    # The scenario's frozen claim is found by identity and a writeable copy
+    # of it is lifted afresh for every packet; both give the recorded
+    # outputs bit for bit.
     recorded = json.loads(PACKETS.read_text())
     anchors = AnchorArray(np.array(recorded["anchors"]))
     scen = Scenario(anchors, alice=recorded["claim"], eve=None,
@@ -684,7 +697,8 @@ def test_packet_stream_through_a_scenario_claim_matches_its_writeable_copy(
     writeable = np.array(scen.alice)
     assert writeable.flags.writeable
     lifts = count_lifts(monkeypatch)
-    for claim in (scen.alice, writeable):
+    for claim, lifted in ((scen.alice, 1),
+                          (writeable, 1 + len(recorded["packets"]))):
         for pkt in recorded["packets"]:
             obs = obs_from_squared(pkt["observed_sq_m2"])
             ts = statistic(residual_vector(obs, anchors, claim))
@@ -692,12 +706,14 @@ def test_packet_stream_through_a_scenario_claim_matches_its_writeable_copy(
                 *localization.build_system(anchors, obs.observed_sq_m2))
             assert (ts, decide(ts, config).name, X.tolist()) == (
                 pkt["ts"], pkt["verdict"], pkt["position"])
-        # The copy hits by key and leaves the frozen owner in place.
-        assert len(lifts) == 1
-        assert anchors._claim_model[0][2] is scen.alice
+        # The copy leaves the frozen owner in place.
+        assert len(lifts) == lifted
+        assert anchors._claim_model[0][0] is scen.alice
 
 
 def test_a_frozen_claim_with_equal_bytes_takes_the_slot_over(monkeypatch):
+    # Claims are found by identity alone: an equal frozen claim is another
+    # owner, lifted once and then a hit.
     anchors = AnchorArray(TRIANGLE.xy)
     claim = (120.37, -33.91)
     first = Scenario(anchors, alice=claim, eve=None, channel=ChannelParams())
@@ -708,25 +724,26 @@ def test_a_frozen_claim_with_equal_bytes_takes_the_slot_over(monkeypatch):
     expected = fresh_residual(anchors, obs.observed_sq_m2, claim).tobytes()
     lifts = count_lifts(monkeypatch)
     assert residual_vector(obs, anchors, first.alice).tobytes() == expected
-    assert anchors._claim_model[0][2] is first.alice
-    model = anchors._claim_model[0][1]
+    assert anchors._claim_model[0][0] is first.alice
     for _ in range(2):
         assert residual_vector(obs, anchors, second.alice).tobytes() == (
             expected)
-        assert anchors._claim_model[0][1] is model
-        assert anchors._claim_model[0][2] is second.alice
-    # A writeable claim with the same bytes hits by key and leaves the
-    # frozen owner in place.
+        assert anchors._claim_model[0][0] is second.alice
+    assert len(lifts) == 2
+    # A writeable claim with the same values is lifted afresh and leaves
+    # the frozen owner in place.
     assert residual_vector(obs, anchors, list(claim)).tobytes() == expected
-    assert anchors._claim_model[0][2] is second.alice
-    assert len(lifts) == 1
+    assert anchors._claim_model[0][0] is second.alice
+    assert len(lifts) == 3
 
 
 def test_a_none_claim_is_not_taken_for_an_owner():
+    # Fresh anchors, whose slot is still empty after a writeable claim.
+    anchors = AnchorArray(TRIANGLE.xy)
     obs = obs_from_squared([260000.0, 510000.0, 490000.0])
-    residual_vector(obs, TRIANGLE, [10.3, -20.7])
-    with pytest.raises(TypeError):
-        residual_vector(obs, TRIANGLE, None)
+    residual_vector(obs, anchors, [10.3, -20.7])
+    with pytest.raises(DomainError, match="must be a finite"):
+        residual_vector(obs, anchors, None)
 
 
 @pytest.mark.parametrize("claim", [
