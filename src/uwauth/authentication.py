@@ -117,11 +117,13 @@ def test_statistic_pinv(observed: NoisySquaredDistances, anchors: AnchorArray,
     claim back into observation space through the Moore-Penrose
     pseudoinverse of the truncated estimator matrix E. Equals
     test_statistic exactly when the residual lies in the row space of
-    that matrix and never exceeds it otherwise.
+    that matrix and never exceeds it otherwise. The claim is checked as
+    residual_vector checks it: one that is not a finite (x, y) pair, or
+    whose x^2 + y^2 overflows, raises DomainError.
     """
     A, b = build_system(anchors, observed.observed_sq_m2)
     estimator_rows = _pinv_t(A).T[:2]
-    gap = estimator_rows @ b - np.asarray(claimed, dtype=float)
+    gap = estimator_rows @ b - _lift(claimed)[:2]
     e1, e2 = estimator_rows
     # For E^T = QR, |pinv(E) gap|^2 = |R^-T gap|^2. Two Gram-Schmidt steps
     # give R with an error of order cond(E) * eps; solving with E E^T
@@ -257,23 +259,25 @@ def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
     position is low + (high - low) u per coordinate, with low and high the
     region's edges and u from Generator.random: the bits of
     Generator.uniform(low, high). The rest is computed for the whole batch
-    at once, each hypothesis's statistic formed in one buffer stored
-    anchor by anchor. Workers run the (batch, block) pairs side by side;
-    the pairs are yielded in order.
+    at once: the impersonator's distances by AnchorArray.distances_to, as
+    sqrt(dx * dx + dy * dy), and each hypothesis's statistic in one buffer
+    stored anchor by anchor, one anchor at a time (_statistic). Workers
+    run the (batch, block) pairs side by side; the pairs are yielded in
+    order.
     """
     anchors = scenario.anchors
     powers = np.reshape(powers_db, (-1, 1, 1))
-    # Scales that do not depend on the draws, (P, 1, L), from one noise
-    # model call each: it is elementwise in the powers. Stored anchor by
-    # anchor, as the statistics are, so that numpy loops along the trials.
+    # Scales that do not depend on the draws, from one noise model call
+    # each: it is elementwise in the powers. Stored anchor by anchor,
+    # (L, P, 1), as the statistics are.
     d0 = scenario.alice_distances()
-    s0 = np.asfortranarray(np.sqrt(_noise_variance(d0, scenario.channel,
-                                                   powers)))
+    s0 = _anchor_major(np.sqrt(_noise_variance(d0, scenario.channel,
+                                               powers)))
     fixed = scenario.eve is not None
     if fixed:
         d1 = scenario.eve_distances()
-        s1 = np.asfortranarray(np.sqrt(_noise_variance(d1, scenario.channel,
-                                                       powers)))
+        s1 = _anchor_major(np.sqrt(_noise_variance(d1, scenario.channel,
+                                                   powers)))
     else:
         low = [-w / 2 for w in scenario.region]
         span = [w / 2 - lo for w, lo in zip(scenario.region, low)]
@@ -295,20 +299,20 @@ def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
                 rng.random(out=eve[j])
             rng.standard_normal(out=z1[j])
         if fixed:
-            d, s = d1, s1[rows]
+            d, s = d1, s1[:, rows]
         else:
             for k in range(2):
                 coord = eve[..., k]
                 coord *= span[k]
                 coord += low[k]
-            d = anchors.distances_to(eve)
-            # The noise model runs on the distances' contiguous
-            # anchor-major array, (L, powers, n).
-            s = _noise_variance(d.transpose(2, 0, 1), scenario.channel,
+            # The distances' contiguous anchor-major array, (L, powers, n),
+            # and the noise model on it.
+            d = _anchor_major(anchors.distances_to(eve))
+            s = _noise_variance(d, scenario.channel,
                                 powers[rows].reshape(1, -1, 1))
-            s = np.sqrt(s, out=s).transpose(1, 2, 0)
+            np.sqrt(s, out=s)
         return (rows, cols,
-                _statistic(anchors, scenario.alice, d0, s0[rows], z0),
+                _statistic(anchors, scenario.alice, d0, s0[:, rows], z0),
                 _statistic(anchors, scenario.alice, d, s, z1))
 
     pairs = [(slice(i, i + per_batch), g)
@@ -319,15 +323,27 @@ def _simulate(scenario: Scenario, powers_db, seeds, trials: int,
 
 def _statistic(anchors: AnchorArray, claimed, d, sigma, z) -> np.ndarray:
     """TS at the claim of the observations _observe(d, sigma, z), z shaped
-    (powers, n, L): formed in place in one buffer stored anchor by anchor,
-    since elementwise loops along the n trials run many times faster than
-    along the L anchors."""
+    (powers, n, L), with d and sigma stored anchor by anchor: d[i] and
+    sigma[i] broadcast against anchor i's (powers, n) plane of the trials.
+    Formed in place in one anchor-major buffer, a plane at a time, so that
+    every operand is a scalar or has the plane's shape: numpy runs several
+    times slower along the L anchors, or with an operand broadcast across
+    planes. _observe and _residual keep their operation order on each
+    plane, so the bits are those of z whole."""
     batch, n, L = z.shape
-    buf = np.empty((L, batch, n)).transpose(1, 2, 0)
-    np.copyto(buf, z)
-    _observe(d, sigma, buf, out=buf)
-    _residual(anchors, buf, claimed, out=buf)
-    return _squared_norms(buf, buf)
+    buf = np.empty((L, batch, n))
+    r = buf.transpose(1, 2, 0)
+    np.copyto(r, z)
+    for i, plane in enumerate(buf):
+        _observe(d[i], sigma[i], plane, out=plane)
+        _residual(anchors, plane, claimed, out=plane, anchor=i)
+    return _squared_norms(r, r)
+
+
+def _anchor_major(a: np.ndarray) -> np.ndarray:
+    """a, shaped (..., L), as a C-ordered array shaped (L, ...): a view
+    when a is a transposed view of one, else a copy."""
+    return np.ascontiguousarray(np.moveaxis(a, -1, 0))
 
 
 def _squared_norms(r: np.ndarray, out=None) -> np.ndarray:
@@ -432,9 +448,11 @@ def _lift(claimed) -> np.ndarray:
 
 
 def _residual(anchors: AnchorArray, observed_sq, claimed,
-              out=None) -> np.ndarray:
+              out=None, anchor=None) -> np.ndarray:
     """b - A chi(claim) for observations shaped (L,) or (n, L), formed in
-    out when given, which may be observed_sq itself.
+    out when given, which may be observed_sq itself. With an anchor index
+    i, observed_sq holds anchor i's observations alone, of any shape, and
+    the result is row i of b - A chi(claim) at each of them.
 
     The anchors keep one slot, (owner, model): a frozen claim, a view of
     immutable bytes such as Scenario.alice whose values can never change,
@@ -444,7 +462,7 @@ def _residual(anchors: AnchorArray, observed_sq, claimed,
     only when it is frozen. A new slot replaces the old one whole, with
     one store, so threads sharing the anchors always read a matching pair.
     """
-    b = _right_hand_side(anchors, observed_sq, out)
+    b = _right_hand_side(anchors, observed_sq, out, anchor)
     owner, model = anchors._claim_model[0]
     if claimed is not owner:
         # ndarray.dot makes the BLAS call that A @ chi makes, with less
@@ -452,7 +470,7 @@ def _residual(anchors: AnchorArray, observed_sq, claimed,
         model = anchors._design.dot(_lift(claimed))
         if _is_frozen(claimed):
             anchors._claim_model[0] = claimed, model
-    b -= model
+    b -= model if anchor is None else model[anchor]
     return b
 
 

@@ -33,6 +33,8 @@ __all__ = [
 
 # Smallest acceptable ratio of the design matrix's extreme singular values.
 _RANK_RTOL = 1e-9
+# Smallest squared distance to an anchor: a smaller one is subnormal or 0.
+_TINY = np.finfo(float).tiny
 # Each live AnchorArray design matrix's pseudo-inverse, transposed, keyed
 # by the matrix's id next to a weak reference to it; an entry goes when
 # its matrix does.
@@ -114,14 +116,36 @@ class AnchorArray:
     def distances_to(self, points) -> np.ndarray:
         """Euclidean distances from every anchor to one point, shape (2,),
         or to each point of a batch, shape (..., 2); returns (L,) or
-        (..., L), for a batch a view of an array stored anchor by anchor."""
+        (..., L), for a batch a view of an array stored anchor by anchor.
+
+        Each distance is sqrt(dx * dx + dy * dy), within 1 ulp of
+        np.hypot(dx, dy). Points of any other shape raise DomainError, and
+        so does a point that is not finite, or whose squared distance to an
+        anchor is not: one about 1.3e154 m away or further. A point whose
+        squared distance to an anchor is below the smallest normal double,
+        one about 1.5e-154 m away or closer, raises GeometryError as
+        coinciding with that anchor: that square would lose precision or
+        be 0.
+        """
         p = np.asarray(points, dtype=float)
+        if p.shape[-1:] != (2,):
+            raise DomainError("points must be (x, y) pairs, shaped (2,) or "
+                              "(..., 2)")
         # Anchor-major, (L, ...), so the elementwise loops run along the
         # points, many times faster than along the L anchors.
         a = self.xy.T.reshape((2, -1) + (1,) * (p.ndim - 1))
-        d = np.hypot(p[..., 0] - a[0], p[..., 1] - a[1])
-        if not d.all():  # a zero distance; NaN is not zero
+        d = p[..., 0] - a[0]
+        dy = p[..., 1] - a[1]
+        with np.errstate(over="ignore"):  # refused below
+            d *= d
+            dy *= dy
+            d += dy
+        # min and max propagate NaN, so each comparison with them is False.
+        if d.size and not d.max() < np.inf:
+            raise DomainError("distance to an anchor is not finite")
+        if d.size and not d.min() >= _TINY:
             raise GeometryError("point coincides with an anchor")
+        np.sqrt(d, out=d)
         return d.transpose(*range(1, d.ndim), 0)
 
 
@@ -233,12 +257,17 @@ def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndar
     return anchors._design, _right_hand_side(anchors, observed_sq)
 
 
-def _right_hand_side(anchors: AnchorArray, observed_sq, out=None):
+def _right_hand_side(anchors: AnchorArray, observed_sq, out=None,
+                     anchor=None):
     """b of the lifted system, d_hat_i^2 - x_i^2 - y_i^2, formed in out
-    when given, which may be observed_sq itself."""
+    when given, which may be observed_sq itself. With an anchor index i,
+    observed_sq holds anchor i's observations alone, of any shape, and
+    the result is row i of b at each of them."""
     obs = np.asarray(observed_sq, dtype=float)
     sq_norms = anchors._sq_norms
-    if obs.shape[-1] != sq_norms.shape[0]:
+    if anchor is not None:
+        sq_norms = sq_norms[anchor]
+    elif obs.shape[-1] != sq_norms.shape[0]:
         raise DomainError("one squared observation per anchor is required")
     if out is None:
         return obs - sq_norms  # the operator parses no keywords per packet

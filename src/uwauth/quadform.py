@@ -540,6 +540,11 @@ def _curve_points(w, lam) -> np.ndarray:
     sqrt(-2 L / Var Q), ends the bracket on the mean's side, since
     -E(t) = int_0^t s K''(s) ds and K'' grows with t; the far end is where
     the largest term's exponent alone, which bounds E from above, reaches L.
+
+    Each step works on the rows still open: a row leaves once its point
+    meets the window. Rows never mix, since a row's sums run over its own
+    L terms in an order that does not depend on the batch, so each point
+    is that of its form solved alone, bit for bit.
     """
     n = w.shape[0]
     kinds = len(_CURVE_POINTS)
@@ -557,7 +562,8 @@ def _curve_points(w, lam) -> np.ndarray:
     right = np.where(upper, np.minimum(v0, np.log(2.0 - 4.0 * target)),
                      1.0 - 2.0 * target - log(2.0))
     y = np.where(upper, right, left)
-    x = np.full(y.size, np.nan)
+    x = np.empty(y.size)
+    rows = np.arange(y.size)  # of x, for the rows still open
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_SADDLE_MAX):
             # alpha = 2 t is -2 e^u below the mean and 1 - e^-v above it.
@@ -567,15 +573,21 @@ def _curve_points(w, lam) -> np.ndarray:
             r = 1.0 - a
             q = w / r
             e = -0.5 * (np.log1p(-a) + a / r * (1.0 + lam * a / r)).sum(axis=1)
+            met = np.abs(e - target) <= 1e-9
+            if met.any():
+                x[rows[met]] = (q[met] * (1.0 + lam[met] / r[met])).sum(axis=1)
+                if met.all():
+                    return x.reshape(kinds, n)
+                keep = ~met
+                (rows, w, lam, upper, target, log_target, left, right, y,
+                 e_y, alpha, r, q, e) = (
+                    v[keep] for v in (rows, w, lam, upper, target,
+                                      log_target, left, right, y, e_y,
+                                      alpha, r, q, e))
             g = np.log(-e) - log_target
             # d(-E)/dy = t K''(t) dt/dy, with dalpha/dy = alpha or e^-v.
             slope = 0.5 * alpha * np.where(upper, e_y, alpha) * (
                 q * q * (1.0 + 2.0 * lam / r)).sum(axis=1)
-            met = np.isnan(x) & (np.abs(e - target) <= 1e-9)
-            if met.any():
-                x[met] = (q[met] * (1.0 + lam[met] / r[met])).sum(axis=1)
-                if not np.isnan(x).any():
-                    return x.reshape(kinds, n)
             below = ~(g >= 0.0)
             left = np.where(below, y, left)
             right = np.where(below, right, y)

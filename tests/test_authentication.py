@@ -250,9 +250,10 @@ def _plain_stream(scen, power_db, seed, trials):
     # Recomputes the stream from its contract with plain numpy: block g
     # of 4096 trials draws from default_rng(seed + (g,)) the H0 normals,
     # then (uniform mode) the impersonator positions, then the H1
-    # normals; observations are d^2 + 2 (z sigma) d, with sigma from the
-    # Thorp and log-distance noise model, and TS is the squared residual
-    # of the lifted system at the claim.
+    # normals; distances are sqrt(dx^2 + dy^2), observations
+    # d^2 + 2 (z sigma) d, with sigma from the Thorp and log-distance noise
+    # model, and TS is the squared residual of the lifted system at the
+    # claim.
     xy = scen.anchors.xy
     L = len(xy)
     A = np.column_stack([-2.0 * xy[:, 0], -2.0 * xy[:, 1], np.ones(L)])
@@ -262,7 +263,8 @@ def _plain_stream(scen, power_db, seed, trials):
     w, h = scen.region
 
     def distances(p):
-        return np.hypot(p[..., 0, None] - xy[:, 0], p[..., 1, None] - xy[:, 1])
+        return np.sqrt((p[..., 0, None] - xy[:, 0]) ** 2
+                       + (p[..., 1, None] - xy[:, 1]) ** 2)
 
     def noise_std(d):
         f2 = ch.frequency_khz ** 2
@@ -755,8 +757,22 @@ def test_a_claim_that_is_not_finite_is_refused(claim):
     with pytest.raises(DomainError, match=refusal):
         residual_vector(obs, TRIANGLE, claim)
     with pytest.raises(DomainError, match=refusal):
+        statistic_pinv(obs, TRIANGLE, claim)
+    with pytest.raises(DomainError, match=refusal):
         authentication._residual(
             TRIANGLE, np.tile(obs.observed_sq_m2, (4, 1)), claim)
+
+
+@pytest.mark.parametrize("claim", [None, 5.0, [1.0, 2.0, 3.0],
+                                   [[1.0], [2.0]], [[1.0, 2.0]]])
+def test_both_statistics_refuse_a_claim_that_is_not_an_x_y_pair(claim):
+    # The position-space statistic took a scalar as the claim (x, x), and
+    # gave NaN for None, where residual_vector refuses both.
+    obs = obs_from_squared([260000.0, 510000.0, 490000.0])
+    with pytest.raises(DomainError, match="must be a finite"):
+        residual_vector(obs, TRIANGLE, claim)
+    with pytest.raises(DomainError, match="must be a finite"):
+        statistic_pinv(obs, TRIANGLE, claim)
 
 
 @pytest.mark.parametrize("observed", [

@@ -402,10 +402,10 @@ def test_scenario_refuses_regions_that_are_not_positive_and_finite(region):
                  channel=ChannelParams(), region=region)
 
 
-def test_batched_distances_equal_point_major_hypot_bit_for_bit():
+def test_batched_distances_equal_point_major_root_of_summed_squares():
     # distances_to computes batches anchor by anchor and returns a view
     # shaped point by anchor; the values are those of the point-major
-    # formula, whatever the batch shape.
+    # formula sqrt(dx^2 + dy^2), bit for bit, whatever the batch shape.
     rng = np.random.default_rng(46)
     nonagon = AnchorArray(450.0 * np.column_stack(
         [np.cos(np.arange(9) * 0.7 + 0.3), np.sin(np.arange(9) * 0.7 + 0.3)]))
@@ -414,14 +414,68 @@ def test_batched_distances_equal_point_major_hypot_bit_for_bit():
         for shape in ((2,), (1, 2), (37, 2), (3, 4097, 2), (2, 0, 2)):
             p = rng.uniform(-500.0, 500.0, shape) * 10.0 ** rng.uniform(-3, 3)
             d = anchors.distances_to(p)
-            expected = np.hypot(p[..., 0, None] - xy[:, 0],
-                                p[..., 1, None] - xy[:, 1])
+            expected = np.sqrt((p[..., 0, None] - xy[:, 0]) ** 2
+                               + (p[..., 1, None] - xy[:, 1]) ** 2)
             assert d.shape == expected.shape
             assert d.tobytes() == expected.tobytes()
             if p[..., 0].size > 1:
                 assert not d.flags.c_contiguous  # the anchor-major view
     with pytest.raises(GeometryError, match="coincides"):
         TRIANGLE.distances_to(np.array([[[1.0, 2.0], [0.0, 500.0]]]))
+
+
+def test_distances_agree_with_hypot_within_one_ulp():
+    # sqrt(dx^2 + dy^2) rounds twice more than hypot does, and stays
+    # within 1 ulp of it from points near the anchors to points 1e150 m
+    # away.
+    rng = np.random.default_rng(47)
+    for anchors in (TRIANGLE, AnchorArray(rng.uniform(-1e3, 1e3, (9, 2)))):
+        xy = anchors.xy
+        for scale in (1e-3, 1.0, 1e3, 1e6, 1e150):
+            p = rng.uniform(-500.0, 500.0, (3, 4096, 2)) * scale
+            d = anchors.distances_to(p)
+            ref = np.hypot(p[..., 0, None] - xy[:, 0],
+                           p[..., 1, None] - xy[:, 1])
+            assert np.all(np.abs(d - ref) <= np.spacing(ref))
+
+
+# An anchor at the origin, so that points 1e-154 m from it are doubles.
+ORIGIN = AnchorArray(np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]))
+
+
+@pytest.mark.parametrize("point", [
+    (np.nan, 0.0), (0.0, np.nan), (np.inf, 0.0), (0.0, -np.inf),
+    (1.35e154, 0.0), (-1e154, 1e154)])
+def test_a_distance_that_is_not_finite_is_refused(point):
+    # A NaN or infinite point, or one whose squared distance overflows,
+    # alone or in a batch.
+    with pytest.raises(DomainError, match="not finite"):
+        ORIGIN.distances_to(point)
+    with pytest.raises(DomainError, match="not finite"):
+        ORIGIN.distances_to(np.array([[0.5, 0.5], point, [2.0, 3.0]]))
+    assert ORIGIN.distances_to((1.3e154, 0.0))[0] == 1.3e154
+
+
+@pytest.mark.parametrize("points", [5.0, [1.0, 2.0, 3.0], [[1.0], [2.0]],
+                                    np.zeros((4, 3)), np.zeros((2, 0))])
+def test_points_that_are_not_x_y_pairs_are_refused(points):
+    # A third coordinate was ignored, and a scalar raised IndexError.
+    with pytest.raises(DomainError, match="must be \\(x, y\\) pairs"):
+        ORIGIN.distances_to(points)
+
+
+@pytest.mark.parametrize("point", [
+    (0.0, 0.0), (1e-170, 0.0), (0.0, -1e-160), (1e-155, 1e-155),
+    (1.4e-154, 0.0), (1e-154, -1e-154)])
+def test_a_point_within_1_5e_154_m_of_an_anchor_coincides_with_it(point):
+    # Its squared distance is 0 or subnormal: below the smallest normal
+    # double, about 2.2e-308.
+    with pytest.raises(GeometryError, match="coincides"):
+        ORIGIN.distances_to(point)
+    with pytest.raises(GeometryError, match="coincides"):
+        ORIGIN.distances_to(np.array([[0.5, 0.5], point]))
+    d = ORIGIN.distances_to((1.5e-154, 0.0))
+    assert d[0] == 1.5e-154
 
 
 def test_solver_alternating_designs_uses_each_ones_pseudo_inverse():

@@ -17,7 +17,14 @@ from scipy.stats import chi2, ncx2, norm
 
 from uwauth import AccuracyError, DomainError, QuadFormDist, cli, quadform
 from uwauth.channel import distance_noise_variance
-from uwauth.experiment import default_thresholds, region_point_set, roc_curve
+from uwauth.authentication import statistic_form
+from uwauth.experiment import (
+    baseline_scenario,
+    default_power_grid,
+    default_thresholds,
+    region_point_set,
+    roc_curve,
+)
 from uwauth.quadform import cdf_grid, quantile_grid
 
 
@@ -872,6 +879,37 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
     with pytest.raises(AccuracyError) as info:
         quadform._euler_cdf(w, lam, np.zeros(3), x * [1.0, 1.01, 1.0])
     assert info.value.achieved == max(achieved)
+
+
+def test_saddle_curve_points_of_a_mixed_batch_are_each_forms_own():
+    # The uniform-Eve sweep's 441 forms (the legitimate node and 20 region
+    # points at 21 powers) and forms with folded terms, in one batch:
+    # its rows meet their windows after different numbers of steps and
+    # leave the solve as they do, and each row's points are bit for bit
+    # those of its form solved alone.
+    scen = baseline_scenario(eve=None)
+    d0 = scen.alice_distances()
+    d_eve = scen.anchors.distances_to(region_point_set(20, scen.region))
+    grid = default_power_grid()
+    a0, off0 = statistic_form(d0, d0, scen.channel, powers_db=grid)
+    a1, off1 = statistic_form(d_eve, d0, scen.channel, powers_db=grid)
+    a = np.concatenate([a0[:, None], a1], axis=1).reshape(-1, 3)
+    off = np.concatenate([np.broadcast_to(off0, a0[:, None].shape),
+                          np.broadcast_to(off1, a1.shape)],
+                         axis=1).reshape(-1, 3)
+    assert len(a) == 441
+    rng = np.random.default_rng(48)
+    a_folded = 10.0 ** rng.uniform(-2.0, 2.0, (40, 3))
+    a_folded[:, 1] *= 1e-12  # below _DEGENERATE_RTOL of the largest
+    a_folded[::2, 2] *= 1e-13
+    off_folded = rng.normal(0.0, 3.0, (40, 3)) * a_folded.max(axis=1)[:, None]
+    w, lam = quadform._prepare(np.concatenate([a, a_folded]),
+                               np.concatenate([off, off_folded]))[:2]
+    assert np.count_nonzero(w == 0.0) == 60
+    batch = quadform._curve_points(w, lam)
+    for k in range(len(w)):
+        alone = quadform._curve_points(w[k:k + 1], lam[k:k + 1])
+        assert batch[:, k].tobytes() == alone[:, 0].tobytes(), k
 
 
 def test_sampler_matches_the_plain_expression():
