@@ -109,9 +109,10 @@ from math import comb, erfc, log, sqrt
 
 import numpy as np
 # Freeing a 2 MiB mmapped block raises glibc's dynamic heap-trim threshold,
-# which spares each EULER step's ~70 KiB of temporaries a trim: otherwise a
-# `roc --points 11` request takes ~2,700-2,900 minor page faults, not ~1,
-# and ~25 % longer.
+# which spares each EULER step's temporaries, up to ~230 KiB at 11 cells, a
+# trim. Where nothing else had raised it, a `roc --points 11` request took
+# ~2,700-2,900 minor page faults without it, not ~1, and ~25 % longer; with
+# numpy 2.4.6 on glibc 2.36 it takes ~1 either way.
 np.empty(1 << 18)
 
 from ._fields import _equal_fields
@@ -605,11 +606,15 @@ _EULER_SIGN = np.where(_EULER_K % 2 == 0, 1.0, -1.0)
 _EULER_SIGN[0] = 0.5
 _EULER_BINOMIAL = np.array(
     [comb(_EULER_M, j) for j in range(_EULER_M + 1)]) / 2.0 ** _EULER_M
-# Cells inverted per numpy pass. A cell's temporaries, (2, 66, m) complex
-# arrays, peak at ~35 KiB at m = 3, so a chunk of 32 needs ~1.1 MiB
-# whatever the batch size (3.7 MiB at 128). On a 2-core x86-64 host the
-# best time per cell at m = 3 was 30-36 us from 16 to 128 cells, 37-50 us
-# at 8 and 41-57 us at 256; 32 is the smallest chunk on that floor.
+# The nodes A + 2 k pi i, (2, 66), and e^(A/2), shared by every chunk.
+_EULER_NODES = _EULER_A[:, None] + 2j * np.pi * _EULER_K
+_EULER_EXP_HALF_A = np.exp(_EULER_A / 2.0)
+# Cells inverted per numpy pass. A cell's temporaries, (2, 66) complex
+# planes, peak at ~21 KiB from m = 2 terms on, so a chunk of 32 needs
+# ~0.65 MiB whatever the batch size (2.6 MiB at 128). On a 2-core x86-64
+# host the best time per cell at m = 3 was 21-25 us from 32 to 128 cells,
+# 25-28 us at 8 and 16, and 31-33 us at 256; 32 is the smallest chunk on
+# that floor.
 _EULER_CHUNK = 32
 
 
@@ -641,24 +646,31 @@ def _euler_chunk(w, lam, c, x):
     """CDF values, densities and CDF error estimates of one chunk of
     _euler_cdf's cells.
 
+    The terms of log phi(s) are formed one at a time, each on an (M, 2,
+    66) plane, and added in term order, first to last. For up to 3 terms
+    that is the order of numpy's sum along a term axis, so the result is
+    that sum's bit for bit; from 4 terms numpy's axis sum is pairwise, and
+    the two differ by rounding, below 1e-12 in the CDF.
+
     The density's transform is phi(s) itself, so its series reuses the
     CDF's terms phi(s) / s before the division by s.
     """
     t = x - c
     a = _EULER_A
-    s = (a[:, None] + 2j * np.pi * _EULER_K) / (2.0 * t[:, None, None])
-    ws = w[:, None, None, :] * s[..., None]
-    ws2 = 2.0 * ws
+    s = _EULER_NODES / (2.0 * t[:, None, None])
+    log_sum, noncentral = _term_planes(w[:, 0], lam[:, 0], s)
+    for i in range(1, w.shape[1]):
+        log_term, term = _term_planes(w[:, i], lam[:, i], s)
+        log_sum += log_term
+        noncentral += term
     # log(e^(cs) phi(s)) with the noncentral mean sum(lam w) moved into c:
     # c s and the noncentrality terms are each ~lam w |s| and cancel to
     # O(A), so written separately they lose ~1e-9 to rounding at lam ~ 1e11.
     log_phi = ((c - np.sum(lam * w, axis=-1))[:, None, None] * s
-               - 0.5 * np.sum(np.log1p(ws2), axis=-1)
-               + np.sum(2.0 * lam[:, None, None, :] * ws * ws / (1.0 + ws2),
-                        axis=-1))
+               - 0.5 * log_sum + noncentral)
     phi = np.exp(log_phi)
     partial = np.cumsum(_EULER_SIGN * (phi / s).real, axis=-1)
-    scale = np.exp(a / 2.0) / t[:, None]
+    scale = _EULER_EXP_HALF_A / t[:, None]
     p = scale * (partial[..., _EULER_N:] @ _EULER_BINOMIAL)
     # Reduced in the same (M, 2, n) shape as p: as an (M, n) product,
     # numpy's sum for a cell depends on the size of its batch.
@@ -673,3 +685,16 @@ def _euler_chunk(w, lam, c, x):
     ratio = np.expm1(a[1] - a[0])
     return (p[:, 1] + (p[:, 1] - p[:, 0]) / ratio,
             f[:, 1] + (f[:, 1] - f[:, 0]) / ratio, err)
+
+
+def _term_planes(w, lam, s):
+    """log(1 + 2 w s) and 2 lam (w s)^2 / (1 + 2 w s) of one term, weights
+    w and noncentralities lam (M,), on the nodes s (M, 2, 66)."""
+    ws = w[:, None, None] * s
+    ws2 = 2.0 * ws
+    log_term = np.log1p(ws2)
+    ws2 += 1.0
+    term = 2.0 * lam[:, None, None] * ws
+    term *= ws
+    term /= ws2
+    return log_term, term

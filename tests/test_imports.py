@@ -64,3 +64,13 @@ sys.stdout = sys.__stdout__
 print(sorted(faults[3:])[10])
 """
     assert int(run_python(code, FIXED_EVE)) <= 100
+
+
+@pytest.mark.parametrize("module", ["uwauth", "uwauth.cli"])
+def test_import_leaves_thread_pool_and_logging_out(module):
+    # concurrent.futures, and the logging it imports, load only when a
+    # Monte Carlo run starts a thread pool.
+    code = (f"import sys, {module}; "
+            f"print(sorted(m for m in sys.modules if m.split('.')[0] "
+            f"in ('concurrent', 'logging')))")
+    assert run_python(code) == "[]\n"

@@ -66,6 +66,22 @@ def test_equal_weights_noncentral_match_library():
         assert d.cdf(x) == pytest.approx(ncx2.cdf(x, 3, lam), abs=1e-7)
 
 
+def test_equal_weights_noncentral_many_terms_match_library():
+    # Four to nine unit terms, whose transform terms the inversion adds in
+    # term order, not numpy's pairwise order: inverted cells from 0.3 to 2.5
+    # times the mean against the library's noncentral chi-square.
+    rng = np.random.default_rng(30)
+    for n in range(4, 10):
+        offsets = rng.uniform(-2.0, 2.0, n)
+        lam = float(np.sum(offsets ** 2))
+        x = (n + lam) * np.linspace(0.3, 2.5, 23)
+        lo, hi, _ = QuadFormDist(np.ones(n), offsets)._form[-1][:, 0]
+        assert np.all((lo < x) & (x < hi))
+        got = cdf_grid(np.ones((1, n)), offsets[None], x)[0]
+        np.testing.assert_allclose(got, ncx2.cdf(x, n, lam), rtol=0,
+                                   atol=1e-11)
+
+
 def test_scaled_pair_via_substitution():
     # c^2 * chi2_2 evaluated through the generic path.
     c = 7.5
