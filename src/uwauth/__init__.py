@@ -25,7 +25,6 @@ from .authentication import (
     Hypothesis,
     calibrate_threshold,
     decide,
-    empirical_rates,
     h0_distribution,
     h1_distribution,
     p_fa_analytic,

@@ -54,7 +54,6 @@ __all__ = [
     "p_md_analytic",
     "calibrate_threshold",
     "simulate_test_statistics",
-    "empirical_rates",
     "count_error_rates",
 ]
 
@@ -91,9 +90,9 @@ class ErrorRates:
 
     p_fa: float
     p_md: float
-    stderr_fa: float = 0.0
-    stderr_md: float = 0.0
-    trials: int = 0
+    stderr_fa: float
+    stderr_md: float
+    trials: int
 
 
 def residual_vector(observed: NoisySquaredDistances, anchors: AnchorArray,
@@ -376,19 +375,6 @@ def _map(fn, items, workers: int):
     import concurrent.futures
     with concurrent.futures.ThreadPoolExecutor(max_workers=workers) as pool:
         yield from pool.map(fn, items)
-
-
-def empirical_rates(scenario: Scenario, config: DecisionConfig, trials: int,
-                    master_seed, *, workers: int = 1) -> ErrorRates:
-    """Monte Carlo error rates over independent H0 and H1 transmissions,
-    the impersonator placed as simulate_test_statistics places it: at
-    scenario.eve, or uniformly over the region when that is None.
-
-    Deterministic in (master_seed, trials) regardless of worker count.
-    """
-    ts_h0, ts_h1 = simulate_test_statistics(
-        scenario, trials, master_seed, workers=workers)
-    return count_error_rates(ts_h0, ts_h1, config.threshold)
 
 
 def count_error_rates(ts_h0: np.ndarray, ts_h1: np.ndarray,

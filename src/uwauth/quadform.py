@@ -63,6 +63,13 @@ amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0.
 
+Exponent. Where |2 w s| <= 1, a term's -lam w s / (1 + 2 w s) is split as
+-lam w s + 2 lam (w s)^2 / (1 + 2 w s), and -lam w s joins c s: whole,
+the two cancel and lose ~1e-9 at lam ~ 1e11. Where |2 w s| > 1 the split
+would cancel instead, so the term stays whole. Lower-tail cells thus keep
+~1e-12 relative accuracy, as QuadFormDist([0.00032327, 0.20970056], [0,
+0.11272637]) does from x = 1e-18, just above its lo, to 1e-8.
+
 Quantiles. One search serves QuadFormDist.quantile and quantile_grid.
 It solves F(x) = p for each level in y = log(x / lo), x in the form's
 unit, over [0, log(hi / lo)], where the CDF is within 1e-14 of 0 at lo
@@ -71,8 +78,7 @@ three-moment approximation (Biometrika 48:419, 1961, section 4, after
 Pearson 1959), Q ~ k1 + sqrt(k2 / 2 nu) (X - nu) with X chi-square(nu)
 and nu = 8 k2^3 / k3^2, matching the cumulants k_j = 2^(j-1) (j-1)!
 sum w^j (1 + j lam); X's quantile is Wilson and Hilferty's, from Acklam's
-normal quantile. A start nearer lo than 1/8 of the bracket, where the
-inversion can fail its error check on forms led by one term, or nearer
+normal quantile. A start nearer lo than 1/8 of the bracket, or nearer
 hi than 1/64, is moved to that distance. From there each level takes
 safeguarded Newton steps on log m, m its tail mass F, or 1 - F above the
 median, with d log m / dy = +-f(x) x / m; in the lower tail F ~ C
@@ -108,12 +114,6 @@ from functools import cached_property
 from math import comb, erfc, log, sqrt
 
 import numpy as np
-# Freeing a 2 MiB mmapped block raises glibc's dynamic heap-trim threshold,
-# which spares each EULER step's temporaries, up to ~230 KiB at 11 cells, a
-# trim. Where nothing else had raised it, a `roc --points 11` request took
-# ~2,700-2,900 minor page faults without it, not ~1, and ~25 % longer; with
-# numpy 2.4.6 on glibc 2.36 it takes ~1 either way.
-np.empty(1 << 18)
 
 from ._fields import _equal_fields
 from .errors import AccuracyError, DomainError
@@ -606,8 +606,10 @@ _EULER_SIGN = np.where(_EULER_K % 2 == 0, 1.0, -1.0)
 _EULER_SIGN[0] = 0.5
 _EULER_BINOMIAL = np.array(
     [comb(_EULER_M, j) for j in range(_EULER_M + 1)]) / 2.0 ** _EULER_M
-# The nodes A + 2 k pi i, (2, 66), and e^(A/2), shared by every chunk.
+# The nodes A + 2 k pi i, (2, 66), their moduli and e^(A/2), shared by
+# every chunk.
 _EULER_NODES = _EULER_A[:, None] + 2j * np.pi * _EULER_K
+_EULER_NODE_ABS = np.abs(_EULER_NODES)
 _EULER_EXP_HALF_A = np.exp(_EULER_A / 2.0)
 # Cells inverted per numpy pass. A cell's temporaries, (2, 66) complex
 # planes, peak at ~21 KiB from m = 2 terms on, so a chunk of 32 needs
@@ -658,16 +660,14 @@ def _euler_chunk(w, lam, c, x):
     t = x - c
     a = _EULER_A
     s = _EULER_NODES / (2.0 * t[:, None, None])
-    log_sum, noncentral = _term_planes(w[:, 0], lam[:, 0], s)
+    log_sum, noncentral, kept = _term_planes(w[:, 0], lam[:, 0], s, t)
     for i in range(1, w.shape[1]):
-        log_term, term = _term_planes(w[:, i], lam[:, i], s)
+        log_term, term, lam_w = _term_planes(w[:, i], lam[:, i], s, t)
         log_sum += log_term
         noncentral += term
-    # log(e^(cs) phi(s)) with the noncentral mean sum(lam w) moved into c:
-    # c s and the noncentrality terms are each ~lam w |s| and cancel to
-    # O(A), so written separately they lose ~1e-9 to rounding at lam ~ 1e11.
-    log_phi = ((c - np.sum(lam * w, axis=-1))[:, None, None] * s
-               - 0.5 * log_sum + noncentral)
+        kept += lam_w
+    # log(e^(cs) phi(s)), split as the module docstring's Exponent says.
+    log_phi = (c[:, None, None] - kept) * s - 0.5 * log_sum + noncentral
     phi = np.exp(log_phi)
     partial = np.cumsum(_EULER_SIGN * (phi / s).real, axis=-1)
     scale = _EULER_EXP_HALF_A / t[:, None]
@@ -687,14 +687,20 @@ def _euler_chunk(w, lam, c, x):
             f[:, 1] + (f[:, 1] - f[:, 0]) / ratio, err)
 
 
-def _term_planes(w, lam, s):
-    """log(1 + 2 w s) and 2 lam (w s)^2 / (1 + 2 w s) of one term, weights
-    w and noncentralities lam (M,), on the nodes s (M, 2, 66)."""
+def _term_planes(w, lam, s, t):
+    """log(1 + 2ws) of one term, weights w and noncentralities lam (M,),
+    on the nodes s (M, 2, 66) of cells at t (M,), its noncentral plane and
+    the lam w it moves into c s, split as the module docstring's Exponent
+    says; 0.0 for both where lam = 0 on every cell."""
     ws = w[:, None, None] * s
     ws2 = 2.0 * ws
     log_term = np.log1p(ws2)
+    if not lam.any():
+        return log_term, 0.0, 0.0
+    # |2ws| = w |A + 2 k pi i| / t.
+    small = w[:, None, None] * _EULER_NODE_ABS <= t[:, None, None]
+    term = lam[:, None, None] * ws
+    term *= np.where(small, ws2, -1.0)
     ws2 += 1.0
-    term = 2.0 * lam[:, None, None] * ws
-    term *= ws
     term /= ws2
-    return log_term, term
+    return log_term, term, small * (lam * w)[:, None, None]

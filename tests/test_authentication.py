@@ -25,7 +25,6 @@ from uwauth import (
     calibrate_threshold,
     decide,
     distance_noise_variance,
-    empirical_rates,
     h0_distribution,
     h1_distribution,
     p_fa_analytic,
@@ -347,7 +346,8 @@ def test_simulation_argument_validation():
 
 
 def _empirical_rates(scenario, trials, master_seed):
-    return empirical_rates(scenario, DecisionConfig(1.0), trials, master_seed)
+    return count_error_rates(
+        *simulate_test_statistics(scenario, trials, master_seed), 1.0)
 
 
 @pytest.mark.parametrize("entry", [simulate_test_statistics, _empirical_rates],
@@ -386,7 +386,8 @@ def test_integer_counts_and_seeds_of_every_accepted_type_agree():
 def test_empirical_rates_against_analytic():
     scen = make_scenario(power_db=60.0, gain=1.0)
     cfg = calibrate_threshold(scen, 0.2)
-    rates = empirical_rates(scen, cfg, 40_000, 77)
+    rates = count_error_rates(*simulate_test_statistics(scen, 40_000, 77),
+                              cfg.threshold)
     assert rates.trials == 40_000
     assert abs(rates.p_fa - 0.2) <= 3.0 * rates.stderr_fa + 1e-3
     md = p_md_analytic(scen, cfg)

@@ -9,7 +9,6 @@ import numpy as np
 import pytest
 
 from uwauth import (
-    DecisionConfig,
     DomainError,
     QuadFormDist,
     SweepSpec,
@@ -17,7 +16,6 @@ from uwauth import (
     calibrate_threshold,
     default_power_grid,
     default_thresholds,
-    empirical_rates,
     h0_distribution,
     h1_distribution,
     p_fa_analytic,
@@ -101,8 +99,9 @@ def test_monte_carlo_columns_are_per_power_empirical_rates_bit_for_bit(
             scen.channel, transmit_power_db=power))
         for th in ths:
             row = next(rows)
-            rates = empirical_rates(at_power, DecisionConfig(float(th)),
-                                    trials, (5, i))
+            rates = count_error_rates(
+                *simulate_test_statistics(at_power, trials, (5, i)),
+                float(th))
             got = (row.p_fa_emp, row.p_md_emp, row.stderr_fa, row.stderr_md)
             want = (rates.p_fa, rates.p_md, rates.stderr_fa, rates.stderr_md)
             assert [repr(v) for v in got] == [repr(v) for v in want]

@@ -47,10 +47,10 @@ def test_sweep_runs_with_scipy_unimportable(tmp_path):
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap-trim threshold is glibc's")
 def test_roc_requests_do_not_fault_in_fresh_heap_pages():
-    # quadform frees a 2 MiB block at import, which raises glibc's dynamic
-    # heap-trim threshold. Without it glibc returns the heap top to the
-    # kernel after each EULER step, and every `roc --points 11` request
-    # takes ~2,700-2,900 minor page faults instead of ~1.
+    # A warm `roc --points 11` request reuses the heap pages of the
+    # requests before it. If glibc returned the heap top to the kernel
+    # after each EULER step, every request would fault its temporaries in
+    # afresh, thousands of minor page faults instead of a few.
     code = """
 import os, resource, sys
 from uwauth import cli

@@ -348,8 +348,9 @@ def test_near_deterministic_offsets():
 
 
 def _two_term_oracle(mp, scales, offsets, x):
-    """P((a1 Z1 + d1)^2 + (a2 Z2 + d2)^2 <= x) at 30 digits: condition on
-    Z1 and integrate the exact one-term probability of the second term."""
+    """P((a1 Z1 + d1)^2 + (a2 Z2 + d2)^2 <= x) at the working precision:
+    condition on Z1 and integrate the exact one-term probability of the
+    second term."""
     a1, a2 = (mp.mpf(v) for v in scales)
     d1, d2 = (mp.mpf(v) for v in offsets)
     x = mp.mpf(x)
@@ -610,6 +611,50 @@ def test_saturation_points_certify_at_50_digits():
                 slack = float(abs(t)) * x * 8.0 * np.finfo(float).eps
                 gap = float(exponent) - cut
             assert -1e-6 - slack <= gap <= slack, (w, lam, upper, gap, slack)
+
+
+def test_deep_lower_tail_of_a_form_led_by_a_small_central_term():
+    # Below ~1e-8 this form's mass comes from its small central term. On
+    # the EULER nodes its large term's |2ws| reaches ~1e17, where lam w s
+    # and 2 lam (ws)^2 / (1 + 2ws) cancel to -lam / 2 from ~lam |ws|; the
+    # inversion once raised AccuracyError at 1e-18, printed 36 times the
+    # value at 1e-16 and 0.0 at 1e-14. Every cell must match a 40-digit
+    # quadrature, stay below its Chernoff bound, and rise with x.
+    mp = pytest.importorskip("mpmath")
+    scales, offsets = [0.00032327, 0.20970056], [0.0, 0.11272637]
+    w = [a * a for a in scales]
+    lam = [(d / a) ** 2 for a, d in zip(scales, offsets)]
+    dist = QuadFormDist(scales, offsets)
+    xs = 10.0 ** (-18.0 + 0.5 * np.arange(21))
+    got = [dist.cdf(float(x)) for x in xs]
+    assert all(b >= a for a, b in zip(got, got[1:])), got
+    for x, f in zip(xs, got):
+        with mp.workdps(40):
+            expected = _two_term_oracle(mp, scales, offsets, x)
+            exponent, _ = _mp_minimized_exponent(mp, w, lam, x, False)
+            bound = float(mp.exp(exponent))
+        assert abs(f - expected) <= 1e-11 * expected, (x, f, expected)
+        assert f <= bound, (x, f, bound)
+
+
+def test_equal_scales_see_the_offsets_only_through_their_norm():
+    # With equal scales only |delta|^2 enters, so [d1, d2] and
+    # [hypot(d1, d2), 0] give one distribution. The inversion writes their
+    # noncentral parts differently, and must agree to its rounding:
+    # relative below the mean, absolute everywhere.
+    rng = np.random.default_rng(1)
+    for _ in range(200):
+        a = 10.0 ** rng.uniform(-3.0, 3.0)
+        d1, d2 = a * rng.normal(size=2) * 10.0 ** rng.uniform(-1.0, 1.5)
+        offsets = [[d1, d2], [math.hypot(d1, d2), 0.0]]
+        mean = QuadFormDist([a, a], offsets[0]).mean()
+        x = mean * np.geomspace(1e-6, 6.0, 40)
+        split, joined = cdf_grid([[a, a], [a, a]], offsets, x)
+        gap = np.abs(split - joined)
+        assert gap.max() <= 2e-12, (a, d1, d2, gap.max())
+        below = x < mean
+        assert np.all(gap[below] <= 1e-10 * np.maximum(split, joined)[below]), (
+            a, d1, d2)
 
 
 def test_deep_lower_tail_sweep_cell_is_exactly_zero():
