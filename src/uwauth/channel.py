@@ -117,6 +117,10 @@ def pathloss_db(distance_m, params: ChannelParams):
     return float(pl) if np.isscalar(distance_m) else pl
 
 
+# ln(10) / 10, so that 10^(x / 10) = exp(x * _LN10_OVER_10).
+_LN10_OVER_10 = math.log(10.0) / 10.0
+
+
 def distance_noise_variance(distance_m, params: ChannelParams):
     """Variance (m^2) of a ToA-based range estimate at a given distance.
 
@@ -131,21 +135,21 @@ def distance_noise_variance(distance_m, params: ChannelParams):
 def _noise_variance(distance_m, params: ChannelParams, powers_db):
     """distance_noise_variance with the transmit powers powers_db, which
     broadcast against distance_m, in place of params.transmit_power_db."""
-    var = pathloss_db(distance_m, params)
+    var = np.asarray(pathloss_db(distance_m, params))
     powers = np.asarray(powers_db, dtype=float)
     # numpy scalars, unlike Python floats, overflow and divide by 0 to inf.
     with np.errstate(all="ignore"):
-        # In place where var is an array, in the order of
-        # c * c * 10^(pl / 10) / (4 * 10^(p / 10) * gain).
-        var /= 10.0
-        var = np.float64(10.0) ** var
+        # In place, in the order of
+        # exp(pl ln(10) / 10) * c * c * (1 / (4 * 10^(p / 10) * gain)).
+        var *= _LN10_OVER_10
+        np.exp(var, out=var)
         c = params.sound_speed_mps
         var *= c * c
         # Power by power: array ** rounds differently from scalar **.
         p_lin = np.array([np.float64(10.0) ** (p / 10.0)
                           for p in powers.ravel().tolist()]
                          ).reshape(powers.shape)
-        var = var / (4.0 * p_lin * params.signal_design_gain)
+        var = var * (1.0 / (4.0 * p_lin * params.signal_design_gain))
     if var.size and not (var.min() > 0.0 and var.max() < np.inf):
         raise DomainError("range variance is not finite and positive")
     return var

@@ -61,14 +61,21 @@ coefficients do not depend on A, so extrapolating the pair cancels the
 e^-A term; what remains is the truncation of the Euler sum and rounding
 amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
-that can come out as 0.
+that can come out as 0. The shipped fixed-Eve sweep's inverted false-alarm
+cells are within 3.8e-13, and its 101-point ROC's within 3e-13, of
+40-digit references.
 
-Exponent. Where |2 w s| <= 1, a term's -lam w s / (1 + 2 w s) is split as
--lam w s + 2 lam (w s)^2 / (1 + 2 w s), and -lam w s joins c s: whole,
-the two cancel and lose ~1e-9 at lam ~ 1e11. Where |2 w s| > 1 the split
-would cancel instead, so the term stays whole. Lower-tail cells thus keep
-~1e-12 relative accuracy, as QuadFormDist([0.00032327, 0.20970056], [0,
-0.11272637]) does from x = 1e-18, just above its lo, to 1e-8.
+Exponent. A term's -1/2 log(1 + 2 w s) is formed in real arithmetic: with
+u + i v = 2 w s, as -1/4 log1p(u (2 + u) + v^2) - i/2 arctan2(v, 1 + u).
+Each part is within 2 ulps of itself from |2 w s| ~ 1e-20 to 1e20, where
+complex log1p, which takes the real part as log(hypot(1 + u, v)), is off
+by up to 1e-16 absolute. Where |2 w s| <= 1, a term's -lam w s / (1 + 2 w
+s) is split as -lam w s + 2 lam (w s)^2 / (1 + 2 w s), and -lam w s joins
+c s: whole, the two cancel and lose ~1e-9 at lam ~ 1e11. Where |2 w s| > 1
+the split would cancel instead, so the term stays whole. Lower-tail cells
+thus keep ~1e-12 relative accuracy, as QuadFormDist([0.00032327,
+0.20970056], [0, 0.11272637]) does from x = 1e-18, just above its lo, to
+1e-8.
 
 Quantiles. One search serves QuadFormDist.quantile and quantile_grid.
 It solves F(x) = p for each level in y = log(x / lo), x in the form's
@@ -606,17 +613,17 @@ _EULER_SIGN = np.where(_EULER_K % 2 == 0, 1.0, -1.0)
 _EULER_SIGN[0] = 0.5
 _EULER_BINOMIAL = np.array(
     [comb(_EULER_M, j) for j in range(_EULER_M + 1)]) / 2.0 ** _EULER_M
-# The nodes A + 2 k pi i, (2, 66), their moduli and e^(A/2), shared by
-# every chunk.
+# The nodes A + 2 k pi i, (2, 66), their imaginary parts 2 k pi (66,),
+# their moduli and e^(A/2), shared by every chunk.
 _EULER_NODES = _EULER_A[:, None] + 2j * np.pi * _EULER_K
+_EULER_NODE_IM = 2.0 * np.pi * _EULER_K
 _EULER_NODE_ABS = np.abs(_EULER_NODES)
 _EULER_EXP_HALF_A = np.exp(_EULER_A / 2.0)
-# Cells inverted per numpy pass. A cell's temporaries, (2, 66) complex
-# planes, peak at ~21 KiB from m = 2 terms on, so a chunk of 32 needs
-# ~0.65 MiB whatever the batch size (2.6 MiB at 128). On a 2-core x86-64
-# host the best time per cell at m = 3 was 21-25 us from 32 to 128 cells,
-# 25-28 us at 8 and 16, and 31-33 us at 256; 32 is the smallest chunk on
-# that floor.
+# Cells inverted per numpy pass. At 32 cells of 3 terms, each of
+# _log_planes' two float planes takes 99 KiB and each (M, 2, 66) complex
+# plane 66 KiB. On a 2-core x86-64 host the time per cell at 3 terms was
+# least at 32 cells, 9.3 us central and 18 us noncentral, against 11-15
+# and 19-25 us at 8 to 24 cells and 13-14 and 23-28 us at 48 to 128.
 _EULER_CHUNK = 32
 
 
@@ -648,11 +655,11 @@ def _euler_chunk(w, lam, c, x):
     """CDF values, densities and CDF error estimates of one chunk of
     _euler_cdf's cells.
 
-    The terms of log phi(s) are formed one at a time, each on an (M, 2,
-    66) plane, and added in term order, first to last. For up to 3 terms
-    that is the order of numpy's sum along a term axis, so the result is
-    that sum's bit for bit; from 4 terms numpy's axis sum is pairwise, and
-    the two differ by rounding, below 1e-12 in the CDF.
+    The terms' log(1 + 2ws) come from _log_planes as real (M, L, 2, 66)
+    planes, and each plane is summed over its term axis: numpy adds the
+    planes of a non-last axis in order, first term to last, for any L.
+    The noncentral part is formed one term at a time and added in the same
+    order.
 
     The density's transform is phi(s) itself, so its series reuses the
     CDF's terms phi(s) / s before the division by s.
@@ -660,14 +667,19 @@ def _euler_chunk(w, lam, c, x):
     t = x - c
     a = _EULER_A
     s = _EULER_NODES / (2.0 * t[:, None, None])
-    log_sum, noncentral, kept = _term_planes(w[:, 0], lam[:, 0], s, t)
-    for i in range(1, w.shape[1]):
-        log_term, term, lam_w = _term_planes(w[:, i], lam[:, i], s, t)
-        log_sum += log_term
+    # Summed before the noncentral planes are formed, so that the two sets
+    # of temporaries do not coexist.
+    log_abs2, arg = (plane.sum(axis=1) for plane in _log_planes(w, t))
+    noncentral, kept = 0.0, 0.0
+    for i in np.flatnonzero(lam.any(axis=0)):
+        term, lam_w = _noncentral_plane(w[:, i], lam[:, i], s, t)
         noncentral += term
         kept += lam_w
     # log(e^(cs) phi(s)), split as the module docstring's Exponent says.
-    log_phi = (c[:, None, None] - kept) * s - 0.5 * log_sum + noncentral
+    log_phi = (c[:, None, None] - kept) * s
+    log_phi += noncentral
+    log_phi.real -= 0.25 * log_abs2
+    log_phi.imag -= 0.5 * arg
     phi = np.exp(log_phi)
     partial = np.cumsum(_EULER_SIGN * (phi / s).real, axis=-1)
     scale = _EULER_EXP_HALF_A / t[:, None]
@@ -687,20 +699,36 @@ def _euler_chunk(w, lam, c, x):
             f[:, 1] + (f[:, 1] - f[:, 0]) / ratio, err)
 
 
-def _term_planes(w, lam, s, t):
-    """log(1 + 2ws) of one term, weights w and noncentralities lam (M,),
-    on the nodes s (M, 2, 66) of cells at t (M,), its noncentral plane and
-    the lam w it moves into c s, split as the module docstring's Exponent
-    says; 0.0 for both where lam = 0 on every cell."""
+def _log_planes(w, t):
+    """log |1 + 2ws|^2 and arg(1 + 2ws), each (M, L, 2, 66), of the terms
+    with weights w (M, L) on the nodes s of cells at t (M,), in real
+    arithmetic.
+
+    With u + iv = 2ws = w (A + 2 k pi i) / t, u varies only with (cell,
+    term, A) and v only with (cell, term, k), so |1 + 2ws|^2 - 1 =
+    u (2 + u) + v^2 and 1 + u are formed on their own axes, and only
+    log1p and arctan2 run on whole planes. A term with w = 0 gives exactly
+    0 in both.
+    """
+    w_t = (w / t[:, None])[:, :, None, None]
+    u = w_t * _EULER_A[:, None]
+    v = w_t * _EULER_NODE_IM
+    log_abs2 = u * (2.0 + u) + v * v
+    np.log1p(log_abs2, out=log_abs2)
+    u += 1.0
+    return log_abs2, np.arctan2(v, u)
+
+
+def _noncentral_plane(w, lam, s, t):
+    """The noncentral plane of one term, weights w and noncentralities lam
+    (M,), on the nodes s (M, 2, 66) of cells at t (M,), and the lam w it
+    moves into c s, split as the module docstring's Exponent says."""
     ws = w[:, None, None] * s
     ws2 = 2.0 * ws
-    log_term = np.log1p(ws2)
-    if not lam.any():
-        return log_term, 0.0, 0.0
     # |2ws| = w |A + 2 k pi i| / t.
     small = w[:, None, None] * _EULER_NODE_ABS <= t[:, None, None]
     term = lam[:, None, None] * ws
     term *= np.where(small, ws2, -1.0)
     ws2 += 1.0
     term /= ws2
-    return log_term, term, small * (lam * w)[:, None, None]
+    return term, small * (lam * w)[:, None, None]

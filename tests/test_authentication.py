@@ -271,8 +271,8 @@ def _plain_stream(scen, power_db, seed, trials):
                  + 2.75e-4 * f2 + 0.003)
         pl = ch.spreading_factor * 10.0 * np.log10(d) + (d / 1000.0) * alpha
         c = ch.sound_speed_mps
-        var = c * c * np.float64(10.0) ** (pl / 10.0) / (
-            4.0 * 10.0 ** (power_db / 10.0) * ch.signal_design_gain)
+        var = c * c * np.exp(pl * (math.log(10.0) / 10.0)) * (
+            1.0 / (4.0 * 10.0 ** (power_db / 10.0) * ch.signal_design_gain))
         return np.sqrt(var)
 
     def stat(z, d, s):

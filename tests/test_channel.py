@@ -138,6 +138,41 @@ def test_variance_chain_at_500m():
     assert expected == pytest.approx(7209.896497884118, rel=1e-12)
 
 
+def test_variance_against_a_40_digit_transcription():
+    # c^2 * 10^(PL/10) / (4 * 10^(P/10) * gain) at 40 digits, with
+    # PL = spreading * 10 log10(d) + (d / 1000) * Thorp(f), each input and
+    # constant the double the program uses, over distances from 1 m to
+    # 100 km and powers from -300 to 300 dB, at the default channel and at
+    # one whose pathloss reaches ~710 dB. The program forms 10^(PL/10) as
+    # exp(PL * ln(10) / 10) from a rounded PL, so its relative error grows
+    # with PL; 2.7e-14 was the worst here.
+    mp = pytest.importorskip("mpmath")
+    d = np.geomspace(1.0, 1e5, 41)
+    powers = np.r_[np.linspace(-300.0, 300.0, 25), -123.45, 0.37, 77.7]
+    worst = 0.0
+    for params in (ChannelParams(),
+                   ChannelParams(frequency_khz=25.0, sound_speed_mps=1480.0,
+                                 spreading_factor=2.0,
+                                 signal_design_gain=3.7)):
+        with mp.workdps(40):
+            f2 = mp.mpf(params.frequency_khz) ** 2
+            alpha = (mp.mpf(0.11) * f2 / (1 + f2) + 44 * f2 / (4100 + f2)
+                     + mp.mpf(2.75e-4) * f2 + mp.mpf(0.003))
+            c = mp.mpf(params.sound_speed_mps)
+            linear = [c * c * mp.power(10, (mp.mpf(params.spreading_factor)
+                                            * 10 * mp.log10(mp.mpf(x))
+                                            + mp.mpf(x) / 1000 * alpha) / 10)
+                      for x in d]
+            for p in powers:
+                got = distance_noise_variance(d, dataclasses.replace(
+                    params, transmit_power_db=float(p)))
+                power = 4 * mp.power(10, mp.mpf(p) / 10) * mp.mpf(
+                    params.signal_design_gain)
+                worst = max(worst, max(abs(float(mp.mpf(v) * power / x - 1))
+                                       for v, x in zip(got, linear)))
+    assert worst <= 1e-13
+
+
 def test_variance_drops_tenfold_per_10db_of_power():
     d = 800.0
     base = distance_noise_variance(d, ChannelParams(transmit_power_db=40.0))

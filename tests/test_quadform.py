@@ -4,7 +4,8 @@ Reference values come from routes the implementation does not take:
 normal-cdf differences for one term (in scipy and at 40 digits in
 mpmath), the library chi-square family for equal weights, a 30-digit
 mpmath quadrature for two terms, a 50-digit mpmath saddle-point solve
-for the saturation points, and plain Monte Carlo everywhere else.
+for the saturation points, 30-digit mpmath log1p for the inversion's
+log terms, and plain Monte Carlo everywhere else.
 """
 
 import math
@@ -68,8 +69,8 @@ def test_equal_weights_noncentral_match_library():
 
 def test_equal_weights_noncentral_many_terms_match_library():
     # Four to nine unit terms, whose transform terms the inversion adds in
-    # term order, not numpy's pairwise order: inverted cells from 0.3 to 2.5
-    # times the mean against the library's noncentral chi-square.
+    # term order: inverted cells from 0.3 to 2.5 times the mean against the
+    # library's noncentral chi-square.
     rng = np.random.default_rng(30)
     for n in range(4, 10):
         offsets = rng.uniform(-2.0, 2.0, n)
@@ -940,6 +941,66 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
     with pytest.raises(AccuracyError) as info:
         quadform._euler_cdf(w, lam, np.zeros(3), x * [1.0, 1.01, 1.0])
     assert info.value.achieved == max(achieved)
+
+
+def test_log_planes_match_complex_log1p():
+    # log(1 + 2ws) = log|1 + 2ws|^2 / 2 + i arg(1 + 2ws) in real arithmetic,
+    # on a chunk whose |2ws| runs from ~2e-20 to ~5e19. Against numpy's
+    # complex log1p, each part agrees within 4 ulps of max(|log(1 + 2ws)|,
+    # 1): an absolute error in log phi is a relative error in phi. Against
+    # 30-digit mpmath, from the same doubles w / t, each part is within 4
+    # ulps of itself; numpy's complex log1p, whose real part is
+    # log(hypot(1 + u, v)), loses that part entirely at |2ws| ~ 1e-20. A
+    # folded term, w = 0, gives exactly 0 in both parts.
+    mp = pytest.importorskip("mpmath")
+    rng = np.random.default_rng(32)
+    w = 10.0 ** rng.uniform(-20.0, 0.0, (8, 4))
+    w[:, 0] = 1.0
+    w[::3, 2] = 0.0
+    t = 10.0 ** rng.uniform(-18.0, 2.0, 8)
+    log_abs2, arg = quadform._log_planes(w, t)
+    assert log_abs2.shape == arg.shape == (8, 4, 2, 66)
+    got = 0.5 * log_abs2 + 1j * arg
+    s = quadform._EULER_NODES / (2.0 * t[:, None, None])
+    two_ws = 2.0 * (w[:, :, None, None] * s[:, None])
+    size = np.abs(two_ws[two_ws != 0.0])
+    assert size.min() < 1e-19 and size.max() > 1e19
+    expected = np.log1p(two_ws)
+    eps = np.finfo(float).eps
+    scale = 4.0 * eps * np.maximum(np.abs(expected), 1.0)
+    assert np.all(np.abs(got.real - expected.real) <= scale)
+    assert np.all(np.abs(got.imag - expected.imag) <= scale)
+    folded = np.broadcast_to((w == 0.0)[:, :, None, None], got.shape)
+    assert folded.any()
+    assert not log_abs2[folded].any() and not arg[folded].any()
+    worst = 0.0
+    with mp.workdps(30):
+        for (m, term, a, k), value in np.ndenumerate(got):
+            if folded[m, term, a, k]:
+                continue
+            ref = mp.log1p(mp.mpf(w[m, term]) / mp.mpf(t[m]) * mp.mpc(
+                quadform._EULER_A[a], quadform._EULER_NODE_IM[k]))
+            for part, want in ((value.real, ref.real), (value.imag, ref.imag)):
+                if want == 0:  # the imaginary part at k = 0
+                    assert part == 0.0
+                else:
+                    worst = max(worst, abs(float(mp.mpf(part) / want - 1)))
+    assert worst <= 4.0 * eps
+
+
+def test_log_planes_add_in_term_order():
+    # _euler_chunk sums each _log_planes plane over its term axis. For a
+    # 9-term form, at one cell, a few and a whole chunk, that sum is an
+    # explicit loop over the terms, first to last, bit for bit.
+    rng = np.random.default_rng(33)
+    for cells in (1, 5, quadform._EULER_CHUNK):
+        w = 10.0 ** rng.uniform(-6.0, 0.0, (cells, 9))
+        t = 10.0 ** rng.uniform(-2.0, 2.0, cells)
+        for plane in quadform._log_planes(w, t):
+            loop = plane[:, 0].copy()
+            for term in range(1, 9):
+                loop += plane[:, term]
+            assert plane.sum(axis=1).tobytes() == loop.tobytes()
 
 
 def test_saddle_curve_points_of_a_mixed_batch_are_each_forms_own():
