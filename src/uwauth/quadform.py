@@ -41,16 +41,19 @@ fallback, in u = log(-t) below the mean and v = -log(1 - 2 t) above it,
 in which log(-E) grows about linearly; E is summed as
 sum(-1/2 log r - w t / r - 2 lam (w t)^2 / r^2), r = 1 - 2 w t, since
 K - t K' cancels badly far out. Each point's exponent lies within 2e-9
-below the cut. The solve runs once per batch of forms, for lo, hi and the
-shift c below together: QuadFormDist caches its form's points, so its
-calls only compare, and cdf_grid solves all its forms' in one call.
+below the cut. The solve runs once per batch of forms, for lo and hi
+together: QuadFormDist caches its form's points, so its calls only
+compare, and cdf_grid solves all its forms' in one call.
 
-Shift. The inversion runs on Q - c, where c is the point of the same
-curve below the mean with E = log 1e-20, so that P(Q <= c) <= 1e-20.
-Without the shift, a distribution concentrated far from zero (huge
-noncentrality) has a transform that oscillates for thousands of terms
-before it decays, and the fixed-length sum is off by up to 0.35 and fails
-its error check.
+Shift. The inversion runs on Q - c, c = max(lo + log(1e6) / t_lo, 0),
+with t_lo < 0 lo's saddle point. The Chernoff bound at t_lo (Daniels,
+Ann. Math. Statist. 25:631, 1954) then gives P(Q <= c) <= exp(K(t_lo) -
+t_lo c) = exp(E(t_lo) - log 1e6) <= 1e-20, and the form in its unit has
+no mass below 0. The bound carries lo's rounding, |t_lo| lo 2^-53 in the
+exponent, which reaches ~1e-5 at lam ~ 1e20. Without the shift, a
+distribution concentrated far from zero (huge noncentrality) has a
+transform that oscillates for thousands of terms before it decays, and
+the fixed-length sum is off by up to 0.35 and fails its error check.
 The mass below c enters the result amplified by at most e^A, about
 2e-11.
 
@@ -62,7 +65,7 @@ e^-A term; what remains is the truncation of the Euler sum and rounding
 amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0. The shipped fixed-Eve sweep's inverted false-alarm
-cells are within 3.8e-13, and its 101-point ROC's within 3e-13, of
+cells are within 9.6e-13, and its 101-point ROC's within 3.3e-13, of
 40-digit references.
 
 Exponent. A term's -1/2 log(1 + 2 w s) is formed in real arithmetic: with
@@ -84,15 +87,17 @@ and of 1 at hi. Each level starts from Imhof's
 three-moment approximation (Biometrika 48:419, 1961, section 4, after
 Pearson 1959), Q ~ k1 + sqrt(k2 / 2 nu) (X - nu) with X chi-square(nu)
 and nu = 8 k2^3 / k3^2, matching the cumulants k_j = 2^(j-1) (j-1)!
-sum w^j (1 + j lam); X's quantile is Wilson and Hilferty's, from Acklam's
-normal quantile. A start nearer lo than 1/8 of the bracket, or nearer
-hi than 1/64, is moved to that distance. From there each level takes
-safeguarded Newton steps on log m, m its tail mass F, or 1 - F above the
-median, with d log m / dy = +-f(x) x / m; in the lower tail F ~ C
-x^(L/2), so log F is nearly linear in y. The density f comes from the
-same pass as F, as the closed form of a one-term form, as 0 in a
-saturated tail, and otherwise from the same EULER sum with phi(s), the
-transform of the density, in place of phi(s) / s. A step from a point of
+sum w^j (1 + j lam); X's quantile is Wilson and Hilferty's, from the
+standard library's normal quantile, statistics.NormalDist.inv_cdf
+(Wichura's AS 241, Appl. Statist. 37:477, 1988). A start nearer lo than
+1/8 of the bracket, or nearer hi than 1/64, is moved to that distance.
+From there each level takes safeguarded Newton steps on log m, m its
+tail mass F, or 1 - F above the median, with d log m / dy = +-f(x) x /
+m; in the lower tail F ~ C x^(L/2), so log F is nearly linear in y. The
+density f comes from the same pass as F, as the closed form of a
+one-term form, as 0 in a saturated tail, and otherwise from the same
+EULER sum with phi(s), the transform of the density, in place of
+phi(s) / s. A step from a point of
 mass or density 0, out of the bracket, or longer than half the step
 before it halves the bracket instead, so noise in F cannot stall the
 search. A level stops at the best point it has evaluated, that of least
@@ -143,11 +148,6 @@ _TARGET_ERR = 1e-7
 _EULER_A = np.array([18.4, 21.4])
 _EULER_N = 50
 _EULER_M = 15
-# The saddle-curve points lo, hi and c that _curve_points solves, as
-# (log mass, upper) pairs: cells at or below lo are reported as 0, at or
-# above hi as 1, and the inversion shift c has Chernoff mass 1e-20 below it.
-_CURVE_POINTS = ((log(_SATURATION), False), (log(_SATURATION), True),
-                 (log(1e-20), False))
 # Newton with bisection fallback meets its 1e-9 window within ~50 halvings
 # of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
 _SADDLE_MAX = 100
@@ -419,8 +419,9 @@ def _check_terms(a, d) -> None:
 def _prepare(a, d):
     """The forms in the rows of a, d (N, L) as unit weights w and
     noncentralities lam (N, L), deterministic shifts and largest scales
-    a_max (N,) and saddle-curve points lo, hi, c (3, N) in the unit
-    a_max^2, which is applied as a_max twice: its square can underflow.
+    a_max (N,), and the saturation points lo, hi and inversion shift c
+    (3, N) in the unit a_max^2, which is applied as a_max twice: its
+    square can underflow.
 
     Terms whose scale is below _DEGENERATE_RTOL of their form's largest
     add delta^2 to its shift and keep their column with w = lam = 0, which
@@ -436,7 +437,11 @@ def _prepare(a, d):
     if not np.all(lam <= _FORM_MAX):
         raise DomainError(f"a noncentrality over {_FORM_MAX:.2g} overflows "
                           f"a double")
-    return w, lam, shift, a_max[:, 0], _curve_points(w, lam)
+    (lo, hi), (t_lo, _) = _curve_points(w, lam)
+    # The Chernoff bound at lo's saddle point puts at most 1e-6 of lo's
+    # 1e-14 below c; the unit form has no mass below 0.
+    c = np.maximum(lo + log(1e6) / t_lo, 0.0)
+    return w, lam, shift, a_max[:, 0], np.array([lo, hi, c])
 
 
 def _lower_prob(w, lam, shift, a_max, points, x):
@@ -482,32 +487,6 @@ def _ncx2(x, lam) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 # Quantile start: Imhof's three-moment approximation
 
-# Acklam's rational approximation of the standard normal quantile: relative
-# error below 1.2e-9, central on [_NORMAL_LOW, 1 - _NORMAL_LOW].
-_NORMAL_LOW = 0.02425
-_NORMAL_A = (-3.969683028665376e+01, 2.209460984245205e+02,
-             -2.759285104469687e+02, 1.383577518672690e+02,
-             -3.066479806614716e+01, 2.506628277459239e+00)
-_NORMAL_B = (-5.447609879822406e+01, 1.615858368580409e+02,
-             -1.556989798598866e+02, 6.680131188771972e+01,
-             -1.328068155288572e+01, 1.0)
-_NORMAL_C = (-7.784894002430293e-03, -3.223964580411365e-01,
-             -2.400758277161838e+00, -2.549732539343734e+00,
-             4.374664141464968e+00, 2.938163982698783e+00)
-_NORMAL_D = (7.784695709041462e-03, 3.224671290700398e-01,
-             2.445134137142996e+00, 3.754408661907416e+00, 1.0)
-
-
-def _normal_quantile(p: np.ndarray) -> np.ndarray:
-    """Standard normal quantile of each level p in (0, 1), by Acklam's
-    approximation."""
-    tail = np.minimum(p, 1.0 - p)
-    r = (p - 0.5) ** 2
-    z = (p - 0.5) * np.polyval(_NORMAL_A, r) / np.polyval(_NORMAL_B, r)
-    t = np.sqrt(-2.0 * np.log(tail))
-    z_tail = np.polyval(_NORMAL_C, t) / np.polyval(_NORMAL_D, t)
-    return np.where(tail < _NORMAL_LOW, np.where(p > 0.5, -z_tail, z_tail), z)
-
 
 def _moment_start(w, lam, p) -> np.ndarray:
     """Imhof's three-moment approximation to the quantiles p of the unit
@@ -521,11 +500,15 @@ def _moment_start(w, lam, p) -> np.ndarray:
     The cumulants are summed in units of c = max(1 + lam), as s_j = k_j /
     (2^(j-1) (j-1)! c); unscaled, k3 overflows from ~6 terms of lam ~ 1e306.
     """
+    # Imported here, statistics (which loads fractions and decimal) stays
+    # out of import uwauth.
+    from statistics import NormalDist
+
     c = np.max(1.0 + lam)
     s1, s2, s3 = (np.sum(w ** j * ((1.0 + j * lam) / c)) for j in (1, 2, 3))
     sd = sqrt(2.0 * c) * sqrt(s2)
     g = 2.0 * s3 / (3.0 * sd * s2)
-    z = _normal_quantile(p)
+    z = np.array([NormalDist().inv_cdf(level) for level in p.tolist()])
     e = g * (z - g)
     return c * s1 + sd * (z - g) * (1.0 + e + e * e / 3.0)
 
@@ -534,17 +517,18 @@ def _moment_start(w, lam, p) -> np.ndarray:
 # Saddle-point curve x = K'(t), with exponent E(t) = K(t) - t K'(t)
 
 
-def _curve_points(w, lam) -> np.ndarray:
-    """The points _CURVE_POINTS on each form's saddle-point curve, shape
-    (3, N), for the unit forms in the rows of w, lam (N, L).
+def _curve_points(w, lam) -> tuple[np.ndarray, np.ndarray]:
+    """The saturation points lo and hi of each form on its saddle-point
+    curve, and their saddle points t, as two arrays of shape (2, N): rows
+    lo and hi, for the unit forms in the rows of w, lam (N, L).
 
-    _CURVE_POINTS lists (log_mass, upper) pairs. Each point x = K'(t) lies
-    above the mean if upper, else below it, and has E(t) in
-    [log_mass - 2e-9, log_mass]: the Chernoff bound puts the tail beyond
-    it, P(Q > x) or P(Q <= x), at most exp(log_mass), and E is monotone
-    along the curve, so the same holds further out.
+    Each point x = K'(t) lies below the mean for lo (t < 0) and above it
+    for hi (0 < t < 1/2), and has E(t) in [log 1e-14 - 2e-9, log 1e-14]:
+    the Chernoff bound puts the tail beyond it, P(Q <= x) or P(Q > x), at
+    most 1e-14, and E is monotone along the curve, so the same holds
+    further out.
 
-    The Newton target is L = log_mass - 1e-9. The start, |t| =
+    The Newton target is L = log 1e-14 - 1e-9. The start, |t| =
     sqrt(-2 L / Var Q), ends the bracket on the mean's side, since
     -E(t) = int_0^t s K''(s) ds and K'' grows with t; the far end is where
     the largest term's exponent alone, which bounds E from above, reaches L.
@@ -555,23 +539,23 @@ def _curve_points(w, lam) -> np.ndarray:
     is that of its form solved alone, bit for bit.
     """
     n = w.shape[0]
-    kinds = len(_CURVE_POINTS)
-    target = np.repeat([log_mass for log_mass, _ in _CURVE_POINTS], n) - 1e-9
-    upper = np.repeat([side for _, side in _CURVE_POINTS], n)
-    w = np.tile(w, (kinds, 1))
-    lam = np.tile(lam, (kinds, 1))
-    log_target = np.log(-target)
+    target = log(_SATURATION) - 1e-9
+    log_target = log(-target)
+    upper = np.repeat([False, True], n)
+    w = np.tile(w, (2, 1))
+    lam = np.tile(lam, (2, 1))
     u0 = 0.5 * (log_target - np.log(np.sum(w * w * (1.0 + 2.0 * lam),
                                              axis=1)))
     alpha0 = 2.0 * np.exp(u0)
     with np.errstate(invalid="ignore"):
         v0 = np.where(alpha0 < 1.0, -np.log1p(-alpha0), np.inf)
     left = np.where(upper, 0.0, u0)
-    right = np.where(upper, np.minimum(v0, np.log(2.0 - 4.0 * target)),
+    right = np.where(upper, np.minimum(v0, log(2.0 - 4.0 * target)),
                      1.0 - 2.0 * target - log(2.0))
     y = np.where(upper, right, left)
     x = np.empty(y.size)
-    rows = np.arange(y.size)  # of x, for the rows still open
+    t = np.empty(y.size)
+    rows = np.arange(y.size)  # of x and t, for the rows still open
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_SADDLE_MAX):
             # alpha = 2 t is -2 e^u below the mean and 1 - e^-v above it.
@@ -584,14 +568,13 @@ def _curve_points(w, lam) -> np.ndarray:
             met = np.abs(e - target) <= 1e-9
             if met.any():
                 x[rows[met]] = (q[met] * (1.0 + lam[met] / r[met])).sum(axis=1)
+                t[rows[met]] = 0.5 * alpha[met]
                 if met.all():
-                    return x.reshape(kinds, n)
+                    return x.reshape(2, n), t.reshape(2, n)
                 keep = ~met
-                (rows, w, lam, upper, target, log_target, left, right, y,
-                 e_y, alpha, r, q, e) = (
-                    v[keep] for v in (rows, w, lam, upper, target,
-                                      log_target, left, right, y, e_y,
-                                      alpha, r, q, e))
+                (rows, w, lam, upper, left, right, y, e_y, alpha, r, q, e) = (
+                    v[keep] for v in (rows, w, lam, upper, left, right, y,
+                                      e_y, alpha, r, q, e))
             g = np.log(-e) - log_target
             # d(-E)/dy = t K''(t) dt/dy, with dalpha/dy = alpha or e^-v.
             slope = 0.5 * alpha * np.where(upper, e_y, alpha) * (

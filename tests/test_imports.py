@@ -69,8 +69,10 @@ print(sorted(faults[3:])[10])
 @pytest.mark.parametrize("module", ["uwauth", "uwauth.cli"])
 def test_import_leaves_thread_pool_and_logging_out(module):
     # concurrent.futures, and the logging it imports, load only when a
-    # Monte Carlo run starts a thread pool.
+    # Monte Carlo run starts a thread pool; statistics, and the fractions
+    # and decimal it imports, only when a quantile search starts.
     code = (f"import sys, {module}; "
             f"print(sorted(m for m in sys.modules if m.split('.')[0] "
-            f"in ('concurrent', 'logging')))")
+            f"in ('concurrent', 'logging', 'statistics', 'fractions', "
+            f"'decimal')))")
     assert run_python(code) == "[]\n"

@@ -403,14 +403,14 @@ def test_two_term_cdf_against_mpmath_oracle():
 
 def _without_shift(monkeypatch):
     """Make every inversion shift 0, leaving the saturation points alone."""
-    solve = quadform._curve_points
+    prepare = quadform._prepare
 
-    def no_shift(w, lam):
-        points = solve(w, lam)
-        points[2] = 0.0
-        return points
+    def no_shift(a, d):
+        form = prepare(a, d)
+        form[4][2] = 0.0
+        return form
 
-    monkeypatch.setattr(quadform, "_curve_points", no_shift)
+    monkeypatch.setattr(quadform, "_prepare", no_shift)
 
 
 def test_unresolved_inversion_raises(monkeypatch):
@@ -551,7 +551,7 @@ def test_tail_classifier_matches_brute_force_minimum():
         if abs(low - cut) <= 1e-6:
             continue
         expected = 0 if low >= cut else (-1 if lower else 1)
-        lo, hi, _ = quadform._curve_points(w[None], lam[None])[:, 0]
+        lo, hi = quadform._curve_points(w[None], lam[None])[0][:, 0]
         side = -1 if x <= lo else (1 if x >= hi else 0)
         assert side == expected, (w, lam, x, low)
         cells += 1
@@ -595,23 +595,36 @@ def test_saturation_points_certify_at_50_digits():
     # exponent must sit within 1e-6 below log 1e-14. The window widens by
     # the exponent's change across 8 roundings of the point, |t| x 8 eps:
     # at lam ~ 1e20 adjacent doubles differ by ~7e-6 in exponent, so no
-    # double would meet the bare window.
+    # double would meet the bare window. The inversion shift c is 0, or
+    # its minimized exponent is at most log 1e-20, with the same slack.
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(21)
-    cut = math.log(1e-14)
+    cut, shift_cut = math.log(1e-14), math.log(1e-20)
+    shifts = 0
     for terms in list(range(1, 7)) * 4:
         w = 10.0 ** rng.uniform(-8.0, 0.0, terms)
         w /= w.max()
         lam = np.where(rng.random(terms) < 0.3, 0.0,
                        10.0 ** rng.uniform(-2.0, 20.0, terms))
-        lo, hi, _ = quadform._curve_points(w[None], lam[None])[:, 0]
-        assert 0.0 < lo < float(np.sum(w * (1.0 + lam))) < hi
-        for x, upper in ((lo, False), (hi, True)):
+        # As _prepare hands the form on: scales sqrt(w), the largest 1.
+        w, lam, _, _, points = quadform._prepare(np.sqrt(w)[None],
+                                                 np.sqrt(w * lam)[None])
+        w, lam = w[0], lam[0]
+        lo, hi, c = points[:, 0]
+        assert 0.0 <= c < lo < float(np.sum(w * (1.0 + lam))) < hi
+        shifts += c > 0.0
+        # Each point, its side, its cut and how far below the cut it may be.
+        for x, upper, top, depth in ((lo, False, cut, 1e-6),
+                                     (hi, True, cut, 1e-6),
+                                     (c, False, shift_cut, np.inf)):
+            if x == 0.0:
+                continue
             with mp.workdps(50):
                 exponent, t = _mp_minimized_exponent(mp, w, lam, x, upper)
                 slack = float(abs(t)) * x * 8.0 * np.finfo(float).eps
-                gap = float(exponent) - cut
-            assert -1e-6 - slack <= gap <= slack, (w, lam, upper, gap, slack)
+                gap = float(exponent) - top
+            assert -depth - slack <= gap <= slack, (w, lam, x, gap, slack)
+    assert shifts >= 20
 
 
 def test_deep_lower_tail_of_a_form_led_by_a_small_central_term():
@@ -917,7 +930,8 @@ def test_batched_inversion_matches_per_cell_calls_bit_for_bit():
                        10.0 ** rng.uniform(-2.0, 6.0, (n, terms)))
         sd = np.sqrt(np.sum(2.0 * w * w * (1.0 + 2.0 * lam), axis=1))
         x = np.sum(w * (1.0 + lam), axis=1) + sd * rng.uniform(-2.0, 4.0, n)
-        lo, hi, c = quadform._curve_points(w, lam)
+        w, lam, _, _, (lo, hi, c) = quadform._prepare(np.sqrt(w),
+                                                      np.sqrt(w * lam))
         keep = (x > lo) & (x < hi)
         w, lam, c, x = w[keep], lam[keep], c[keep], x[keep]
         n = np.count_nonzero(keep)
@@ -1028,10 +1042,10 @@ def test_saddle_curve_points_of_a_mixed_batch_are_each_forms_own():
     w, lam = quadform._prepare(np.concatenate([a, a_folded]),
                                np.concatenate([off, off_folded]))[:2]
     assert np.count_nonzero(w == 0.0) == 60
-    batch = quadform._curve_points(w, lam)
+    batch = np.array(quadform._curve_points(w, lam))
     for k in range(len(w)):
-        alone = quadform._curve_points(w[k:k + 1], lam[k:k + 1])
-        assert batch[:, k].tobytes() == alone[:, 0].tobytes(), k
+        alone = np.array(quadform._curve_points(w[k:k + 1], lam[k:k + 1]))
+        assert batch[..., k].tobytes() == alone[..., 0].tobytes(), k
 
 
 def test_sampler_matches_the_plain_expression():

@@ -38,23 +38,26 @@ def test_printed_false_alarm_rates_meet_their_bound(tmp_path, config):
     printed = read_csv(out)
     reference = read_csv(DATA / "fixed-eve-p-fa-reference.csv")
     assert len(printed) == len(reference)
-    # Worst (relative, absolute) error of cells printed as exactly 0 or 1,
-    # and of the rest, which the Laplace inversion produced.
+    # Worst relative and worst absolute error of cells printed as exactly
+    # 0 or 1, and of the rest, which the Laplace inversion produced.
     worst = {"saturated": (0.0, 0.0), "inverted": (0.0, 0.0)}
     for row, ref in zip(printed, reference):
         assert (row["power_db"], row["threshold"]) == (
             ref["power_db"], ref["threshold"])
         got, want = float(row["p_fa_analytic"]), float(ref["p_fa"])
         gap = abs(got - want)
-        assert gap <= 1e-6, (row, ref)
+        regime = "saturated" if got in (0.0, 1.0) else "inverted"
+        # An inverted cell is held to the far-tail floor that the quadform
+        # module states, 3e-12 absolute.
+        assert gap <= (1e-6 if regime == "saturated" else 3e-12), (row, ref)
         if got == 0.0:
             # A printed 0 stands for a tail certified below 1e-14.
             assert want < 1e-14, (row, ref)
-        regime = "saturated" if got in (0.0, 1.0) else "inverted"
         rel = gap / want if want > 0.0 else 0.0
-        worst[regime] = max(worst[regime], (rel, gap))
+        worst[regime] = (max(worst[regime][0], rel),
+                         max(worst[regime][1], gap))
     print(f"p_fa against the reference ({config}): " + ", ".join(
-        f"{regime} worst relative error {rel:.2e} (absolute {gap:.2e})"
+        f"{regime} worst relative error {rel:.2e}, absolute {gap:.2e}"
         for regime, (rel, gap) in worst.items()))
 
 
