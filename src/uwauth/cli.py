@@ -4,10 +4,11 @@ Subcommands: pathloss (channel model point query), localize (one
 localization round), sweep (error rates over a transmit-power grid,
 written as CSV plus a metadata sidecar), roc (analytic ROC curve).
 
-Exit codes: 0 success, 2 usage or config error, 3 numerical-accuracy
-failure. stdout carries only the machine-readable payload; everything
-else goes to stderr. All randomness flows from the config's seed key;
-there is no fallback seed, so every emitted number is reproducible.
+Exit codes: 0 success, 1 stdout closed by its reader (nothing is written
+to stderr), 2 usage or config error, 3 numerical-accuracy failure.
+stdout carries only the machine-readable payload; everything else goes to
+stderr. All randomness flows from the config's seed key; there is no
+fallback seed, so every emitted number is reproducible.
 """
 
 from __future__ import annotations
@@ -52,10 +53,22 @@ class ConfigError(ValueError):
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        return args.handler(args)
+        status = args.handler(args)
+        # Flushed here, so that a reader gone before the last write is
+        # found inside this try and not at exit.
+        sys.stdout.flush()
+        return status
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # The reader closed stdout, as `| head` does: not bad input. What
+        # is still buffered goes to devnull, or the flush at exit would
+        # fail again; 1 is what Python exits with on a broken pipe.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 1
     # OSError: an output file that cannot be written.
     except (DomainError, GeometryError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -37,13 +37,27 @@ form on the saddle-point curve x = K'(t): lo below the mean (t < 0),
 where E reaches log 1e-14, and hi above it (0 < t < 1/2). A
 cell is reported as 0 if x <= lo and as 1 if x >= hi. Both points come
 from one vectorized Newton solve on log(-E), bracketed, with a bisection
-fallback, in u = log(-t) below the mean and v = -log(1 - 2 t) above it,
-in which log(-E) grows about linearly; E is summed as
-sum(-1/2 log r - w t / r - 2 lam (w t)^2 / r^2), r = 1 - 2 w t, since
-K - t K' cancels badly far out. Each point's exponent lies within 2e-9
-below the cut. The solve runs once per batch of forms, for lo and hi
-together: QuadFormDist caches its form's points, so its calls only
-compare, and cdf_grid solves all its forms' in one call.
+fallback, in u = log(-t) below the mean and y = log z, z = 2 t / (1 - 2 t),
+above it; E is summed as sum(-1/2 log r - w t / r - 2 lam (w t)^2 / r^2),
+r = 1 - 2 w t, since K - t K' cancels badly far out. Each point starts
+from its tail's asymptote, not from the Gaussian start |t| = sqrt(-2 log
+1e-14 / Var Q). Far below the mean E tends to the sum over the n active
+terms of -1/2 log(2 w |t|) + 1/2 - lam / 2, so lo starts at u = (n - sum
+lam - sum log 2 w - 2 log 1e-14) / n, kept inside its bracket. On a central
+form E there is within sum 1 / (2 w |t|) of that limit, so the start is
+all but the point; there log(-E) grows only like log u, and Newton from
+the Gaussian start crawled (8 steps on the shipped forms). Above the mean
+log(-E) grows nearly linearly in y, like 2 y near the mean and like y, or
+2 y with noncentral terms, far out, and hi starts midway, in y, between
+two bounds on z: twice the Gaussian start's |t| below, since -E <= z^2
+Var Q / 8, and the Gaussian start's own z above. Where a large
+noncentrality leads, both lie within rounding of the point. Each point's
+exponent lies within 2e-9 below the cut. The solve runs once per batch of
+forms, for lo and hi together, and each Newton pass takes every point of
+the batch: a ROC's two forms and each threshold calibration's form take
+4 passes, the uniform-Eve sweep's 441 forms 8. QuadFormDist caches its
+form's points, so its calls only compare, and cdf_grid solves all its
+forms' in one call.
 
 Shift. The inversion runs on Q - c, c = max(lo + log(1e6) / t_lo, 0),
 with t_lo < 0 lo's saddle point. The Chernoff bound at t_lo (Daniels,
@@ -65,7 +79,7 @@ e^-A term; what remains is the truncation of the Euler sum and rounding
 amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
 ones, and ~3e-12 absolute in the far upper tail, where sf values below
 that can come out as 0. The shipped fixed-Eve sweep's inverted false-alarm
-cells are within 9.6e-13, and its 101-point ROC's within 3.3e-13, of
+cells are within 9.5e-13, and its 101-point ROC's within 2.2e-13, of
 40-digit references.
 
 Exponent. A term's -1/2 log(1 + 2 w s) is formed in real arithmetic: with
@@ -149,7 +163,9 @@ _EULER_A = np.array([18.4, 21.4])
 _EULER_N = 50
 _EULER_M = 15
 # Newton with bisection fallback meets its 1e-9 window within ~50 halvings
-# of any bracket (at most ~120 wide); shipped forms take at most 11 steps.
+# of any bracket (at most ~420 wide, at the largest noncentralities). From
+# the asymptotic starts the shipped forms take 4 passes, and the uniform-Eve
+# sweep's 441-form batch 8, where Gaussian starts took 8 and 9.
 _SADDLE_MAX = 100
 # Quantile search: each level starts from its three-moment approximation,
 # kept at least _QUANTILE_START_LO of the log-x bracket [log lo, log hi]
@@ -528,64 +544,87 @@ def _curve_points(w, lam) -> tuple[np.ndarray, np.ndarray]:
     most 1e-14, and E is monotone along the curve, so the same holds
     further out.
 
-    The Newton target is L = log 1e-14 - 1e-9. The start, |t| =
-    sqrt(-2 L / Var Q), ends the bracket on the mean's side, since
-    -E(t) = int_0^t s K''(s) ds and K'' grows with t; the far end is where
-    the largest term's exponent alone, which bounds E from above, reaches L.
+    The Newton target is L = log 1e-14 - 1e-9. The Gaussian start, |t| =
+    sqrt(-2 L / Var Q), ends lo's bracket on the mean's side, since -E(t)
+    = int_0^t s K''(s) ds and K'' grows with |t| below the mean; hi's z
+    is at least 2 |t|, since -E <= z^2 Var Q / 8 above the mean, so both
+    brackets start at log |t|. Each ends where the largest term's exponent
+    alone, which bounds E from above, is below L. lo starts from E's limit
+    far below the mean, and hi midway, in y, between 2 |t| and the
+    Gaussian start's z (see the module docstring).
 
-    Each step works on the rows still open: a row leaves once its point
-    meets the window. Rows never mix, since a row's sums run over its own
-    L terms in an order that does not depend on the batch, so each point
-    is that of its form solved alone, bit for bit.
+    Every pass evaluates E on every row, and a row that has met the window
+    keeps its point. Rows never mix, since a row's sums run over its own L
+    terms in order, so each point is that of its form solved alone, bit
+    for bit.
     """
     n = w.shape[0]
     target = log(_SATURATION) - 1e-9
     log_target = log(-target)
-    upper = np.repeat([False, True], n)
-    w = np.tile(w, (2, 1))
-    lam = np.tile(lam, (2, 1))
-    u0 = 0.5 * (log_target - np.log(np.sum(w * w * (1.0 + 2.0 * lam),
-                                             axis=1)))
-    alpha0 = 2.0 * np.exp(u0)
-    with np.errstate(invalid="ignore"):
-        v0 = np.where(alpha0 < 1.0, -np.log1p(-alpha0), np.inf)
-    left = np.where(upper, 0.0, u0)
-    right = np.where(upper, np.minimum(v0, log(2.0 - 4.0 * target)),
+    upper = np.arange(2 * n) >= n
+    # Term-major and C-ordered, (L, 2N): the lo rows, then the hi rows.
+    w = np.concatenate((w, w)).T.copy()
+    lam = np.concatenate((lam, lam)).T.copy()
+    u0 = 0.5 * (log_target - np.log((w * w * (1.0 + 2.0 * lam)).sum(axis=0)))
+    # Far below the mean, where each 2 w |t| >> 1, E tends to the sum over
+    # the active terms of -1/2 log(2 w |t|) + 1/2 - lam / 2.
+    active = w > 0.0
+    terms = active.sum(axis=0)
+    u_far = (terms - lam.sum(axis=0) - 2.0 * target
+             - np.log(np.where(active, 2.0 * w, 1.0)).sum(axis=0)) / terms
+    left = u0
+    right = np.where(upper, log(1.0 - 4.0 * target),
                      1.0 - 2.0 * target - log(2.0))
-    y = np.where(upper, right, left)
-    x = np.empty(y.size)
-    t = np.empty(y.size)
-    rows = np.arange(y.size)  # of x and t, for the rows still open
+    # Above the mean the point's z = 2t / (1 - 2t) is at least 2 e^u0, since
+    # -E <= z^2 Var Q / 8, and at most the Gaussian start's z and 1 - 4 L;
+    # hi starts midway between, in y. On forms led by a large noncentrality
+    # both bounds lie within rounding of the point, so the bracket is kept
+    # wider: a Newton step would land beyond them and be refused.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        y_gauss = -np.log(0.5 * np.exp(-u0) - 1.0)
+    y = np.where(upper, 0.5 * (u0 + log(2.0) + np.fmin(y_gauss, right)),
+                 u_far.clip(left, right))
+    flip = np.where(upper, -1.0, 1.0)
+    lam2 = 2.0 * lam
     with np.errstate(divide="ignore", invalid="ignore"):
         for _ in range(_SADDLE_MAX):
-            # alpha = 2 t is -2 e^u below the mean and 1 - e^-v above it.
-            e_y = np.exp(np.where(upper, -y, y))
-            alpha = np.where(upper, -np.expm1(-y), -2.0 * e_y)
-            a = w * alpha[:, None]
-            r = 1.0 - a
+            # alpha = 2 t is -2 e^u below the mean and 1 / (1 + e^-y) above.
+            e_y = np.exp(flip * y)
+            alpha = np.where(upper, 1.0 / (1.0 + e_y), -2.0 * e_y)
+            e, r = _exponent(w, lam, alpha)
+            open_ = np.abs(e - target) > 1e-9
             q = w / r
-            e = -0.5 * (np.log1p(-a) + a / r * (1.0 + lam * a / r)).sum(axis=1)
-            met = np.abs(e - target) <= 1e-9
-            if met.any():
-                x[rows[met]] = (q[met] * (1.0 + lam[met] / r[met])).sum(axis=1)
-                t[rows[met]] = 0.5 * alpha[met]
-                if met.all():
-                    return x.reshape(2, n), t.reshape(2, n)
-                keep = ~met
-                (rows, w, lam, upper, left, right, y, e_y, alpha, r, q, e) = (
-                    v[keep] for v in (rows, w, lam, upper, left, right, y,
-                                      e_y, alpha, r, q, e))
-            g = np.log(-e) - log_target
-            # d(-E)/dy = t K''(t) dt/dy, with dalpha/dy = alpha or e^-v.
-            slope = 0.5 * alpha * np.where(upper, e_y, alpha) * (
-                q * q * (1.0 + 2.0 * lam / r)).sum(axis=1)
+            if not open_.any():
+                x = (q * (1.0 + lam / r)).sum(axis=0)
+                return x.reshape(2, n), 0.5 * alpha.reshape(2, n)
+            h = -e
+            g = np.log(h) - log_target
+            # d(-E)/dy = t K''(t) dt/dy, dalpha/dy = alpha or alpha^2 e^-y.
+            slope = 0.5 * alpha * alpha * np.where(upper, alpha * e_y, 1.0) * (
+                q * q * (1.0 + lam2 / r)).sum(axis=0)
             below = ~(g >= 0.0)
             left = np.where(below, y, left)
             right = np.where(below, right, y)
-            step = y - g * -e / slope
-            y = np.where((step > left) & (step < right), step,
-                         0.5 * (left + right))
+            step = y - g * h / slope
+            step = np.where((step > left) & (step < right), step,
+                            0.5 * (left + right))
+            y = np.where(open_, step, y)
     raise AccuracyError("saddle-point search did not converge")
+
+
+def _exponent(w, lam, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """The Chernoff exponent E(t) = K(t) - t K'(t) (M,) at t = alpha / 2
+    (M,) of the unit forms in the columns of w, lam (L, M), and r = 1 - w
+    alpha (L, M).
+
+    E is summed as sum(-1/2 log r - z / 2 - lam z^2 / 2), z = w alpha / r,
+    since K - t K' cancels badly far out. Columns never mix: each sum adds
+    its column's L terms in order, first to last, for any M.
+    """
+    a = w * alpha
+    r = 1.0 - a
+    z = a / r
+    return -0.5 * (np.log1p(-a) + z * (1.0 + lam * z)).sum(axis=0), r
 
 
 # ---------------------------------------------------------------------------

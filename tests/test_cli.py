@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -727,6 +728,24 @@ def test_module_entry_point_runs():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert proc.stdout == "alpha=1.18703 dB/km, PL=41.0781 dB\n"
+
+
+def test_closed_stdout_exits_1_without_a_message():
+    # A reader that stops early, as `uwauth roc ... | head -1` does, is
+    # not bad input: the command exits 1, as Python does on a broken pipe,
+    # with nothing on stderr. Its pipe's read end is closed before the
+    # command starts, so the first write fails whatever the output's size.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "uwauth.cli", "roc", FIXED_EVE,
+             "--points", "11"],
+            stdout=write_end, stderr=subprocess.PIPE, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_benchmark_trace_hooks_find_their_attributes():

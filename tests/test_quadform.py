@@ -510,6 +510,9 @@ def test_cdf_grid_validation():
         cdf_grid([[1.0, 0.0]], [[0.0, 0.0]], [1.0])
     with pytest.raises(DomainError, match="finite"):
         cdf_grid([[1.0]], [[0.0]], [np.nan])
+    # A batch of no forms has nothing to solve; its curve solve once ran
+    # its 100 passes on no rows and raised AccuracyError.
+    assert cdf_grid(np.ones((0, 3)), np.zeros((0, 3)), [1.0]).shape == (0, 1)
 
 
 def _exponent_minimum(w, lam, x):
@@ -597,15 +600,30 @@ def test_saturation_points_certify_at_50_digits():
     # at lam ~ 1e20 adjacent doubles differ by ~7e-6 in exponent, so no
     # double would meet the bare window. The inversion shift c is 0, or
     # its minimized exponent is at most log 1e-20, with the same slack.
+    # Then the forms where the solve's starts are loosest: central forms
+    # with weights down to 1e-9, whose lo starts from E's limit far below
+    # the mean, and forms whose lam sum / 2 lies near -log 1e-14 ~ 32,
+    # where that limit says least about the point.
     mp = pytest.importorskip("mpmath")
     rng = np.random.default_rng(21)
     cut, shift_cut = math.log(1e-14), math.log(1e-20)
-    shifts = 0
+    forms = []
     for terms in list(range(1, 7)) * 4:
         w = 10.0 ** rng.uniform(-8.0, 0.0, terms)
-        w /= w.max()
-        lam = np.where(rng.random(terms) < 0.3, 0.0,
-                       10.0 ** rng.uniform(-2.0, 20.0, terms))
+        forms.append((w / w.max(), np.where(
+            rng.random(terms) < 0.3, 0.0,
+            10.0 ** rng.uniform(-2.0, 20.0, terms))))
+    for terms in list(range(2, 7)) * 2:
+        w = np.concatenate([[1e-9], 10.0 ** rng.uniform(-9.0, 0.0, terms - 2),
+                            [1.0]])
+        forms.append((w, np.zeros(terms)))
+    for half_sum in (28.0, 32.0, 36.0):
+        for terms in range(1, 5):
+            w = 10.0 ** rng.uniform(-4.0, 0.0, terms)
+            forms.append((w / w.max(),
+                          2.0 * half_sum * rng.dirichlet(np.ones(terms))))
+    shifts = 0
+    for w, lam in forms:
         # As _prepare hands the form on: scales sqrt(w), the largest 1.
         w, lam, _, _, points = quadform._prepare(np.sqrt(w)[None],
                                                  np.sqrt(w * lam)[None])
@@ -805,25 +823,61 @@ def test_deep_levels_are_located_relative_to_their_tail():
     assert max(abs(dist.cdf(x) - p) for x, p in zip(q, levels)) <= 1e-10
 
 
-def _count_quantile_passes(monkeypatch):
-    """The number of _lower_prob passes made by each quantile search, in
-    order: QuadFormDist.quantile and quantile_grid both make one."""
+def _count_passes(monkeypatch, step, call):
+    """The number of calls to quadform's function named step made by each
+    call to its function named call, in order: _lower_prob passes per
+    quantile search (QuadFormDist.quantile and quantile_grid both make
+    one), or _exponent passes per _curve_points solve."""
     passes, per_call = [], []
-    lower_prob, search = quadform._lower_prob, quadform._quantile_search
+    counted_step = getattr(quadform, step)
+    counted_call = getattr(quadform, call)
 
-    def counting_lower_prob(*args):
+    def counting_step(*args):
         passes.append(1)
-        return lower_prob(*args)
+        return counted_step(*args)
 
-    def counting_search(form, p):
+    def counting_call(*args):
         before = len(passes)
-        result = search(form, p)
+        result = counted_call(*args)
         per_call.append(len(passes) - before)
         return result
 
-    monkeypatch.setattr(quadform, "_lower_prob", counting_lower_prob)
-    monkeypatch.setattr(quadform, "_quantile_search", counting_search)
+    monkeypatch.setattr(quadform, step, counting_step)
+    monkeypatch.setattr(quadform, call, counting_call)
     return per_call
+
+
+def test_saturation_points_take_few_newton_passes(monkeypatch):
+    # Each row starts from its tail's asymptote: lo from E's limit far
+    # below the mean, hi from the middle of its bracket in log z, z = 2t /
+    # (1 - 2t), over which log(-E) is nearly linear. From the Gaussian
+    # start, the ROC's two forms and each calibration form took 8 passes,
+    # the uniform-Eve sweep's 441 forms 9, and the random forms below 7.0
+    # on average and at most 11.
+    root = Path(__file__).resolve().parents[1]
+    per_call = _count_passes(monkeypatch, "_exponent", "_curve_points")
+    fixed = cli._load_config(str(root / "configs" / "fixed-eve.json"))
+    roc_curve(cli._scenario_from(fixed, power_db=cli._pick_power(fixed, None)),
+              points=11)
+    for name in ("baseline", "fixed-eve"):
+        config = cli._load_config(str(root / "configs" / f"{name}.json"))
+        default_thresholds(cli._scenario_from(config, power_db=50.0))
+    quadform._prepare(*_uniform_sweep_forms())
+    assert per_call == [4, 4, 4, 8]
+    # Forms of 2 to 4 terms with scales over four decades, each offset
+    # nonzero with probability 0.6 and spread over four decades.
+    per_call.clear()
+    rng = np.random.default_rng(11)
+    for _ in range(400):
+        terms = rng.integers(2, 5)
+        scales = 10.0 ** rng.uniform(-4.0, 0.0, terms)
+        offsets = np.where(rng.random(terms) < 0.6,
+                           scales * 10.0 ** rng.uniform(-2.0, 2.0, terms), 0.0)
+        QuadFormDist(scales, offsets)._form
+    assert len(per_call) == 400
+    assert np.mean(per_call) <= 4.8 and max(per_call) <= 11
+    print(f"Newton passes per random form: {np.mean(per_call):.2f} on "
+          f"average, at most {max(per_call)}")
 
 
 def test_shipped_quantile_batches_take_few_cdf_passes(monkeypatch):
@@ -833,7 +887,8 @@ def test_shipped_quantile_batches_take_few_cdf_passes(monkeypatch):
     # and 11 passes; 40 halvings and a check pass took 41.
     config = cli._load_config(str(Path(__file__).resolve().parents[1]
                                   / "configs" / "fixed-eve.json"))
-    per_call = _count_quantile_passes(monkeypatch)
+    per_call = _count_passes(monkeypatch, "_lower_prob",
+                             "_quantile_search")
     roc_curve(cli._scenario_from(config, power_db=50.0), points=101)
     assert len(per_call) == 1 and per_call[0] <= 6
     per_call.clear()
@@ -851,7 +906,8 @@ def test_quantiles_of_random_forms_meet_their_documented_bound(monkeypatch):
     rng = np.random.default_rng(18)
     levels = np.array([1e-10, 1e-6, 0.01, 0.5, 0.99, 1.0 - 1e-6,
                        1.0 - 1e-10])
-    per_call = _count_quantile_passes(monkeypatch)
+    per_call = _count_passes(monkeypatch, "_lower_prob",
+                             "_quantile_search")
     for _ in range(200):
         terms = rng.integers(1, 6)
         scales = 10.0 ** rng.uniform(-4.0, 0.0, terms)
@@ -1017,12 +1073,10 @@ def test_log_planes_add_in_term_order():
             assert plane.sum(axis=1).tobytes() == loop.tobytes()
 
 
-def test_saddle_curve_points_of_a_mixed_batch_are_each_forms_own():
-    # The uniform-Eve sweep's 441 forms (the legitimate node and 20 region
-    # points at 21 powers) and forms with folded terms, in one batch:
-    # its rows meet their windows after different numbers of steps and
-    # leave the solve as they do, and each row's points are bit for bit
-    # those of its form solved alone.
+def _uniform_sweep_forms():
+    """Scales and offsets (441, 3) of the uniform-Eve sweep's forms in
+    its cdf_grid batch: the legitimate node and 20 region points at each
+    of 21 powers."""
     scen = baseline_scenario(eve=None)
     d0 = scen.alice_distances()
     d_eve = scen.anchors.distances_to(region_point_set(20, scen.region))
@@ -1033,6 +1087,15 @@ def test_saddle_curve_points_of_a_mixed_batch_are_each_forms_own():
     off = np.concatenate([np.broadcast_to(off0, a0[:, None].shape),
                           np.broadcast_to(off1, a1.shape)],
                          axis=1).reshape(-1, 3)
+    return a, off
+
+
+def test_saddle_curve_points_of_a_mixed_batch_are_each_forms_own():
+    # The uniform-Eve sweep's 441 forms and forms with folded terms, in
+    # one batch: its rows meet their windows after different numbers of
+    # steps, a row that has met its window stays where it met it, and
+    # each row's points are bit for bit those of its form solved alone.
+    a, off = _uniform_sweep_forms()
     assert len(a) == 441
     rng = np.random.default_rng(48)
     a_folded = 10.0 ** rng.uniform(-2.0, 2.0, (40, 3))
