@@ -326,15 +326,17 @@ def _statistic(anchors: AnchorArray, claimed, d, sigma, z) -> np.ndarray:
     Formed in place in one anchor-major buffer, a plane at a time, so that
     every operand is a scalar or has the plane's shape: numpy runs several
     times slower along the L anchors, or with an operand broadcast across
-    planes. _observe and _residual keep their operation order on each
-    plane, so the bits are those of z whole."""
+    planes. Each plane takes _observe, then _residual's subtractions of
+    anchor i's squared norm and model entry: the bits of z whole."""
     batch, n, L = z.shape
     buf = np.empty((L, batch, n))
     r = buf.transpose(1, 2, 0)
     np.copyto(r, z)
+    model = _claim_model(anchors, claimed)
     for i, plane in enumerate(buf):
         _observe(d[i], sigma[i], plane, out=plane)
-        _residual(anchors, plane, claimed, out=plane, anchor=i)
+        plane -= anchors._sq_norms[i]
+        plane -= model[i]
     return _squared_norms(r, r)
 
 
@@ -438,22 +440,22 @@ def _lift(claimed) -> np.ndarray:
     return np.array([x, y, norm_sq])
 
 
-def _residual(anchors: AnchorArray, observed_sq, claimed,
-              out=None, anchor=None) -> np.ndarray:
-    """b - A chi(claim) for observations shaped (L,) or (n, L), formed in
-    out when given, which may be observed_sq itself. With an anchor index
-    i, observed_sq holds anchor i's observations alone, of any shape, and
-    the result is row i of b - A chi(claim) at each of them.
+def _residual(anchors: AnchorArray, observed_sq, claimed) -> np.ndarray:
+    """b - A chi(claim) for observations shaped (L,) or (n, L)."""
+    b = _right_hand_side(anchors, observed_sq)
+    b -= _claim_model(anchors, claimed)
+    return b
 
-    The anchors keep one slot, (owner, model): a frozen claim, a view of
-    immutable bytes such as Scenario.alice whose values can never change,
-    and its model A chi(claim). A claim that is the owner is a hit with no
-    further work. Any other claim is checked and lifted afresh, so one of
-    the wrong shape or not finite raises DomainError; it takes the slot
-    only when it is frozen. A new slot replaces the old one whole, with
-    one store, so threads sharing the anchors always read a matching pair.
-    """
-    b = _right_hand_side(anchors, observed_sq, out, anchor)
+
+def _claim_model(anchors: AnchorArray, claimed) -> np.ndarray:
+    """A chi(claim), kept in the anchors' one slot, (owner, model): a
+    frozen claim, a view of immutable bytes such as Scenario.alice whose
+    values can never change, and its model. A claim that is the owner is a
+    hit with no further work. Any other claim is checked and lifted afresh,
+    so one of the wrong shape or not finite raises DomainError; it takes
+    the slot only when it is frozen. A new slot replaces the old one whole,
+    with one store, so threads sharing the anchors always read a matching
+    pair."""
     owner, model = anchors._claim_model[0]
     if claimed is not owner:
         # ndarray.dot makes the BLAS call that A @ chi makes, with less
@@ -461,8 +463,7 @@ def _residual(anchors: AnchorArray, observed_sq, claimed,
         model = anchors._design.dot(_lift(claimed))
         if _is_frozen(claimed):
             anchors._claim_model[0] = claimed, model
-    b -= model if anchor is None else model[anchor]
-    return b
+    return model
 
 
 def _seed_entropy(master_seed) -> tuple:

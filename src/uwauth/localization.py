@@ -101,7 +101,7 @@ class AnchorArray:
         object.__setattr__(self, "_design", design)
         object.__setattr__(self, "_sq_norms", sq_norms)
         # One (frozen claim, A chi(claim)) pair: see
-        # authentication._residual. Empty, its owner is an object no
+        # authentication._claim_model. Empty, its owner is an object no
         # caller holds, where None would be matched by a None claim.
         object.__setattr__(self, "_claim_model", [(object(), None)])
 
@@ -257,21 +257,14 @@ def build_system(anchors: AnchorArray, observed_sq) -> tuple[np.ndarray, np.ndar
     return anchors._design, _right_hand_side(anchors, observed_sq)
 
 
-def _right_hand_side(anchors: AnchorArray, observed_sq, out=None,
-                     anchor=None):
-    """b of the lifted system, d_hat_i^2 - x_i^2 - y_i^2, formed in out
-    when given, which may be observed_sq itself. With an anchor index i,
-    observed_sq holds anchor i's observations alone, of any shape, and
-    the result is row i of b at each of them."""
+def _right_hand_side(anchors: AnchorArray, observed_sq):
+    """b of the lifted system, d_hat_i^2 - x_i^2 - y_i^2, for observations
+    shaped (L,) or (n, L)."""
     obs = np.asarray(observed_sq, dtype=float)
     sq_norms = anchors._sq_norms
-    if anchor is not None:
-        sq_norms = sq_norms[anchor]
-    elif obs.shape[-1] != sq_norms.shape[0]:
+    if obs.shape[-1] != sq_norms.shape[0]:
         raise DomainError("one squared observation per anchor is required")
-    if out is None:
-        return obs - sq_norms  # the operator parses no keywords per packet
-    return np.subtract(obs, sq_norms, out=out)
+    return obs - sq_norms
 
 
 def solve_position(A: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -77,10 +77,10 @@ between n - 1 and n, by more than the 1e-7 target. The aliasing
 coefficients do not depend on A, so extrapolating the pair cancels the
 e^-A term; what remains is the truncation of the Euler sum and rounding
 amplified by e^(A/2): ~1e-13 on typical cells, up to ~6e-11 on extreme
-ones, and ~3e-12 absolute in the far upper tail, where sf values below
-that can come out as 0. The shipped fixed-Eve sweep's inverted false-alarm
-cells are within 9.5e-13, and its 101-point ROC's within 2.2e-13, of
-40-digit references.
+ones, and ~3e-12 absolute either way in the far upper tail: sf values
+below that can come out as 0 or many times too large (ROADMAP.md, item 2).
+The shipped fixed-Eve sweep's inverted false-alarm cells are within
+9.5e-13, and its 101-point ROC's within 2.2e-13, of 40-digit references.
 
 Exponent. A term's -1/2 log(1 + 2 w s) is formed in real arithmetic: with
 u + i v = 2 w s, as -1/4 log1p(u (2 + u) + v^2) - i/2 arctan2(v, 1 + u).
@@ -245,7 +245,8 @@ class QuadFormDist:
         return float(self._cdf(np.array([float(x)]))[0])
 
     def sf(self, x: float) -> float:
-        """P(Q > x); computed from the same inversion as cdf."""
+        """P(Q > x), as 1 - cdf(x): off by ~3e-12 absolute either way in
+        the far upper tail, so 0 or too large there (ROADMAP.md, item 2)."""
         return float(1.0 - self._cdf(np.array([float(x)]))[0])
 
     def quantile(self, p):

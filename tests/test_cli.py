@@ -3,6 +3,7 @@
 import importlib.util
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -136,6 +137,30 @@ def test_localize_matches_the_recorded_output(capsys):
     assert rc == 0
     assert out == (ROOT / "tests" / "data" / "fixed-eve-localize.json"
                    ).read_text()
+
+
+@pytest.mark.parametrize("command", ["pathloss", "localize", "roc"])
+def test_readme_examples_print_what_the_readme_shows(command, capsys,
+                                                     monkeypatch):
+    # Each example is a `$ uwauth ...` line in a sh block of README.md
+    # followed by its output. A "..." in a line stands for the rest of a
+    # number, and a line that is "..." alone for the lines after it.
+    readme = (ROOT / "README.md").read_text()
+    (example,) = [block for block in re.findall(r"```sh\n(.*?)```", readme,
+                                                re.S)
+                  if block.startswith(f"$ uwauth {command} ")]
+    argv, *shown = example.splitlines()
+    monkeypatch.chdir(ROOT)
+    rc, out, _ = run(argv.split()[2:], capsys)
+    assert rc == 0
+    printed = out.splitlines()
+    if shown[-1] == "...":
+        shown.pop()
+        printed = printed[:len(shown)]
+    assert len(printed) == len(shown), (printed, shown)
+    for want, got in zip(shown, printed):
+        pattern = r"\d*".join(map(re.escape, want.split("...")))
+        assert re.fullmatch(pattern, got), (want, got)
 
 
 def test_localize_rejects_malformed_json(tmp_path, capsys):

@@ -50,8 +50,15 @@ def test_build_system_subtracts_anchor_norms():
     obs = np.array([1.0, 2.0, 3.0])
     A, b = build_system(TRIANGLE, obs)
     np.testing.assert_allclose(b, obs - np.array([250000.0, 500000.0, 500000.0]))
-    with pytest.raises(DomainError):
+    refusal = "one squared observation per anchor"
+    with pytest.raises(DomainError, match=refusal):
         build_system(TRIANGLE, np.ones(4))
+    # Stacked, (n, L), observations are checked the same way.
+    with pytest.raises(DomainError, match=refusal):
+        build_system(TRIANGLE, np.ones((5, 4)))
+    with pytest.raises(DomainError, match=refusal):
+        authentication._residual(TRIANGLE, np.ones((5, 2)),
+                                 np.array([10.0, -20.0]))
 
 
 def test_exact_lifted_vector_round_trips():

@@ -689,6 +689,59 @@ def test_equal_scales_see_the_offsets_only_through_their_norm():
             a, d1, d2)
 
 
+def _lower_saddle_points(w, lam, x):
+    """The saddle points t < 0, K'(t) = x, of the cells x (M,) below their
+    unit forms' means, w and lam (L, M), by bisection in log(-t) on
+    [-70, 70]: K' falls from the mean to 0 as log(-t) rises."""
+    lo, hi = np.full(x.shape, -70.0), np.full(x.shape, 70.0)
+    for _ in range(100):
+        u = 0.5 * (lo + hi)
+        r = 1.0 + 2.0 * w * np.exp(u)
+        above = (w / r * (1.0 + lam / r)).sum(axis=0) > x
+        lo, hi = np.where(above, u, lo), np.where(above, hi, u)
+    return -np.exp(0.5 * (lo + hi))
+
+
+def test_lower_tails_of_random_forms_meet_their_chernoff_bound():
+    # Forms of 2 to 4 terms with scales over four decades, each offset
+    # nonzero with probability 0.6 and spread over four decades, at 40
+    # points from 1e-8 to 6 times the mean. Below the mean every cell is
+    # at most its Chernoff bound exp(E(t)), t its own saddle point, and the
+    # CDF does not fall. The upper tail is not held to its bound here: a
+    # few cells there exceed it (see quadform's module docstring).
+    rng = np.random.default_rng(35)
+    cells = {terms: ([], [], [], []) for terms in (2, 3, 4)}
+    for _ in range(400):
+        terms = int(rng.integers(2, 5))
+        scales = 10.0 ** rng.uniform(-4.0, 0.0, terms)
+        offsets = np.where(rng.random(terms) < 0.6,
+                           scales * 10.0 ** rng.uniform(-2.0, 2.0, terms), 0.0)
+        mean = float(np.sum(scales ** 2 + offsets ** 2))
+        x = np.geomspace(1e-8, 6.0 * mean, 40)
+        f = cdf_grid(scales[None], offsets[None], x)[0]
+        below = x < mean
+        assert np.all(np.diff(f)[below[1:]] >= 0.0), (scales, offsets)
+        # In the unit of the largest weight, term-major, one column per
+        # cell, as quadform._exponent sums.
+        a_max, n = scales.max(), np.count_nonzero(below)
+        w, lam, xs, fs = cells[terms]
+        w.append(np.repeat(((scales / a_max) ** 2)[:, None], n, axis=1))
+        lam.append(np.repeat(((offsets / scales) ** 2)[:, None], n, axis=1))
+        xs.append(x[below] / a_max / a_max)
+        fs.append(f[below])
+    checked = 0
+    for w, lam, x, f in cells.values():
+        w, lam, x, f = (np.concatenate(c, axis=-1) for c in (w, lam, x, f))
+        t = _lower_saddle_points(w, lam, x)
+        exponent, _ = quadform._exponent(w, lam, 2.0 * t)
+        over = f > np.exp(exponent) * (1.0 + 1e-9)
+        assert not over.any(), (x[over], f[over], np.exp(exponent[over]))
+        checked += x.size
+    assert checked > 13_000
+    print(f"{checked} lower-tail cells of 400 random forms within their "
+          f"Chernoff bounds")
+
+
 def test_deep_lower_tail_sweep_cell_is_exactly_zero():
     # A uniform-impersonator cell of the shipped sweep: x / mean ~ 3e-6,
     # with a Chernoff exponent far below the cut, where a saddle-point

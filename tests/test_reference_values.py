@@ -6,7 +6,9 @@ the thresholds recorded in tests/data/fixed-eve-sweep.csv; that script
 states the method. tests/data/fixed-eve-roc-101-p-fa-reference.csv is
 written the same way at the 101 ROC thresholds that
 tools/roc_thresholds.py records in tests/data/fixed-eve-roc-101-thresholds.csv.
-No mpmath runs here.
+tests/data/fixed-eve-p-md-reference.csv holds the miss rates of the same
+sweep cells, by Ruben's series from tools/p_md_reference.py, or past its
+term cap a Chernoff bound. No mpmath runs here.
 """
 
 import csv
@@ -59,6 +61,32 @@ def test_printed_false_alarm_rates_meet_their_bound(tmp_path, config):
     print(f"p_fa against the reference ({config}): " + ", ".join(
         f"{regime} worst relative error {rel:.2e}, absolute {gap:.2e}"
         for regime, (rel, gap) in worst.items()))
+
+
+def test_printed_miss_rates_meet_their_bound(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", str(ROOT / "configs" / "fixed-eve.json"),
+                 "--out", str(out)]) == 0
+    printed = read_csv(out)
+    reference = read_csv(DATA / "fixed-eve-p-md-reference.csv")
+    assert len(printed) == len(reference)
+    worst = 0.0
+    for row, ref in zip(printed, reference):
+        assert (row["power_db"], row["threshold"]) == (
+            ref["power_db"], ref["threshold"])
+        # A series value, or past the series' term cap an upper bound;
+        # either may lie below the smallest double and parse as 0.
+        got, want = float(row["p_md_analytic"]), float(ref["p_md"])
+        if got == 0.0:
+            # A printed 0 stands for a tail certified below 1e-14.
+            assert want <= 1e-14, (row, ref)
+        else:
+            assert ref["method"].startswith("Ruben series"), (row, ref)
+            rel = abs(got - want) / want
+            assert rel <= 2e-12, (row, ref)
+            worst = max(worst, rel)
+    print(f"p_md against the reference: nonzero cells' worst relative "
+          f"error {worst:.2e}")
 
 
 def test_printed_roc_false_alarm_rates_meet_their_targets(capsys):
